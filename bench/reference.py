@@ -1,19 +1,18 @@
 """Regenerate the reference figures of bench/README.md.
 
-    python3 bench/reference.py --runs 10 --seconds 25
+    python3 bench/reference.py
 
 Runs every workload untraced with seeds 1..RUNS and once traced with seed 1,
-each through bench/run.py, then prints as Markdown: per workload the median
-of each end-to-end metric with its quartile spread (the distance between the
-first and third quartile as a share of the median), the same for the raw
-wall-clock figures, the failed share, the per-layer figures of the traced
-run, and the tracing overhead: the traced round's time over the median
-untraced round's, each divided by its run's median probe time.
+each through bench/run.py for BENCHMARK.json's run_seconds, then prints as
+Markdown: per workload the median of each end-to-end metric with its
+quartile spread (the distance between the first and third quartile as a
+share of the median), the failed share, the per-layer figures of the traced
+run, and the tracing overhead: the traced round's wall time over the median
+untraced round's.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -24,6 +23,8 @@ BENCH = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402
+
+RUNS = 10
 
 
 def call(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -42,41 +43,31 @@ def spread(values) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
-    args = parser.parse_args()
+    seconds = json.loads((run.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     layers = {}
     for workload in run.WORKLOADS:
-        results, raws, rounds = [], [], []
-        for seed in range(1, args.runs + 1):
-            result, record = call(workload, seed, args.seconds, 0)
+        results, rounds = [], []
+        for seed in range(1, RUNS + 1):
+            result, record = call(workload, seed, seconds, 0)
             results.append(result)
-            raws.append(record["worker"]["raw"])
-            rounds.append(statistics.median(record["worker"]["round_s"])
-                          / record["worker"]["probe_s"])
-        traced, record = call(workload, 1, args.seconds, 1)
+            rounds.append(statistics.median(record["worker"]["round_s"]))
+        traced, record = call(workload, 1, seconds, 1)
         layers[workload] = traced["metrics"]
         shares = {r["failed"] / r["attempted"] for r in results}
         print(f"\n### {workload}\n")
-        print(f"{args.runs} runs of {args.seconds:g} s; correct in all: "
+        print(f"{RUNS} runs of {seconds} s; correct in all: "
               f"{all(r['correct'] for r in results)}; failed share: "
               f"{', '.join(f'{s:.5f}' for s in sorted(shares))} "
               f"({results[0]['failed']} of {results[0]['attempted']} in run 1)\n")
-        print("| metric | median | quartile spread | raw median | raw spread |")
-        print("|---|---|---|---|---|")
+        print("| metric | median | quartile spread |")
+        print("|---|---|---|")
         for name, unit in run.END_TO_END.items():
             values = [r["metrics"][name]["value"] for r in results]
-            row = f"| `{name}` ({unit}) | {statistics.median(values):.4g} | {spread(values):.3f} |"
-            if name in raws[0]:
-                raw = [r[name] for r in raws]
-                row += f" {statistics.median(raw):.4g} | {spread(raw):.3f} |"
-            else:
-                row += " | |"
-            print(row)
-        traced_round = record["worker"]["round_s"][0] / record["worker"]["probe_s"]
-        print(f"\nTracing overhead: the traced round took {traced_round:.0f} probe times, "
-              f"the median untraced round {statistics.median(rounds):.0f}: "
+            print(f"| `{name}` ({unit}) | {statistics.median(values):.4g} "
+                  f"| {spread(values):.3f} |")
+        traced_round = record["worker"]["round_s"][0]
+        print(f"\nTracing overhead: the traced round took {traced_round:.2f} s, "
+              f"the median untraced round {statistics.median(rounds):.2f} s: "
               f"{100 * (traced_round / statistics.median(rounds) - 1):.0f}% more.")
     print("\n### Per-layer figures (traced run, seed 1)\n")
     print("| metric | " + " | ".join(f"`{w}`" for w in run.WORKLOADS) + " |")

@@ -27,7 +27,9 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 WORKLOADS = ("desk_analyze", "orbit_census", "large_rank_analyze")
 SETUPS = 5  # odd: the median is one of them
-WORKER_TIMEOUT_S = 170
+# a worker may run one round past --seconds; the slowest round and set-up
+# take under 20 s on a 2-core virtual machine
+WORKER_MARGIN_S = 60
 # More BLAS threads do not speed up these small matrices here, and threads
 # that outnumber free cores make timings swing by several times.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -77,13 +79,14 @@ def machine() -> dict:
 
 def worker(args, mode: str) -> dict:
     env = dict(os.environ, **{var: BLAS_THREADS for var in THREAD_VARS})
+    timeout = args.seconds + WORKER_MARGIN_S
     cmd = [sys.executable, str(BENCH / "worker.py"), args.workload,
            str(args.seed), str(args.seconds), mode]
     try:
         proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
-                              text=True, timeout=WORKER_TIMEOUT_S)
+                              text=True, timeout=timeout)
     except subprocess.TimeoutExpired as exc:
-        raise BenchError(f"{mode} worker exceeded {WORKER_TIMEOUT_S} s") from exc
+        raise BenchError(f"{mode} worker exceeded {timeout:g} s") from exc
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise BenchError(f"{mode} worker exited {proc.returncode}: {proc.stderr.strip()}")

@@ -3,6 +3,7 @@
     python3 -m pytest bench/tests -q
 """
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -28,7 +29,7 @@ DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 def test_workload_runs_to_its_end_at_tiny_size(name):
     ops = workloads.make_ops(name, seed=3)
     tiny = sorted(ops, key=lambda op: op.algebra.dim)[:4]
-    summary = worker.measure(tiny, 0.0, worker.probe_arrays())
+    summary = worker.measure(tiny, 0.0)
     assert summary["attempted"] == 4 and summary["ops_per_round"] == 4
     assert summary["failed"] == 0 and summary["incorrect"] == 0
     assert 0 < summary["op_p50_ms"] <= summary["op_p90_ms"]
@@ -58,14 +59,15 @@ def _edited(outcome, **changes):
 def test_census_check_rejects_a_flipped_signature():
     algebra = al.make_algebra("hermR", 3)
     op = workloads.Op("test", algebra, 2, 1, element=al.unit(algebra))
-    assert workloads.check(op, Signature(2, 1)) == "ok"
-    assert workloads.check(op, Signature(1, 2)) not in ("ok", "failed")
+    assert workloads.check(op, Signature(2, 1)) is None
+    assert "signature" in workloads.check(op, Signature(1, 2))
 
 
 def test_analyze_check_accepts_the_program_output():
     for family, rank, p, q in (("hermR", 3, 0, 0), ("hermR", 3, 1, 1), ("hermC", 2, 2, 0)):
         op, outcome = _analyze(family, rank, p, q)
-        assert workloads.check(op, outcome) == "ok"
+        assert not workloads.failed(op, outcome)
+        assert workloads.check(op, outcome) is None
 
 
 def test_analyze_check_rejects_an_off_by_one_kernel_dimension():
@@ -90,9 +92,20 @@ def test_analyze_check_rejects_bare_nan():
 
 
 def test_typed_errors_count_as_failed():
-    op, outcome = _analyze("hermR", 3, 1, 0)
-    assert workloads.check(op, (3, "", "numerical failure: x")) == "failed"
-    assert workloads.check(op, (1, "", "Traceback")) not in ("ok", "failed")
+    op, _ = _analyze("hermR", 3, 1, 0)
+    assert workloads.failed(op, (3, "", "numerical failure: x"))
+    assert not workloads.failed(op, (1, "", "Traceback"))
+    assert "exit code 1" in workloads.check(op, (1, "", "Traceback"))
+
+    ops = workloads.make_ops("orbit_census", seed=1)
+    passing, known = ops[0], ops[-1]
+    assert known.may_fail and not passing.may_fail
+    summary = worker.measure([passing, known], 0.0)
+    assert (summary["attempted"], summary["failed"], summary["incorrect"]) == (2, 1, 0)
+    unexpected = dataclasses.replace(known, may_fail=False)
+    summary = worker.measure([passing, unexpected], 0.0)
+    assert (summary["attempted"], summary["failed"], summary["incorrect"]) == (2, 1, 1)
+    assert "no failure is expected" in summary["incorrect_examples"][0]
 
 
 def test_declared_workloads_and_metrics_match_the_command():

@@ -7,19 +7,9 @@ whole rounds of the workload's ops until SECONDS have passed) or `trace`
 (set up and run exactly one round with every layer traced). The ops run in
 a closed loop: one caller, each op starting when the previous one returned.
 bench/run.py starts this script; the last stdout line is the result.
-
-Op timings are reported at a reference machine speed. The speed of the same
-code on a shared virtual machine swings by a third and more, for stretches
-of up to tens of seconds. So a fixed piece of work (`probe`) is timed about
-every PROBE_EVERY_S seconds between ops, and each op's time is multiplied by
-REFERENCE_PROBE_S over the median of the six probes nearest to it. The raw
-wall-clock figures are kept in the output under "raw". setup_s is raw.
 """
 
 import time
-
-REFERENCE_PROBE_S = 0.007
-PROBE_EVERY_S = 0.5
 
 T0 = time.perf_counter()  # setup_s runs from here: imports count as set-up
 
@@ -37,83 +27,44 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402  (imports conetube)
 
 
-def probe_arrays():
-    return (np.linspace(0.0, 1.0, 1 << 18),
-            np.linspace(0.0, 1.0, 36 ** 3).reshape(36 * 36, 36),
-            np.linspace(0.0, 1.0, 36))
-
-
-def probe(arrays) -> float:
-    """Seconds one fixed piece of work takes right now.
-
-    A pure-Python loop, then numpy passes over a 2 MB and a 370 kB array:
-    the passes slow down with cache and memory contention, which the loop
-    alone does not feel. About 7 ms on a 2-core Xeon virtual machine.
-    """
-    t = time.perf_counter()
-    acc = 0
-    for i in range(60000):
-        acc += i * i
-    big, table, vec = arrays
-    for _ in range(4):
-        big.sum()
-    for _ in range(40):
-        table @ vec
-    return time.perf_counter() - t
-
-
-def _p90(values):
-    return statistics.quantiles(values, n=10)[-1] if len(values) > 1 else values[0]
-
-
-def _timings(best_s):
-    ms = [1000.0 * t for t in best_s]
-    return {"ops_per_s": 1000.0 * len(ms) / sum(ms), "op_p50_ms": statistics.median(ms),
-            "op_p90_ms": _p90(ms)}
-
-
-def measure(ops, seconds, arrays, tracer=None) -> dict:
+def measure(ops, seconds, tracer=None) -> dict:
     """Run whole rounds of `ops` until `seconds` have passed (at least one).
 
-    Each round's outputs are checked once the round is over. An op's latency
-    is the best of its rounds, at reference speed. ops_per_s is one round's
-    op count over the sum of those latencies.
+    The timed phase is the rounds' op loops; each round's outputs are checked
+    after its loop. ops_per_s is the ops that did not fail over the wall time
+    of the timed phase. op_p50_ms and op_p90_ms are taken over the latency of
+    every op that did not fail, in every round. A failed op is incorrect too
+    unless its input is one the workload names as failing.
     """
-    best = [float("inf")] * len(ops)
-    raw_best = [float("inf")] * len(ops)
-    round_s, probes_s, failed, incorrect = [], [], set(), []
+    latencies_ms, round_s, failed, incorrect = [], [], set(), []
     n_failed = 0
     start = time.perf_counter()
     while True:
+        outcomes, times = [], []
         begun = time.perf_counter()
-        probes, segment, latencies, outcomes = [probe(arrays)], [], [], []
-        last_probe = time.perf_counter()
         for i, op in enumerate(ops):
             if tracer is not None:
                 tracer.current_op = len(round_s) * len(ops) + i
             t = time.perf_counter()
             outcomes.append(workloads.run_op(op))
-            latencies.append(time.perf_counter() - t)
-            segment.append(len(probes) - 1)
-            if time.perf_counter() - last_probe >= PROBE_EVERY_S:
-                probes.append(probe(arrays))
-                last_probe = time.perf_counter()
-        probes.append(probe(arrays))
+            times.append(time.perf_counter() - t)
         round_s.append(time.perf_counter() - begun)
-        probes_s += probes
-        for i, (t, k) in enumerate(zip(latencies, segment)):
-            scale = REFERENCE_PROBE_S / statistics.median(probes[max(0, k - 2):k + 4])
-            best[i] = min(best[i], t * scale)
-            raw_best[i] = min(raw_best[i], t)
-        for op, outcome in zip(ops, outcomes):
-            verdict = workloads.check(op, outcome)
-            if verdict == "failed":
+        for op, outcome, t in zip(ops, outcomes, times):
+            if workloads.failed(op, outcome):
                 n_failed += 1
                 failed.add(op.label)
-            elif verdict != "ok":
-                incorrect.append(verdict)
+                if not op.may_fail:
+                    incorrect.append(f"{op.label}: failed, but no failure is expected here "
+                                     f"({workloads.failure_text(outcome)})")
+                continue
+            latencies_ms.append(1000.0 * t)
+            problem = workloads.check(op, outcome)
+            if problem is not None:
+                incorrect.append(problem)
         if time.perf_counter() - start >= seconds:
             break
+    if not latencies_ms:
+        raise RuntimeError(f"every op failed; first: {incorrect[:1]}")
     return {
         "attempted": len(round_s) * len(ops),
         "failed": n_failed,
@@ -122,9 +73,10 @@ def measure(ops, seconds, arrays, tracer=None) -> dict:
         "incorrect_examples": incorrect[:5],
         "ops_per_round": len(ops),
         "round_s": round_s,
-        "probe_s": statistics.median(probes_s),
-        **_timings(best),
-        "raw": _timings(raw_best),
+        "ops_per_s": len(latencies_ms) / sum(round_s),
+        "op_p50_ms": statistics.median(latencies_ms),
+        "op_p90_ms": (statistics.quantiles(latencies_ms, n=10)[-1]
+                      if len(latencies_ms) > 1 else latencies_ms[0]),
     }
 
 
@@ -150,13 +102,12 @@ def main(argv) -> int:
     workloads.setup(workload)
     result = {"setup_s": time.perf_counter() - T0}
     if mode != "setup":
-        arrays = probe_arrays()
         if tracer is not None:
             tracer.enabled = False
         ops = workloads.make_ops(workload, seed)  # input generation is not timed
         if tracer is not None:
             tracer.enabled = True
-        result.update(measure(ops, seconds if mode == "run" else 0.0, arrays, tracer))
+        result.update(measure(ops, seconds if mode == "run" else 0.0, tracer))
         if tracer is not None:
             tracer.enabled = False
             result["layers"] = tracer.metrics()

@@ -7,9 +7,9 @@ orbit_census        one op = one `spectral.orbit_signature` call on a
 large_rank_analyze  the desk_analyze op on Hermitian algebras above the desk.
 
 Every output is checked against closed forms written out here, not against
-a stored copy of an earlier output. `check` returns "ok", "failed" (a typed
-ConetubeError, exit code 2 or 3 from the CLI) or a description of a wrong
-answer.
+a stored copy of an earlier output. `failed` tells a typed ConetubeError
+(exit code 2 or 3 from the CLI) from an answer; `check` returns what is
+wrong with an answer, or None.
 """
 
 from __future__ import annotations
@@ -40,14 +40,18 @@ LAMBDA_RANGE = (0.5, 2.0)
 # Rank-one albert elements hit a fault of the characteristic-root route on
 # about 1% of inputs, so their inputs do not depend on --seed: each round
 # uses the same fixed stream. FIXED_STREAM indices 0..CENSUS_SAMPLES-1 pass;
-# the indices below fail every time and are counted as failed ops.
+# the indices below fail every time and are counted as failed ops. They
+# are the only inputs of any workload on which an op may fail.
 FIXED_STREAM = 0xA1BE
 ALBERT_KNOWN_FAILURES = ((1, 0, 146), (0, 1, 35), (0, 1, 556))
 
 
 @dataclass(frozen=True)
 class Op:
-    """One timed operation: `argv` for analyze ops, `element` for census ops."""
+    """One timed operation: `argv` for analyze ops, `element` for census ops.
+
+    `may_fail` marks an input that hits a known fault of the program.
+    """
 
     label: str
     algebra: al.AlgebraDescriptor
@@ -55,6 +59,7 @@ class Op:
     q: int
     argv: tuple = ()
     element: np.ndarray | None = None
+    may_fail: bool = False
 
 
 def algebras(workload: str) -> list[al.AlgebraDescriptor]:
@@ -108,10 +113,10 @@ def transported_element(algebra, p, q, rng) -> np.ndarray:
     return al.pquad(algebra, g) @ x0
 
 
-def _albert_fixed(algebra, p, q, index) -> Op:
+def _albert_fixed(algebra, p, q, index, may_fail=False) -> Op:
     rng = np.random.default_rng([FIXED_STREAM, p, q, index])
     return Op(f"albert ({p},{q}) fixed#{index}", algebra, p, q,
-              element=transported_element(algebra, p, q, rng))
+              element=transported_element(algebra, p, q, rng), may_fail=may_fail)
 
 
 def census_ops(seed: int) -> list[Op]:
@@ -126,7 +131,8 @@ def census_ops(seed: int) -> list[Op]:
                     ops.append(Op(f"{_label(algebra, p, q)} #{k}", algebra, p, q,
                                   element=transported_element(algebra, p, q, rng)))
     albert = al.make_algebra("albert")
-    ops += [_albert_fixed(albert, p, q, i) for p, q, i in ALBERT_KNOWN_FAILURES]
+    ops += [_albert_fixed(albert, p, q, i, may_fail=True)
+            for p, q, i in ALBERT_KNOWN_FAILURES]
     return ops
 
 
@@ -218,18 +224,28 @@ def _refuse_constant(token):
     raise ValueError(f"non-finite number {token}")
 
 
-def check(op: Op, outcome) -> str:
-    """'ok', 'failed' (typed ConetubeError), or what is wrong with the output."""
+def failed(op: Op, outcome) -> bool:
+    """Whether the op ended in a typed ConetubeError instead of an answer."""
     if op.element is not None:
-        if isinstance(outcome, ConetubeError):
-            return "failed"
+        return isinstance(outcome, ConetubeError)
+    return outcome[0] in (2, 3)
+
+
+def failure_text(outcome) -> str:
+    if isinstance(outcome, ConetubeError):
+        return f"{type(outcome).__name__}: {outcome}"
+    code, _, err = outcome
+    return f"exit {code}: {err.strip()}"
+
+
+def check(op: Op, outcome) -> str | None:
+    """What is wrong with the answer of an op that did not fail, or None."""
+    if op.element is not None:
         got = tuple(outcome)
         if got != (op.p, op.q) or not all(type(v) is int for v in got):
             return f"{op.label}: signature {got}, built as ({op.p}, {op.q})"
-        return "ok"
+        return None
     code, text, _ = outcome
-    if code in (2, 3):
-        return "failed"
     if code != 0:
         return f"{op.label}: exit code {code}"
     try:
@@ -240,4 +256,4 @@ def check(op: Op, outcome) -> str:
         # compare as JSON so that true and 1, or 2 and 2.0, stay distinct
         if json.dumps(report.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
             return f"{op.label}: {key} = {report.get(key)!r}, expected {value!r}"
-    return "ok"
+    return None
