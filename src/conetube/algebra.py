@@ -39,7 +39,6 @@ from functools import lru_cache
 import numpy as np
 
 from .composition import (
-    COMPOSITION_DIMS,
     conjugation_signs,
     multiplication_tensor,
     quaternion_to_complex_block,

@@ -137,7 +137,6 @@ def cmd_table(args) -> int:
 def _analysis_report(algebra, p, q, tol):
     orbit = tb.make_orbit(algebra, p, q, tol=tol)
     dims = tb.cr_dimensions(algebra, p, q)
-    kernel = tb.levi_kernel(orbit)
     nd = tb.nondegeneracy_order(orbit)
     minimal = tb.minimality_check(orbit)
     rho = orbit.rho
@@ -160,7 +159,7 @@ def _analysis_report(algebra, p, q, tol):
         "corank": orbit.rho_prime,
         "crdim": dims["crdim"],
         "crcodim": dims["crcodim"],
-        "levi_kernel_dim": kernel.dim,
+        "levi_kernel_dim": nd.chain_dims[1] if rho else 0,
         "nondegeneracy_order": (nd.order if nd.order is not None
                                 else "NotFinitelyNondegenerate"),
         "chain_dims": nd.chain_dims,
@@ -348,8 +347,6 @@ def _add_common(sub, family=True, rank=True, signature=False, element=False):
         sub.add_argument("--element", required=True,
                          help="element coordinates: inline JSON or a file path")
     sub.add_argument("--json", action="store_true")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for sampled checks (reports are deterministic)")
     sub.add_argument("--tol", type=float, default=1e-8)
 
 
@@ -396,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--matrix", help="symplectic matrix, inline JSON or file")
     g.add_argument("--z", help="Siegel point, JSON matrix of [re,im] pairs")
     g.add_argument("--json", action="store_true")
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--tol", type=float, default=1e-8)
     g.set_defaults(func=cmd_siegel)
     return parser

@@ -65,10 +65,6 @@ def conjugation_signs(n: int) -> np.ndarray:
     return signs
 
 
-def multiply(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,i,j->k", multiplication_tensor(n), x, y)
-
-
 def conjugate(x: np.ndarray) -> np.ndarray:
     return conjugation_signs(len(x)) * x
 

@@ -20,6 +20,10 @@ class DimensionMismatch(ConetubeError):
     """An element's coordinate vector does not match the algebra dimension."""
 
 
+class NonFiniteInput(ConetubeError):
+    """An input coordinate is NaN or infinite."""
+
+
 class SingularElement(ConetubeError):
     """Quadratic representation is singular; the element has no inverse."""
 
@@ -91,6 +95,7 @@ class NotInLightCone(ConetubeError):
 INPUT_ERRORS = (
     ClassificationError,
     DimensionMismatch,
+    NonFiniteInput,
     NotIdempotent,
     InvalidFrame,
     InvalidSignature,

@@ -93,13 +93,13 @@ class GlOmegaSpan:
 
 
 def _stack_rank(stack: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numeric rank of a row stack and orthonormal rows spanning it (one SVD)."""
     if stack.shape[0] == 0:
         return 0, np.zeros((0, stack.shape[1]))
-    s = np.linalg.svd(stack, compute_uv=False)
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s[0] == 0:
         return 0, np.zeros((0, stack.shape[1]))
     rank = int(np.sum(s > _SPAN_REL_CUT * s[0]))
-    _, _, vh = np.linalg.svd(stack, full_matrices=False)
     return rank, vh[:rank]
 
 

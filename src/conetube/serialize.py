@@ -9,18 +9,28 @@ graded fields are {"u", "A", "w"}.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from . import algebra as al
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput, NumericalFailure
 
 
 def format_float(x: float) -> str:
+    """12 significant digits; NaN and ±Inf have no JSON form and raise."""
+    if not math.isfinite(x):
+        raise NumericalFailure(f"non-finite value {x!r} in output")
     if x == 0:
         x = 0.0  # fold -0.0
     out = "%.12g" % float(x)
     return out
+
+
+def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteInput(f"{what} has NaN or infinite entries")
+    return arr
 
 
 def _encode(obj, parts: list):
@@ -104,7 +114,7 @@ def element_from_json(algebra: al.AlgebraDescriptor, data) -> np.ndarray:
         else:
             raise DimensionMismatch(
                 f"element entries must be numbers or [re, im] pairs, got {entry!r}")
-    arr = np.asarray(vals, dtype=complex)
+    arr = _require_finite(np.asarray(vals, dtype=complex), "element")
     if not is_complex or np.all(arr.imag == 0):
         return al.as_element(algebra, arr.real)
     return al.as_element(algebra, arr)
@@ -128,7 +138,7 @@ def matrix_from_json(data, allow_complex: bool = False) -> np.ndarray:
         rows.append(vals)
     if len({len(r) for r in rows}) != 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
-    arr = np.asarray(rows, dtype=complex)
+    arr = _require_finite(np.asarray(rows, dtype=complex), "matrix")
     if np.all(arr.imag == 0):
         arr = arr.real
     elif not allow_complex:

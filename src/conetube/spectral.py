@@ -93,7 +93,7 @@ class JointPeirceData:
 # eigenvalues inside a subalgebra via Newton's identities
 
 
-def _power_traces(algebra, x, m, k_powers=None):
+def _power_traces(algebra, x, m):
     traces = np.empty(m)
     power = x
     for k in range(m):

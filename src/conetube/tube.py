@@ -20,6 +20,15 @@ and E_0 (both zero); then
 
 and the kernel chain H⁰ ⊃ H¹ ⊃ H² … decides the nondegeneracy order. All
 subspace bases returned are orthonormal with respect to the trace form.
+
+Each rank decision works on one dense matrix built by a single contraction
+over those bases, not pair by pair. With T the structure tensor, B_H and
+B_0 the bases of H_aM and E_0 and G the trace Gram matrix, the Levi matrix
+is T contracted with the E_0 coordinate rows B_0 G Π_E0, then with conj B_H
+and L(a)|_H^{-1} B_H; the β matrix stacks P(a, v*) over the E_{1/2} basis
+and applies it to (P(a)|_{E_1})^{-1} of the kernel rows. ``levi_form`` and
+``beta_map`` stay the validated single-pair functions and the tests'
+oracles for both matrices.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .errors import (
 )
 
 NULLSPACE_REL_CUT = 1e-8
+MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass
@@ -207,7 +217,29 @@ def _check_in_subspace(orbit, v, projector, tol, error, what):
     return v
 
 
-def levi_form(orbit: TubeOrbit, v, w, tol: float = 1e-8) -> np.ndarray:
+def _check_rows_in_subspace(rows, projector, tol, error, what):
+    """Row-wise :func:`_check_in_subspace` over every row of a basis."""
+    resid = np.linalg.norm(rows - rows @ projector.T, axis=1)
+    bad = np.flatnonzero(resid > tol * np.maximum(1.0, np.linalg.norm(rows, axis=1)))
+    if bad.size:
+        i = bad[0]
+        raise error(f"{what}, row {i}: residual {resid[i]:.2e} "
+                    f"outside tolerance {tol:.1e}")
+    return rows
+
+
+def _null_rows(M: np.ndarray, tol: float) -> np.ndarray:
+    """Coefficient rows c with M c ≈ 0 spanning the numeric nullspace of M.
+
+    Singular values at most ``tol`` times the largest count as zero, and so
+    do the directions beyond the row count of M. M must be nonempty.
+    """
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+    return vh.conj()[rank:]
+
+
+def levi_form(orbit: TubeOrbit, v, w, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """Λ_a(v, w) = E_0-part of v* ∘ (L(a)|_H)^{-1} w.
 
     Conjugate linear in v, complex linear in w; both arguments must lie in
@@ -224,35 +256,40 @@ def levi_form(orbit: TubeOrbit, v, w, tol: float = 1e-8) -> np.ndarray:
     return orbit.pi_e0 @ val
 
 
+def _levi_matrix(orbit: TubeOrbit) -> np.ndarray:
+    """Λ_a on every pair of H_aM basis rows, as one (m·m0, m) matrix.
+
+    Entry [i·m0 + k, j] is the k-th E_0 coordinate of Λ_a(h_i, h_j), the
+    same number :func:`levi_form` gives for that pair.
+    """
+    algebra = orbit.algebra
+    basis_h = _check_rows_in_subspace(orbit.basis_h, orbit.pi_e1 + orbit.pi_half,
+                                      MEMBERSHIP_TOL, NotInHolomorphicTangent,
+                                      "Levi argument")
+    m, m0 = basis_h.shape[0], orbit.basis_e0.shape[0]
+    coord = orbit.basis_e0 @ al.trace_gram(algebra) @ orbit.pi_e0
+    t_e0 = al.multiplication_table(algebra) @ coord.T  # (d, d, m0)
+    left = np.tensordot(np.conj(basis_h), t_e0, axes=(1, 0))  # (m, d, m0)
+    right = basis_h @ orbit.linv_h.T  # rows (L(a)|_H)^{-1} h_j
+    return (left.transpose(0, 2, 1) @ right.T).reshape(m * m0, m)
+
+
 def levi_kernel(orbit: TubeOrbit, tol: float = NULLSPACE_REL_CUT) -> SubspaceBasis:
-    """Numeric nullspace of the Levi form on H_aM (no block shortcut)."""
+    """Numeric nullspace of the Levi form on H_aM (no block shortcut).
+
+    The Levi form on all basis pairs is one contraction of the structure
+    tensor (see :func:`_levi_matrix`); its right nullspace is the kernel.
+    """
     basis_h = orbit.basis_h
-    m = basis_h.shape[0]
-    if m == 0:
+    if basis_h.shape[0] == 0:
         return SubspaceBasis("levi_kernel", np.zeros((0, orbit.algebra.dim), dtype=complex))
-    m0 = orbit.basis_e0.shape[0]
-    if m0 == 0:
+    if orbit.basis_e0.shape[0] == 0:
         return SubspaceBasis("levi_kernel", basis_h.astype(complex))
-    G = al.trace_gram(orbit.algebra)
-    coord_rows = orbit.basis_e0 @ G
-    columns = []
-    for j in range(m):
-        vals = [coord_rows @ levi_form(orbit, basis_h[i], basis_h[j])
-                for i in range(m)]
-        columns.append(np.concatenate(vals))
-    K = np.array(columns, dtype=complex).T
-    u, s, vh = np.linalg.svd(K)
-    if s.size and s[0] > 0:
-        null_mask = np.concatenate([s <= tol * s[0],
-                                    np.ones(m - len(s), dtype=bool)])
-    else:
-        null_mask = np.ones(m, dtype=bool)
-    coeffs = vh.conj()[null_mask] if s.size else np.eye(m, dtype=complex)
-    kernel_rows = coeffs @ basis_h
-    return SubspaceBasis("levi_kernel", kernel_rows)
+    coeffs = _null_rows(_levi_matrix(orbit), tol)
+    return SubspaceBasis("levi_kernel", (coeffs @ basis_h).astype(complex))
 
 
-def beta_map(orbit: TubeOrbit, v, u, tol: float = 1e-8) -> np.ndarray:
+def beta_map(orbit: TubeOrbit, v, u, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """β(v, u) = P(a, v*) (P(a)|_{E_1})^{-1} u, antilinear in v.
 
     v must lie in E_{1/2} and u in E_1; the value lies in E_{1/2} again.
@@ -265,13 +302,40 @@ def beta_map(orbit: TubeOrbit, v, u, tol: float = 1e-8) -> np.ndarray:
     return al.pquad(orbit.algebra, orbit.base_point, np.conj(v)) @ w
 
 
+def _beta_matrix(orbit: TubeOrbit, kernel: np.ndarray) -> np.ndarray:
+    """β on every pair (E_{1/2} basis row, kernel row), as one (h·d, k) matrix.
+
+    Entry [i·d + c, j] is coordinate c of β(half_i, kernel_j), the same
+    number :func:`beta_map` gives for that pair.
+    """
+    algebra = orbit.algebra
+    half = _check_rows_in_subspace(orbit.basis_half, orbit.pi_half,
+                                   MEMBERSHIP_TOL, BlockViolation,
+                                   "beta first argument (E_1/2)")
+    kernel = _check_rows_in_subspace(kernel, orbit.pi_e1, MEMBERSHIP_TOL,
+                                     BlockViolation, "beta second argument (E_1)")
+    ops = al._lmul_basis(algebra)
+    a = orbit.base_point
+    v_star = np.conj(half)
+    l_a = al.lmul(algebra, a)
+    l_v = np.tensordot(v_star, ops, axes=(1, 0))  # (h, d, d): L(v_i*)
+    a_v = v_star @ np.tensordot(a, al.multiplication_table(algebra), axes=(0, 0))
+    # P[i] = P(a, v_i*) = L(a)L(v_i*) + L(v_i*)L(a) - L(a∘v_i*)
+    P = l_a @ l_v + l_v @ l_a - np.tensordot(a_v, ops, axes=(1, 0))
+    w = kernel @ orbit.pinv_e1.T  # rows (P(a)|_{E_1})^{-1} u_j
+    return (P @ w.T).reshape(half.shape[0] * algebra.dim, kernel.shape[0])
+
+
 def nondegeneracy_order(orbit: TubeOrbit,
                         tol: float = NULLSPACE_REL_CUT) -> NondegeneracyResult:
     """Kernel chain H⁰ = H_aM ⊃ H¹ = Levi kernel ⊃ H² = right β-kernel ⊃ …
 
-    Returns the first k with H^k = 0. By convention the totally real orbit
-    (ρ = 0) has order 0; when the chain stabilises at a nonzero dimension
-    (the open orbit) the result carries ``order = None``.
+    Each step past the Levi kernel builds β on all pairs of E_{1/2} basis
+    rows and current kernel rows as one contraction (see
+    :func:`_beta_matrix`) and keeps its right nullspace. Returns the first
+    k with H^k = 0. By convention the totally real orbit (ρ = 0) has order
+    0; when the chain stabilises at a nonzero dimension (the open orbit)
+    the result carries ``order = None``.
     """
     if orbit.rho == 0:
         return NondegeneracyResult(0, True, [0],
@@ -279,32 +343,15 @@ def nondegeneracy_order(orbit: TubeOrbit,
     chain = [orbit.basis_h.shape[0]]
     kernel = levi_kernel(orbit, tol=tol).vectors
     chain.append(kernel.shape[0])
-    half = orbit.basis_half
     while chain[-1] > 0:
         if chain[-1] == chain[-2]:
             note = ("open orbit: NotFinitelyNondegenerate by convention"
                     if orbit.rho_prime == 0 else
                     "kernel chain stabilised at nonzero dimension")
             return NondegeneracyResult(None, False, chain, note)
-        if half.shape[0] == 0:
-            next_rows = kernel
-        else:
-            cols = []
-            for j in range(kernel.shape[0]):
-                vals = [beta_map(orbit, half[i], kernel[j])
-                        for i in range(half.shape[0])]
-                cols.append(np.concatenate(vals))
-            B = np.array(cols, dtype=complex).T
-            u, s, vh = np.linalg.svd(B)
-            k = kernel.shape[0]
-            if s.size and s[0] > 0:
-                null_mask = np.concatenate([s <= tol * s[0],
-                                            np.ones(k - len(s), dtype=bool)])
-            else:
-                null_mask = np.ones(k, dtype=bool)
-            next_rows = vh.conj()[null_mask] @ kernel
-        chain.append(next_rows.shape[0])
-        kernel = next_rows
+        if orbit.basis_half.shape[0]:
+            kernel = _null_rows(_beta_matrix(orbit, kernel), tol) @ kernel
+        chain.append(kernel.shape[0])
     return NondegeneracyResult(len(chain) - 1, True, chain)
 
 

@@ -132,6 +132,20 @@ def test_orbit_borderline_exit_three(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("family_args, element", [
+    (["--family", "spin", "--n", "3"], "[NaN,1,0,0,0]"),
+    (["--family", "spin", "--n", "3"], "[Infinity,1,0,0,0]"),
+    (["--family", "albert"], "[" + ",".join(["NaN"] * 27) + "]"),
+])
+def test_orbit_rejects_non_finite_element(family_args, element, capsys):
+    # json.loads accepts NaN and Infinity; they must stop at the input boundary
+    code, out, err = run(["orbit", *family_args, "--element", element, "--json"],
+                         capsys)
+    assert code == 2
+    assert "input error" in err and "NaN or infinite" in err
+    assert out == ""
+
+
 def test_spectral_diag_example(capsys):
     code, out, _ = run(["spectral", "--family", "hermR", "--rank", "3",
                         "--element", "[1,-2,0,0,0,0]", "--json"], capsys)

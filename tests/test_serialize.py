@@ -17,6 +17,23 @@ def test_format_float():
     assert sz.format_float(2.0) == "2"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_floats_have_no_json_form(value):
+    with pytest.raises(ct.NumericalFailure):
+        sz.format_float(value)
+    with pytest.raises(ct.NumericalFailure):
+        sz.dumps_canonical({"x": [1.0, value]})
+
+
+def test_codecs_reject_non_finite_entries():
+    A = ct.make_algebra("hermR", rank=2)
+    for bad in ([float("nan"), 0.0, 1.0], [[1.0, float("inf")], 0.0, 1.0]):
+        with pytest.raises(ct.NonFiniteInput):
+            sz.element_from_json(A, bad)
+    with pytest.raises(ct.NonFiniteInput):
+        sz.matrix_from_json([[1.0, float("-inf")], [0.0, 1.0]])
+
+
 def test_dumps_canonical_is_valid_json():
     payload = {
         "name": "x",

@@ -219,6 +219,62 @@ def test_beta_map_rejects_blocks():
         ct.beta_map(orb, v_half, v_half)
 
 
+# one degenerate orbit per family; past spin (rank 2, so ρ = 1) each has a
+# Levi kernel of dimension > 1, which pins the column order of the β matrix
+BATCHED_ORBITS = [
+    (("spin", None, 4), (1, 0)),
+    (("hermR", 3, None), (1, 1)),
+    (("hermC", 3, None), (2, 0)),
+    (("hermH", 3, None), (1, 1)),
+    (("albert", None, None), (0, 2)),
+]
+
+
+def _batched_orbit(family, rank, n, p, q):
+    return ct.make_orbit(ct.make_algebra(family, rank=rank, peirce_constant=n),
+                         p, q)
+
+
+@pytest.mark.parametrize("spec, sig", BATCHED_ORBITS)
+def test_batched_matrices_match_per_pair_oracles(spec, sig):
+    orb = _batched_orbit(*spec, *sig)
+    basis_h, half = orb.basis_h, orb.basis_half
+    coord = orb.basis_e0 @ ct.trace_gram(orb.algebra)
+    levi_ref = np.array([
+        np.concatenate([coord @ ct.levi_form(orb, vi, wj) for vi in basis_h])
+        for wj in basis_h]).T
+    kernel = ct.levi_kernel(orb).vectors
+    beta_ref = np.array([
+        np.concatenate([ct.beta_map(orb, vi, uj) for vi in half])
+        for uj in kernel]).T
+    for got, ref in ((tb._levi_matrix(orb), levi_ref),
+                     (tb._beta_matrix(orb, kernel), beta_ref)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_batched_checks_reject_rows_outside_their_block():
+    spec, (p, q) = BATCHED_ORBITS[1]
+    orb = _batched_orbit(*spec, p, q)
+    stray = orb.basis_e0[0]  # lies outside H_aM, E_1 and E_1/2
+    orb.basis_h = orb.basis_h.copy()
+    orb.basis_h[-1] += stray
+    with pytest.raises(ct.NotInHolomorphicTangent):
+        ct.levi_kernel(orb)
+
+    orb = _batched_orbit(*spec, p, q)
+    orb.basis_half = orb.basis_half.copy()
+    orb.basis_half[0] += stray
+    with pytest.raises(ct.BlockViolation):
+        ct.nondegeneracy_order(orb)
+
+    orb = _batched_orbit(*spec, p, q)
+    kernel = ct.levi_kernel(orb).vectors.copy()
+    kernel[1] += orb.basis_half[0]
+    with pytest.raises(ct.BlockViolation):
+        tb._beta_matrix(orb, kernel)
+
+
 def test_nondegeneracy_order_two_everywhere():
     for A in DESK:
         for (p, q) in _degenerate_orbits(A):
