@@ -44,7 +44,8 @@ from .composition import (
     quaternion_to_complex_block,
     complex_block_to_quaternion,
 )
-from .errors import ClassificationError, DimensionMismatch, SingularElement
+from .errors import (ClassificationError, DimensionMismatch, NumericalFailure,
+                     SingularElement)
 
 FAMILIES = ("spin", "hermR", "hermC", "hermH", "albert")
 
@@ -52,6 +53,9 @@ _HERM_PEIRCE = {"hermR": 1, "hermC": 2, "hermH": 4, "albert": 8}
 
 # Threshold on |det P(z)| relative to the largest singular value scale.
 INVERSE_DET_TOL = 1e-10
+
+# Singular values at most this fraction of the largest count as zero.
+RANK_REL_CUT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -419,3 +423,24 @@ def matrix_to_element(algebra: AlgebraDescriptor, M: np.ndarray) -> np.ndarray:
             idx += 4
         return x
     raise ClassificationError(f"no complex matrix realisation for family {fam!r}")
+
+
+def numeric_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numeric rank of M and its right singular vectors, from one thin SVD.
+
+    The rank counts singular values above RANK_REL_CUT times the largest.
+    ``vh[:rank]`` spans the row space; with at least as many rows as
+    columns, ``vh.conj()[rank:]`` spans the nullspace. A tall M is reduced
+    to its QR factor R first: same singular values and right vectors.
+    """
+    M = np.asarray(M)
+    try:
+        if M.shape[0] > M.shape[1]:
+            M = np.linalg.qr(M, mode="r")
+        _, s, vh = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"rank decision failed: {exc}") from exc
+    if s.size and not np.isfinite(s[0]):
+        raise NumericalFailure(f"rank decision on a matrix with singular value {s[0]}")
+    rank = int(np.count_nonzero(s > RANK_REL_CUT * s[0])) if s.size else 0
+    return rank, vh

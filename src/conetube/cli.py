@@ -23,7 +23,7 @@ from . import fields as fl
 from . import serialize as sz
 from . import spectral as sp
 from . import tube as tb
-from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, DimensionMismatch
+from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, DimensionMismatch, NonFiniteInput
 
 _HERM_FAMILIES = ("hermR", "hermC", "hermH")
 _TABLE_RANK_CAP = 5
@@ -82,8 +82,10 @@ def _algebra_from_args(args) -> al.AlgebraDescriptor:
 def _parse_s_matrix(text: str) -> np.ndarray:
     stripped = text.strip()
     if stripped.startswith("diag(") and stripped.endswith(")"):
-        vals = [float(t) for t in stripped[5:-1].split(",")]
-        return np.diag(vals)
+        try:
+            return np.diag([float(t) for t in stripped[5:-1].split(",")])
+        except ValueError as exc:
+            raise DimensionMismatch(f"cannot parse --s {text!r}") from exc
     return sz.matrix_from_json(_load_json_arg(text)).astype(float)
 
 
@@ -273,8 +275,13 @@ def cmd_nondegen(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    v = np.asarray([float(t) for t in args.v.split(",")])
+    try:
+        v = np.asarray([float(t) for t in args.v.split(",")])
+    except ValueError as exc:
+        raise DimensionMismatch(f"cannot parse --v {args.v!r}") from exc
     c = _parse_complex_list(args.c)
+    if not np.all(np.isfinite(np.concatenate([v, c, [args.t]]))):
+        raise NonFiniteInput("--v, --c and --t must be finite")
     if v.shape != c.shape:
         raise DimensionMismatch(
             f"--v has {v.size} entries but --c has {c.size}")
@@ -401,6 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if not 0 < args.tol < np.inf:  # also refuses NaN
+        parser.error(f"argument --tol: {args.tol} is not a finite number > 0")
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

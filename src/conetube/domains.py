@@ -22,6 +22,7 @@ import numpy as np
 from . import algebra as al
 from .errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NotInLightCone,
     NotSymplectic,
     NumericalFailure,
@@ -188,20 +189,25 @@ def isotropy_dimension(s, tol: float = 1e-8) -> int:
     These are the linearized stabilizer equations of the boundary point s
     under the Siegel Möbius action; s must be a nonzero rank-deficient
     positive semidefinite symmetric matrix (a proper cone boundary point).
+    The nullity is invariant under s ↦ t·s but the rows mix s and s² terms,
+    so s is divided by its largest entry before the rank decision.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise NotInLightCone(f"expected a square matrix, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteInput("cone boundary point has a NaN or infinite entry")
     r = s.shape[0]
-    scale = np.linalg.norm(s)
+    scale = np.max(np.abs(s), initial=0.0)
     if scale == 0:
         raise NotInLightCone("zero matrix is not a cone boundary point")
-    if np.linalg.norm(s - s.T) > tol * scale:
+    s = s / scale
+    if np.linalg.norm(s - s.T) > tol:
         raise NotInLightCone("matrix is not symmetric")
     eig = np.linalg.eigvalsh(s)
-    if eig[0] < -tol * scale:
-        raise NotInLightCone(f"matrix has a negative eigenvalue {eig[0]:.2e}")
-    if eig[0] > tol * scale:
+    if eig[0] < -tol:
+        raise NotInLightCone(f"matrix has a negative eigenvalue {eig[0] * scale:.2e}")
+    if eig[0] > tol:
         raise NotInLightCone("matrix has full rank, interior cone point")
     basis = symplectic_lie_algebra_basis(r)
     rows = []
@@ -211,10 +217,5 @@ def isotropy_dimension(s, tol: float = 1e-8) -> int:
         c1 = alpha @ s + s @ alpha.T
         c2 = beta + s @ gamma @ s
         rows.append(np.concatenate([c1.reshape(-1), c2.reshape(-1)]))
-    C = np.stack(rows).T
-    svals = np.linalg.svd(C, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0:
-        rank = 0
-    else:
-        rank = int(np.sum(svals > 1e-8 * svals[0]))
+    rank, _ = al.numeric_rank(np.stack(rows))
     return len(basis) - rank

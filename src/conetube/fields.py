@@ -35,7 +35,6 @@ from .tube import condition_star_holds
 
 _BRACKET_SAMPLES = 5
 _CLOSURE_REL_TOL = 1e-8
-_SPAN_REL_CUT = 1e-8
 
 
 @dataclass(eq=False)
@@ -92,17 +91,6 @@ class GlOmegaSpan:
         return np.linalg.norm(resid) <= rel_tol * max(1.0, np.linalg.norm(flat))
 
 
-def _stack_rank(stack: np.ndarray) -> tuple[int, np.ndarray]:
-    """Numeric rank of a row stack and orthonormal rows spanning it (one SVD)."""
-    if stack.shape[0] == 0:
-        return 0, np.zeros((0, stack.shape[1]))
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s[0] == 0:
-        return 0, np.zeros((0, stack.shape[1]))
-    rank = int(np.sum(s > _SPAN_REL_CUT * s[0]))
-    return rank, vh[:rank]
-
-
 @lru_cache(maxsize=None)
 def gl_omega_span(algebra: al.AlgebraDescriptor) -> GlOmegaSpan:
     """Span of the multiplication operators and their commutators.
@@ -116,14 +104,13 @@ def gl_omega_span(algebra: al.AlgebraDescriptor) -> GlOmegaSpan:
              for i in range(d) for j in range(i + 1, d)]
     comm_stack = (np.stack(comms).reshape(len(comms), -1)
                   if comms else np.zeros((0, d * d)))
-    dim_der, _ = _stack_rank(comm_stack)
-    full = np.concatenate([ops.reshape(d, -1), comm_stack])
-    dim_gl, rows = _stack_rank(full)
+    dim_der, _ = al.numeric_rank(comm_stack)
+    dim_gl, vh = al.numeric_rank(np.concatenate([ops.reshape(d, -1), comm_stack]))
     if dim_gl != d + dim_der:
         raise NumericalFailure(
             f"span of L(V) and derivations has rank {dim_gl}, "
             f"expected {d} + {dim_der}")
-    return GlOmegaSpan(rows, dim_der, dim_gl)
+    return GlOmegaSpan(vh[:dim_gl], dim_der, dim_gl)
 
 
 def bracket(algebra: al.AlgebraDescriptor, f1: GradedField, f2: GradedField,

@@ -388,6 +388,21 @@ def generic_minors(algebra: al.AlgebraDescriptor, x) -> tuple[np.ndarray, float]
     return minors, float(minors[-1])
 
 
+def _relative_spectrum(algebra, x, tol):
+    """Eigenvalues of x over their largest magnitude, and the frame.
+
+    A ratio in the band (tol/10, tol) is refused as borderline.
+    """
+    sd = spectral_decompose(algebra, x, tol=tol)
+    scale = float(np.max(np.abs(sd.eigenvalues)))
+    rel = sd.eigenvalues / scale if scale else sd.eigenvalues
+    in_band = (np.abs(rel) > tol / 10) & (np.abs(rel) < tol)
+    if np.any(in_band):
+        raise BorderlineSpectrum(
+            f"eigenvalue ratio(s) {rel[in_band]} inside the ({tol/10:.0e}, {tol:.0e}) band")
+    return rel, sd.frame
+
+
 def orbit_signature(algebra: al.AlgebraDescriptor, x,
                     tol: float = SPECTRAL_TOL) -> Signature:
     """Orbit label (p, q): counts of positive/negative eigenvalues.
@@ -395,18 +410,8 @@ def orbit_signature(algebra: al.AlgebraDescriptor, x,
     Eigenvalues are compared against tol relative to the largest magnitude;
     anything falling in the band (tol/10, tol) is refused as borderline.
     """
-    sd = spectral_decompose(algebra, x, tol=tol)
-    scale = float(np.max(np.abs(sd.eigenvalues)))
-    if scale == 0.0:
-        return Signature(0, 0)
-    rel = sd.eigenvalues / scale
-    in_band = (np.abs(rel) > tol / 10) & (np.abs(rel) < tol)
-    if np.any(in_band):
-        raise BorderlineSpectrum(
-            f"eigenvalue ratio(s) {rel[in_band]} inside the ({tol/10:.0e}, {tol:.0e}) band")
-    p = int(np.sum(rel >= tol))
-    q = int(np.sum(rel <= -tol))
-    return Signature(p, q)
+    rel, _ = _relative_spectrum(algebra, x, tol)
+    return Signature(int(np.sum(rel >= tol)), int(np.sum(rel <= -tol)))
 
 
 def orbit_count(rank: int) -> int:
@@ -417,17 +422,8 @@ def orbit_count(rank: int) -> int:
 def support_idempotent(algebra: al.AlgebraDescriptor, x,
                        tol: float = SPECTRAL_TOL) -> np.ndarray:
     """Sum of the frame idempotents belonging to nonzero eigenvalues."""
-    sd = spectral_decompose(algebra, x, tol=tol)
-    scale = float(np.max(np.abs(sd.eigenvalues)))
-    if scale == 0.0:
-        return np.zeros(algebra.dim)
-    rel = np.abs(sd.eigenvalues) / scale
-    in_band = (rel > tol / 10) & (rel < tol)
-    if np.any(in_band):
-        raise BorderlineSpectrum(
-            f"eigenvalue ratio(s) {rel[in_band]} inside the ({tol/10:.0e}, {tol:.0e}) band")
-    mask = rel >= tol
-    return sd.frame[mask].sum(axis=0) if np.any(mask) else np.zeros(algebra.dim)
+    rel, frame = _relative_spectrum(algebra, x, tol)
+    return frame[np.abs(rel) >= tol].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

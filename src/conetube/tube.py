@@ -21,14 +21,14 @@ and E_0 (both zero); then
 and the kernel chain H⁰ ⊃ H¹ ⊃ H² … decides the nondegeneracy order. All
 subspace bases returned are orthonormal with respect to the trace form.
 
-Each rank decision works on one dense matrix built by a single contraction
-over those bases, not pair by pair. With T the structure tensor, B_H and
-B_0 the bases of H_aM and E_0 and G the trace Gram matrix, the Levi matrix
-is T contracted with the E_0 coordinate rows B_0 G Π_E0, then with conj B_H
-and L(a)|_H^{-1} B_H; the β matrix stacks P(a, v*) over the E_{1/2} basis
-and applies it to (P(a)|_{E_1})^{-1} of the kernel rows. ``levi_form`` and
-``beta_map`` stay the validated single-pair functions and the tests'
-oracles for both matrices.
+Every rank here is decided by ``algebra.numeric_rank`` on one dense
+matrix built by a single contraction over those bases, not pair by pair.
+With T the structure tensor, B_H and B_0 the bases of H_aM and E_0 and G
+the trace Gram matrix, the Levi matrix is T contracted with the E_0
+coordinate rows B_0 G Π_E0, then with conj B_H and L(a)|_H^{-1} B_H; the
+β matrix stacks P(a, v*) over the E_{1/2} basis and applies it to
+(P(a)|_{E_1})^{-1} of the kernel rows. ``levi_form`` and ``beta_map`` stay
+the validated single-pair functions and the tests' oracles for both.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import (
     NumericalFailure,
 )
 
-NULLSPACE_REL_CUT = 1e-8
 MEMBERSHIP_TOL = 1e-8
 
 
@@ -119,16 +118,12 @@ def condition_star_holds(eigenvalues, tol: float = 1e-10) -> bool:
 
 def _gram_orthonormal_rows(algebra, projector, expected_dim):
     """Trace-form-orthonormal rows spanning the range of a real projector."""
-    G = al.trace_gram(algebra)
-    chol = np.linalg.cholesky(G)
-    transformed = chol.T @ projector
-    u, s, _ = np.linalg.svd(transformed)
-    if expected_dim:
-        if s[expected_dim - 1] <= NULLSPACE_REL_CUT * s[0]:
-            raise NumericalFailure("projector rank below the expected block dimension")
-    keep = u[:, :expected_dim]
-    basis_cols = np.linalg.solve(chol.T, keep)
-    return basis_cols.T
+    chol = np.linalg.cholesky(al.trace_gram(algebra))
+    rank, vh = al.numeric_rank((chol.T @ projector).T)
+    if rank != expected_dim:
+        raise NumericalFailure(
+            f"projector rank {rank} differs from the block dimension {expected_dim}")
+    return np.linalg.solve(chol.T, vh[:rank].T).T
 
 
 def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
@@ -209,16 +204,8 @@ def tangent_data(orbit: TubeOrbit) -> dict[str, SubspaceBasis]:
     }
 
 
-def _check_in_subspace(orbit, v, projector, tol, error, what):
-    v = al.as_element(orbit.algebra, v)
-    resid = np.linalg.norm(v - projector @ v)
-    if resid > tol * max(1.0, np.linalg.norm(v)):
-        raise error(f"{what}: residual {resid:.2e} outside tolerance {tol:.1e}")
-    return v
-
-
 def _check_rows_in_subspace(rows, projector, tol, error, what):
-    """Row-wise :func:`_check_in_subspace` over every row of a basis."""
+    """Raise ``error`` unless every row lies in the range of ``projector``."""
     resid = np.linalg.norm(rows - rows @ projector.T, axis=1)
     bad = np.flatnonzero(resid > tol * np.maximum(1.0, np.linalg.norm(rows, axis=1)))
     if bad.size:
@@ -228,15 +215,10 @@ def _check_rows_in_subspace(rows, projector, tol, error, what):
     return rows
 
 
-def _null_rows(M: np.ndarray, tol: float) -> np.ndarray:
-    """Coefficient rows c with M c ≈ 0 spanning the numeric nullspace of M.
-
-    Singular values at most ``tol`` times the largest count as zero, and so
-    do the directions beyond the row count of M. M must be nonempty.
-    """
-    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    return vh.conj()[rank:]
+def _check_in_subspace(orbit, v, projector, tol, error, what):
+    """:func:`_check_rows_in_subspace` for one element, coerced first."""
+    v = al.as_element(orbit.algebra, v)
+    return _check_rows_in_subspace(v[None], projector, tol, error, what)[0]
 
 
 def levi_form(orbit: TubeOrbit, v, w, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
@@ -274,19 +256,20 @@ def _levi_matrix(orbit: TubeOrbit) -> np.ndarray:
     return (left.transpose(0, 2, 1) @ right.T).reshape(m * m0, m)
 
 
-def levi_kernel(orbit: TubeOrbit, tol: float = NULLSPACE_REL_CUT) -> SubspaceBasis:
+def levi_kernel(orbit: TubeOrbit) -> SubspaceBasis:
     """Numeric nullspace of the Levi form on H_aM (no block shortcut).
 
     The Levi form on all basis pairs is one contraction of the structure
-    tensor (see :func:`_levi_matrix`); its right nullspace is the kernel.
+    tensor (see :func:`_levi_matrix`); the kernel is its nullspace from
+    ``algebra.numeric_rank``.
     """
     basis_h = orbit.basis_h
     if basis_h.shape[0] == 0:
         return SubspaceBasis("levi_kernel", np.zeros((0, orbit.algebra.dim), dtype=complex))
     if orbit.basis_e0.shape[0] == 0:
         return SubspaceBasis("levi_kernel", basis_h.astype(complex))
-    coeffs = _null_rows(_levi_matrix(orbit), tol)
-    return SubspaceBasis("levi_kernel", (coeffs @ basis_h).astype(complex))
+    rank, vh = al.numeric_rank(_levi_matrix(orbit))
+    return SubspaceBasis("levi_kernel", (vh.conj()[rank:] @ basis_h).astype(complex))
 
 
 def beta_map(orbit: TubeOrbit, v, u, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
@@ -326,13 +309,12 @@ def _beta_matrix(orbit: TubeOrbit, kernel: np.ndarray) -> np.ndarray:
     return (P @ w.T).reshape(half.shape[0] * algebra.dim, kernel.shape[0])
 
 
-def nondegeneracy_order(orbit: TubeOrbit,
-                        tol: float = NULLSPACE_REL_CUT) -> NondegeneracyResult:
+def nondegeneracy_order(orbit: TubeOrbit) -> NondegeneracyResult:
     """Kernel chain H⁰ = H_aM ⊃ H¹ = Levi kernel ⊃ H² = right β-kernel ⊃ …
 
     Each step past the Levi kernel builds β on all pairs of E_{1/2} basis
-    rows and current kernel rows as one contraction (see
-    :func:`_beta_matrix`) and keeps its right nullspace. Returns the first
+    rows and current kernel rows as one contraction (see :func:`_beta_matrix`)
+    and keeps its nullspace from ``algebra.numeric_rank``. Returns the first
     k with H^k = 0. By convention the totally real orbit (ρ = 0) has order
     0; when the chain stabilises at a nonzero dimension (the open orbit)
     the result carries ``order = None``.
@@ -341,7 +323,7 @@ def nondegeneracy_order(orbit: TubeOrbit,
         return NondegeneracyResult(0, True, [0],
                                    "totally real: order 0 by convention")
     chain = [orbit.basis_h.shape[0]]
-    kernel = levi_kernel(orbit, tol=tol).vectors
+    kernel = levi_kernel(orbit).vectors
     chain.append(kernel.shape[0])
     while chain[-1] > 0:
         if chain[-1] == chain[-2]:
@@ -350,12 +332,13 @@ def nondegeneracy_order(orbit: TubeOrbit,
                     "kernel chain stabilised at nonzero dimension")
             return NondegeneracyResult(None, False, chain, note)
         if orbit.basis_half.shape[0]:
-            kernel = _null_rows(_beta_matrix(orbit, kernel), tol) @ kernel
+            rank, vh = al.numeric_rank(_beta_matrix(orbit, kernel))
+            kernel = vh.conj()[rank:] @ kernel
         chain.append(kernel.shape[0])
     return NondegeneracyResult(len(chain) - 1, True, chain)
 
 
-def minimality_check(orbit: TubeOrbit, tol: float = NULLSPACE_REL_CUT) -> bool:
+def minimality_check(orbit: TubeOrbit) -> bool:
     """Bracket-generation test: do HM-sections span T_aM = T_aC ⊕ iV at a?
 
     Sections ξ_v(z) = Re(z) ∘ v are tangent to M and span H near a for v
@@ -363,7 +346,8 @@ def minimality_check(orbit: TubeOrbit, tol: float = NULLSPACE_REL_CUT) -> bool:
     round only produces fields z ↦ Φ Re(z) with Φ a complex matrix. The
     loop adds bracket values while the real span of values at the base
     point grows; it stops at the target dimension (minimal) or at a fixed
-    point below it (not minimal).
+    point below it (not minimal). The span is kept as ``numeric_rank``'s
+    orthonormal rows, and each round stacks only its new values onto them.
     """
     algebra = orbit.algebra
     dim = algebra.dim
@@ -373,18 +357,10 @@ def minimality_check(orbit: TubeOrbit, tol: float = NULLSPACE_REL_CUT) -> bool:
     ops = al._lmul_basis(algebra)
     gens = np.concatenate([ops, 1j * ops])  # L(b_i), L(i b_i)
 
-    def real_rank(vectors):
-        if not len(vectors):
-            return 0
-        stacked = np.concatenate([np.asarray(vectors).real,
-                                  np.asarray(vectors).imag], axis=1)
-        s = np.linalg.svd(stacked, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.sum(s > tol * s[0]))
+    def real_rows(values):
+        return np.concatenate([values.real, values.imag], axis=1)
 
-    values = list(gens @ a)
-    rank = real_rank(values)
+    rank, span = al.numeric_rank(real_rows(gens @ a))
     if rank >= target:
         return True
 
@@ -394,13 +370,13 @@ def minimality_check(orbit: TubeOrbit, tol: float = NULLSPACE_REL_CUT) -> bool:
         applied = np.einsum("hab,gb->gha", gens, real_actions)
         applied_sym = np.einsum("gab,hb->gha", fields, (gens.real @ a))
         new_vals = (applied - applied_sym).reshape(-1, dim)
-        new_rank = real_rank(values + list(new_vals))
+        new_rank, span = al.numeric_rank(
+            np.concatenate([span[:rank], real_rows(new_vals)]))
         if new_rank >= target:
             return True
         if new_rank == rank:
             return False
         rank = new_rank
-        values += list(new_vals)
         if gens.shape[0] * fields.shape[0] > 20000:
             raise NumericalFailure("bracket generation exceeded the field budget")
         # deepen: next round brackets generators against the new fields

@@ -305,3 +305,46 @@ def test_off_diagonal_index():
                 assert 3 <= idx < A.dim
                 seen.add(idx)
     assert len(seen) == A.dim - 3
+
+
+@pytest.mark.parametrize("rows, cols, rank", [
+    (12, 5, 3),   # tall: reduced to its QR factor first
+    (4, 9, 2),    # wide
+    (6, 6, 4),    # square, rank deficient
+    (6, 6, 6),    # square, full rank
+    (0, 5, 0),    # no rows
+    (7, 3, 0),    # all zero
+])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_numeric_rank(rows, cols, rank, dtype):
+    rng = np.random.default_rng([rows, cols, rank])
+
+    def factor(shape):
+        f = rng.standard_normal(shape)
+        return f + 1j * rng.standard_normal(shape) if dtype is complex else f
+
+    M = factor((rows, rank)) @ factor((rank, cols))
+    got, vh = al.numeric_rank(M)
+    assert got == rank
+    span = vh[:rank]
+    np.testing.assert_allclose(span @ span.conj().T, np.eye(rank), atol=1e-12)
+    np.testing.assert_allclose(M @ span.conj().T @ span, M, atol=1e-10)
+    if rows >= cols:
+        assert vh.shape == (cols, cols)
+        np.testing.assert_allclose(vh @ vh.conj().T, np.eye(cols), atol=1e-12)
+        np.testing.assert_allclose(M @ vh.conj()[rank:].T, 0.0, atol=1e-10)
+    if rows > cols:
+        # the QR step keeps the singular values and the row space
+        _, s_plain, vh_plain = np.linalg.svd(M, full_matrices=False)
+        np.testing.assert_allclose(np.linalg.norm(M @ vh.conj().T, axis=0),
+                                   s_plain, atol=1e-12 * s_plain[0])
+        plain = vh_plain[:rank]
+        np.testing.assert_allclose(span.conj().T @ span, plain.conj().T @ plain,
+                                   atol=1e-12)
+
+
+def test_numeric_rank_rejects_nan():
+    M = np.ones((4, 3))
+    M[1, 2] = np.nan
+    with pytest.raises(ct.NumericalFailure):
+        al.numeric_rank(M)

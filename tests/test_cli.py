@@ -216,6 +216,46 @@ def test_siegel_isotropy_example(capsys):
     assert rep["sp_dim"] == 10
 
 
+def test_siegel_isotropy_scaled_point(capsys):
+    code, out, _ = run(["siegel", "--isotropy", "--s", "diag(1e4,0)", "--json"],
+                       capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["isotropy_dimension"] == 5
+    assert rep["s"] == [[10000, 0], [0, 0]]
+
+
+_ORBIT_C11 = ["orbit", "--family", "hermR", "--rank", "3",
+              "--element", "[1,-2,0,0,0,0]", "--json"]
+_FLOW = ["flow", "--v", "1,0.5", "--c", "i,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    _ORBIT_C11 + ["--tol", "nan"],
+    _ORBIT_C11 + ["--tol", "inf"],
+    _ORBIT_C11 + ["--tol", "-1"],
+    _ORBIT_C11 + ["--tol", "0"],
+    ["siegel", "--isotropy", "--s", "diag(1,0)", "--tol", "nan"],
+    ["siegel", "--isotropy", "--s", "diag(nan,0)"],
+    ["siegel", "--isotropy", "--s", "diag(1,x)"],
+    _FLOW + ["--t", "nan"],
+    _FLOW + ["--t=-inf"],
+    ["flow", "--v", "nan,0.5", "--c", "i,1"],
+    ["flow", "--v", "1,x", "--c", "i,1"],
+    ["flow", "--v", "1,0.5", "--c", "nan,1"],
+    ["flow", "--v", "1,0.5", "--c", "i,1+nani"],
+])
+def test_rejects_bad_numeric_options(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the option itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in captured.err
+    assert captured.out == ""
+
+
 def test_siegel_action_subcommand(capsys):
     z = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
     code, out, _ = run(["siegel", "--matrix", json.dumps(np.eye(4).tolist()),

@@ -208,6 +208,19 @@ def test_isotropy_rejects_non_cone_points():
         ct.isotropy_dimension(np.zeros((2, 2)))   # zero
     with pytest.raises(ct.NotInLightCone):
         ct.isotropy_dimension(np.array([[1.0, 0.5], [0.0, 0.0]]))
+    with pytest.raises(ct.NonFiniteInput):
+        ct.isotropy_dimension(np.diag([np.nan, 0.0]))
+    with pytest.raises(ct.NonFiniteInput):
+        ct.isotropy_dimension(np.diag([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-100, 1e-20, 1e4, 1e5, 1e20, 1e300])
+def test_isotropy_dimension_scale_invariant(t):
+    u = np.random.default_rng(3).standard_normal(3)
+    for s, want in [(np.diag([1.0, 0.0]), 5), (np.diag([1.0, 1.0, 0.0]), 10),
+                    (np.outer(u, u), 12)]:
+        assert ct.isotropy_dimension(s) == want
+        assert ct.isotropy_dimension(t * s) == want
 
 
 def test_isotropy_matches_germ_dimension():

@@ -165,6 +165,19 @@ def test_levi_form_rejects_bad_input():
             ct.levi_form(orb, outside.astype(complex), orb.basis_h[0])
 
 
+def test_gram_orthonormal_rows_checks_projector_rank():
+    A = ct.make_algebra("hermC", rank=3)
+    orb = ct.make_orbit(A, 2, 0)
+    k = orb.basis_e1.shape[0]
+    rows = tb._gram_orthonormal_rows(A, orb.pi_e1, k)
+    np.testing.assert_allclose(rows @ ct.trace_gram(A) @ rows.T, np.eye(k),
+                               atol=1e-12)
+    with pytest.raises(ct.NumericalFailure):
+        tb._gram_orthonormal_rows(A, orb.pi_e1, k + 1)   # rank below
+    with pytest.raises(ct.NumericalFailure):
+        tb._gram_orthonormal_rows(A, orb.pi_e1, k - 1)   # rank above
+
+
 def test_levi_kernel_dimension():
     for A in DESK:
         n = A.peirce_constant
