@@ -225,15 +225,15 @@ def cmd_orbit(args) -> int:
     algebra = _algebra_from_args(args)
     x = sz.element_from_json(algebra, _load_json_arg(args.element))
     x = al.as_real_element(algebra, x)
-    sig = sp.orbit_signature(algebra, x, tol=args.tol)
-    minors, norm = sp.generic_minors(algebra, x)
-    support = sp.support_idempotent(algebra, x, tol=args.tol)
+    sd = sp.spectral_decompose(algebra, x, tol=args.tol)
+    sig, support = sp._signature_and_support(sd, args.tol)
+    minors = sp._minors(sd.eigenvalues)
     report = {
         "descriptor": sz.descriptor_to_json(algebra),
         "p": sig.p,
         "q": sig.q,
         "minors": [float(v) for v in minors],
-        "generic_norm": float(norm),
+        "generic_norm": float(minors[-1]),
         "support": sz.element_to_json(support),
     }
     if args.json:
@@ -242,7 +242,7 @@ def cmd_orbit(args) -> int:
     print(f"algebra       {algebra!r}")
     print(f"signature     (p, q) = ({sig.p}, {sig.q})")
     print("minors        " + ", ".join(_fmt(v) for v in minors))
-    print(f"generic norm  {_fmt(norm)}")
+    print(f"generic norm  {_fmt(minors[-1])}")
     return 0
 
 
@@ -341,7 +341,8 @@ def cmd_siegel(args) -> int:
     return 0
 
 
-def _add_common(sub, family=True, rank=True, signature=False, element=False):
+def _add_common(sub, family=True, rank=True, signature=False, element=False,
+                tol=True):
     if family:
         sub.add_argument("--family", choices=list(al.FAMILIES))
         if rank:
@@ -354,7 +355,8 @@ def _add_common(sub, family=True, rank=True, signature=False, element=False):
         sub.add_argument("--element", required=True,
                          help="element coordinates: inline JSON or a file path")
     sub.add_argument("--json", action="store_true")
-    sub.add_argument("--tol", type=float, default=1e-8)
+    if tol:
+        sub.add_argument("--tol", type=float, default=1e-8)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -365,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     t = subs.add_parser("table", help="dimension table vs closed forms")
-    _add_common(t)
+    _add_common(t, tol=False)
     t.set_defaults(func=cmd_table)
 
     a = subs.add_parser("analyze", help="full CR invariant report of an orbit")
@@ -387,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     nd.set_defaults(func=cmd_nondegen)
 
     f = subs.add_parser("flow", help="closed-form diagonal flow of iP(z)w")
-    _add_common(f)
+    _add_common(f, tol=False)
     f.add_argument("--v", required=True, help="rate coefficients, e.g. '1,0.5'")
     f.add_argument("--c", required=True,
                    help="start coefficients, e.g. 'i,1+2i'")
@@ -408,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not 0 < args.tol < np.inf:  # also refuses NaN
+    if "tol" in args and not 0 < args.tol < np.inf:  # also refuses NaN
         parser.error(f"argument --tol: {args.tol} is not a finite number > 0")
     try:
         return args.func(args)

@@ -193,7 +193,7 @@ def _lagrange_idempotents(algebra, x, values, unit_elem):
     return out
 
 
-def _split_idempotent(algebra, c, m, tol):
+def _split_idempotent(algebra, c, m):
     """Split an idempotent of rank m into m minimal orthogonal idempotents."""
     if m == 1:
         return [c]
@@ -256,18 +256,20 @@ def _purify_frame(algebra, frame):
 # spectral decomposition
 
 
+def _frame_products(algebra, frame):
+    """All products frame[j] ∘ frame[k], shape (r, r, dim), in one contraction."""
+    return np.tensordot(frame, frame @ al.multiplication_table(algebra), axes=(1, 0))
+
+
 def _validate_spectral(algebra, eigenvalues, frame, x, tol):
     scale = max(1.0, float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 1.0)
     e = al.unit(algebra)
-    worst = 0.0
-    for j in range(len(frame)):
-        fj = frame[j]
-        worst = max(worst, float(np.max(np.abs(
-            al.jordan_product(algebra, fj, fj) - fj))))
-        for k in range(j + 1, len(frame)):
-            worst = max(worst, float(np.max(np.abs(
-                al.jordan_product(algebra, fj, frame[k])))))
-    worst = max(worst, float(np.max(np.abs(frame.sum(axis=0) - e))))
+    r = len(frame)
+    resid = _frame_products(algebra, frame)
+    # idempotency residuals on the diagonal, orthogonality off it
+    resid[range(r), range(r)] -= frame
+    worst = max(float(np.max(np.abs(resid))),
+                float(np.max(np.abs(frame.sum(axis=0) - e))))
     recon = float(np.max(np.abs(eigenvalues @ frame - x)))
     if worst > tol or recon > tol * scale:
         raise NumericalFailure(
@@ -319,7 +321,7 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x,
             c = al.matrix_to_element(algebra, proj)
             mult = len(group) // 2
             value = float(np.mean(w[group]))
-            for piece in _split_idempotent(algebra, c, mult, tol):
+            for piece in _split_idempotent(algebra, c, mult):
                 rows.append(piece)
                 eigenvalues_list.append(
                     al.generic_trace(algebra, al.jordan_product(algebra, x, piece))
@@ -352,7 +354,7 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x,
             idems = _lagrange_idempotents(algebra, y, values, e)
             eigenvalues_list, rows = [], []
             for value, idem, mult in zip(values, idems, mults):
-                for piece in _split_idempotent(algebra, idem, mult, tol):
+                for piece in _split_idempotent(algebra, idem, mult):
                     rows.append(piece)
                     eigenvalues_list.append(lam_mean + nrm * value)
             frame = np.vstack(rows)
@@ -376,31 +378,32 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x,
 # minors, signatures, supports
 
 
+def _minors(eigenvalues) -> np.ndarray:
+    """Elementary symmetric functions N_1..N_r of the eigenvalues."""
+    coeffs = np.poly(eigenvalues)  # t^r + c_1 t^{r-1} + ... ; c_k = (-1)^k N_k
+    return np.array([(-1) ** k * coeffs[k] for k in range(1, len(eigenvalues) + 1)])
+
+
 def generic_minors(algebra: al.AlgebraDescriptor, x) -> tuple[np.ndarray, float]:
     """(N_1..N_r, N): j-th elementary symmetric functions of the eigenvalues.
 
     With this normalisation N = N_r is the product of all eigenvalues and
     N(e) = 1; N_j vanishes identically on elements of rank below j.
     """
-    sd = spectral_decompose(algebra, x)
-    coeffs = np.poly(sd.eigenvalues)  # t^r + c_1 t^{r-1} + ... ; c_k = (-1)^k N_k
-    minors = np.array([(-1) ** k * coeffs[k] for k in range(1, algebra.rank + 1)])
+    minors = _minors(spectral_decompose(algebra, x).eigenvalues)
     return minors, float(minors[-1])
 
 
-def _relative_spectrum(algebra, x, tol):
-    """Eigenvalues of x over their largest magnitude, and the frame.
-
-    A ratio in the band (tol/10, tol) is refused as borderline.
-    """
-    sd = spectral_decompose(algebra, x, tol=tol)
+def _signature_and_support(sd: SpectralData, tol) -> tuple[Signature, np.ndarray]:
+    """Orbit label and support idempotent of one decomposition; see orbit_signature."""
     scale = float(np.max(np.abs(sd.eigenvalues)))
     rel = sd.eigenvalues / scale if scale else sd.eigenvalues
     in_band = (np.abs(rel) > tol / 10) & (np.abs(rel) < tol)
     if np.any(in_band):
         raise BorderlineSpectrum(
             f"eigenvalue ratio(s) {rel[in_band]} inside the ({tol/10:.0e}, {tol:.0e}) band")
-    return rel, sd.frame
+    sig = Signature(int(np.sum(rel >= tol)), int(np.sum(rel <= -tol)))
+    return sig, sd.frame[np.abs(rel) >= tol].sum(axis=0)
 
 
 def orbit_signature(algebra: al.AlgebraDescriptor, x,
@@ -410,8 +413,7 @@ def orbit_signature(algebra: al.AlgebraDescriptor, x,
     Eigenvalues are compared against tol relative to the largest magnitude;
     anything falling in the band (tol/10, tol) is refused as borderline.
     """
-    rel, _ = _relative_spectrum(algebra, x, tol)
-    return Signature(int(np.sum(rel >= tol)), int(np.sum(rel <= -tol)))
+    return _signature_and_support(spectral_decompose(algebra, x, tol=tol), tol)[0]
 
 
 def orbit_count(rank: int) -> int:
@@ -422,8 +424,7 @@ def orbit_count(rank: int) -> int:
 def support_idempotent(algebra: al.AlgebraDescriptor, x,
                        tol: float = SPECTRAL_TOL) -> np.ndarray:
     """Sum of the frame idempotents belonging to nonzero eigenvalues."""
-    rel, frame = _relative_spectrum(algebra, x, tol)
-    return frame[np.abs(rel) >= tol].sum(axis=0)
+    return _signature_and_support(spectral_decompose(algebra, x, tol=tol), tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +458,14 @@ def _check_frame(algebra, frame, tol):
         raise InvalidFrame(
             f"frame must be {algebra.rank} x {algebra.dim}, got {frame.shape}")
     e = al.unit(algebra)
+    prods = _frame_products(algebra, frame)
     for j in range(algebra.rank):
-        fj = frame[j]
-        if np.max(np.abs(al.jordan_product(algebra, fj, fj) - fj)) > tol:
+        if np.max(np.abs(prods[j, j] - frame[j])) > tol:
             raise InvalidFrame(f"frame member {j} is not idempotent")
-        if abs(al.generic_trace(algebra, fj) - 1.0) > 1e-6:
+        if abs(al.generic_trace(algebra, frame[j]) - 1.0) > 1e-6:
             raise InvalidFrame(f"frame member {j} is not minimal")
         for k in range(j + 1, algebra.rank):
-            if np.max(np.abs(al.jordan_product(algebra, fj, frame[k]))) > tol:
+            if np.max(np.abs(prods[j, k])) > tol:
                 raise InvalidFrame(f"frame members {j}, {k} are not orthogonal")
     if np.max(np.abs(frame.sum(axis=0) - e)) > tol:
         raise InvalidFrame("frame does not sum to the unit")

@@ -21,14 +21,20 @@ and E_0 (both zero); then
 and the kernel chain H⁰ ⊃ H¹ ⊃ H² … decides the nondegeneracy order. All
 subspace bases returned are orthonormal with respect to the trace form.
 
-Every rank here is decided by ``algebra.numeric_rank`` on one dense
-matrix built by a single contraction over those bases, not pair by pair.
+Every rank here is decided by ``algebra.numeric_rank`` on dense matrices
+built by single contractions over those bases, not pair by pair.
 With T the structure tensor, B_H and B_0 the bases of H_aM and E_0 and G
 the trace Gram matrix, the Levi matrix is T contracted with the E_0
 coordinate rows B_0 G Π_E0, then with conj B_H and L(a)|_H^{-1} B_H; the
 β matrix stacks P(a, v*) over the E_{1/2} basis and applies it to
 (P(a)|_{E_1})^{-1} of the kernel rows. ``levi_form`` and ``beta_map`` stay
 the validated single-pair functions and the tests' oracles for both.
+
+Minimality needs no bracket generation: the brackets of HM-sections have
+values gl(Ω)·a ⊕ i·𝒜a at a, with 𝒜 the associative algebra generated by
+L(V) (see ``minimality_check``). The first is the rank of the rows L(b_i)a
+and [L(b_i), L(b_j)]a; the second is the rank of the closure of span{a}
+under every L(b_i), grown until it stops, which takes at most dim passes.
 """
 
 from __future__ import annotations
@@ -339,51 +345,33 @@ def nondegeneracy_order(orbit: TubeOrbit) -> NondegeneracyResult:
 
 
 def minimality_check(orbit: TubeOrbit) -> bool:
-    """Bracket-generation test: do HM-sections span T_aM = T_aC ⊕ iV at a?
+    """Do brackets of HM-sections span T_aM = T_aC ⊕ iV at a?
 
-    Sections ξ_v(z) = Re(z) ∘ v are tangent to M and span H near a for v
-    ranging over E, and they stay linear in Re z under brackets, so each
-    round only produces fields z ↦ Φ Re(z) with Φ a complex matrix. The
-    loop adds bracket values while the real span of values at the base
-    point grows; it stops at the target dimension (minimal) or at a fixed
-    point below it (not minimal). The span is kept as ``numeric_rank``'s
-    orthonormal rows, and each round stacks only its new values onto them.
+    Sections ξ_v(z) = Re(z) ∘ v span H near a, and every bracket of them is
+    a field z ↦ (A + iB) Re z. The bracket Φ₂ Re Φ₁ − Φ₁ Re Φ₂ sends the
+    pairs (A₁, B₁), (A₂, B₂) to (A₂A₁ − A₁A₂, B₂A₁ − B₁A₂), and the
+    generators are (L(v), 0) and (0, L(v)). So the bracket algebra is
+    (gl(Ω), 0) ⊕ (0, 𝒜), with gl(Ω) = L(V) + [L(V), L(V)] and 𝒜 the
+    associative algebra generated by L(V) (it contains L(e) = I). Its values
+    at a span gl(Ω)·a ⊕ i·𝒜a, where 𝒜a is the smallest L(V)-invariant
+    subspace containing a: one rank for the first, a rank closure for the
+    second.
     """
-    algebra = orbit.algebra
-    dim = algebra.dim
+    dim = orbit.algebra.dim
     a = orbit.base_point
-    target = dim + orbit.basis_h.shape[0]
+    table = al.multiplication_table(orbit.algebra)  # (x @ table)[i] = b_i ∘ x
+    la = a @ table  # rows L(b_i) a
+    lla = la @ table  # [i, j] = L(b_i) L(b_j) a
+    real_rank, _ = al.numeric_rank(
+        np.concatenate([la, (lla - lla.transpose(1, 0, 2)).reshape(-1, dim)]))
 
-    ops = al._lmul_basis(algebra)
-    gens = np.concatenate([ops, 1j * ops])  # L(b_i), L(i b_i)
-
-    def real_rows(values):
-        return np.concatenate([values.real, values.imag], axis=1)
-
-    rank, span = al.numeric_rank(real_rows(gens @ a))
-    if rank >= target:
-        return True
-
-    fields = gens
-    for _ in range(2 * dim):
-        real_actions = np.einsum("gab,b->ga", fields.real, a)
-        applied = np.einsum("hab,gb->gha", gens, real_actions)
-        applied_sym = np.einsum("gab,hb->gha", fields, (gens.real @ a))
-        new_vals = (applied - applied_sym).reshape(-1, dim)
-        new_rank, span = al.numeric_rank(
-            np.concatenate([span[:rank], real_rows(new_vals)]))
-        if new_rank >= target:
-            return True
-        if new_rank == rank:
-            return False
-        rank = new_rank
-        if gens.shape[0] * fields.shape[0] > 20000:
-            raise NumericalFailure("bracket generation exceeded the field budget")
-        # deepen: next round brackets generators against the new fields
-        new_fields = (np.einsum("hab,gbc->ghac", gens, fields.real)
-                      - np.einsum("gab,hbc->ghac", fields, gens.real))
-        fields = new_fields.reshape(-1, dim, dim)
-    raise NumericalFailure("minimality loop failed to stabilise")
+    closure_rank, vh = al.numeric_rank(la)  # span{a} grown once: a = e ∘ a
+    while closure_rank < dim:  # the rank grows on every pass: at most dim passes
+        grown, vh = al.numeric_rank((vh[:closure_rank] @ table).reshape(-1, dim))
+        if grown <= closure_rank:
+            break
+        closure_rank = grown
+    return real_rank + closure_rank >= dim + orbit.basis_h.shape[0]
 
 
 def aut_germ_dimension(algebra: al.AlgebraDescriptor, p: int, q: int) -> int:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conetube import spectral as sp
 from conetube.cli import main
 
 
@@ -100,6 +101,22 @@ def test_orbit_example(capsys):
     rep = json.loads(out)
     assert rep["p"] == 1 and rep["q"] == 1
     assert rep["support"] == [1, 1, 0, 0, 0, 0]
+
+
+def test_orbit_decomposes_once(monkeypatch, capsys):
+    # signature, minors and support all come from one decomposition
+    calls = []
+    decompose = sp.spectral_decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "spectral_decompose", counting)
+    code, _, _ = run(["orbit", "--family", "hermR", "--rank", "3",
+                      "--element", "[1,-2,0,0,0,0]", "--json"], capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_orbit_element_from_file(tmp_path, capsys):
@@ -244,6 +261,9 @@ _FLOW = ["flow", "--v", "1,0.5", "--c", "i,1"]
     ["flow", "--v", "1,x", "--c", "i,1"],
     ["flow", "--v", "1,0.5", "--c", "nan,1"],
     ["flow", "--v", "1,0.5", "--c", "i,1+nani"],
+    # table and flow read no tolerance, so they take no --tol
+    ["table", "--family", "hermR", "--rank", "2", "--tol", "1e-6"],
+    _FLOW + ["--tol", "1e-6"],
 ])
 def test_rejects_bad_numeric_options(argv, capsys):
     try:

@@ -264,13 +264,36 @@ def test_joint_peirce_multiplication_rule():
                                atol=1e-10)
 
 
-def test_joint_peirce_rejects_bad_frame():
-    A = ct.make_algebra("hermR", rank=2)
-    bad = np.zeros((2, A.dim))
-    bad[0, 0] = 1.0
-    bad[1, 0] = 1.0
-    with pytest.raises(ct.InvalidFrame):
-        ct.joint_peirce(A, bad)
+_BAD_FRAME_MESSAGES = {
+    "shape": "frame must be 3 x 6, got (2, 6)",
+    "not-idempotent": "frame member 1 is not idempotent",
+    "not-minimal": "frame member 1 is not minimal",
+    "not-orthogonal": "frame members 0, 2 are not orthogonal",
+    "not-unit": "frame does not sum to the unit",
+}
+
+
+@pytest.mark.parametrize("cause", list(_BAD_FRAME_MESSAGES))
+def test_joint_peirce_rejects_bad_frame(cause):
+    A = ct.make_algebra("hermR", rank=3)
+    frame = ct.standard_frame(A)
+    if cause == "shape":
+        frame = frame[:2]
+    elif cause == "not-idempotent":
+        frame[1] *= 2.0
+    elif cause == "not-minimal":
+        frame[1] = 0.0  # idempotent of trace 0
+    elif cause == "not-orthogonal":
+        frame[2] = frame[0]
+    else:
+        # exact minimal idempotents; turning the first by θ leaves its product
+        # with the second at θ/2 but the sum θ away from the unit
+        theta = 1.5 * SD_TOL
+        v = np.array([np.cos(theta), np.sin(theta), 0.0])
+        frame[0] = al.matrix_to_element(A, np.outer(v, v))
+    with pytest.raises(ct.InvalidFrame) as info:
+        ct.joint_peirce(A, frame)
+    assert str(info.value) == _BAD_FRAME_MESSAGES[cause]
 
 
 def test_spectral_rejects_complex():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import conetube as ct
+from conetube import algebra as al
 from conetube import tube as tb
 
 ORACLE_TOL = 1e-9
@@ -321,14 +322,44 @@ def test_nondegeneracy_edge_conventions():
 
 
 def test_minimality():
-    for A in DESK:
+    above_desk = [ct.make_algebra("hermR", rank=6), ct.make_algebra("hermH", rank=4)]
+    for A in DESK + above_desk:
         for (p, q) in _all_orbits(A):
             orb = ct.make_orbit(A, p, q)
-            minimal = ct.minimality_check(orbit=orb)
-            if p + q == 0:
-                assert minimal is False
-            else:
-                assert minimal is True
+            assert ct.minimality_check(orbit=orb) is (p + q > 0)
+
+
+def _field_bracket(phi1, phi2):
+    """Bracket of the fields z ↦ Φ Re z; exact, both are linear in Re z."""
+    return phi2 @ phi1.real - phi1 @ phi2.real
+
+
+@pytest.mark.parametrize("family, rank, sig", [
+    ("hermR", 2, (1, 0)), ("hermC", 3, (1, 1)), ("albert", 3, (1, 0))])
+def test_minimality_span_matches_explicit_brackets(family, rank, sig):
+    # Values at a of generators L(x) + iL(y) and of their depth-1 and
+    # depth-2 brackets, at random x, y: a multilinear map's values at
+    # generic points span its image. They must span gl(Ω)·a ⊕ i·V.
+    A = ct.make_algebra(family, rank=rank)
+    orb = ct.make_orbit(A, *sig)
+    a, d = orb.base_point, A.dim
+    rng = np.random.default_rng(331)
+
+    def generator():
+        x, y = rng.standard_normal((2, d))
+        return ct.lmul(A, x) + 1j * ct.lmul(A, y)
+
+    fields = []
+    for _ in range(2 * d):
+        x, y, z = generator(), generator(), generator()
+        fields += [x, _field_bracket(x, y), _field_bracket(x, _field_bracket(y, z))]
+    values = np.array([f @ a for f in fields])
+    got = np.concatenate([values.real, values.imag], axis=1)
+    gl_a = ct.gl_omega_span(A).rows.reshape(-1, d, d) @ a
+    want = np.block([[gl_a, np.zeros_like(gl_a)], [np.zeros((d, d)), np.eye(d)]])
+    ranks = [al.numeric_rank(m)[0] for m in (got, want, np.concatenate([got, want]))]
+    assert ranks == [d + orb.basis_h.shape[0]] * 3
+    assert ct.minimality_check(orb) is True
 
 
 def test_aut_germ_dimension_closed_forms():
