@@ -151,20 +151,15 @@ def _herm_basis_matrices(rank: int, n: int) -> np.ndarray:
     return basis
 
 
-def _kmatrix_to_coords(algebra: AlgebraDescriptor, mat: np.ndarray) -> np.ndarray:
-    r, n = algebra.rank, algebra.peirce_constant
-    coords = np.empty(algebra.dim, dtype=mat.dtype)
-    coords[:r] = mat[range(r), range(r), 0]
-    idx = r
-    for (j, k) in _herm_pairs(r):
-        coords[idx:idx + n] = mat[j, k]
-        idx += n
-    return coords
-
-
 @lru_cache(maxsize=None)
 def multiplication_table(algebra: AlgebraDescriptor) -> np.ndarray:
-    """Structure tensor T with (x∘y)_c = Σ T[a, b, c] x_a y_b. Cached."""
+    """Structure tensor T with (x∘y)_c = Σ T[a, b, c] x_a y_b. Cached.
+
+    Hermitian families take the K_n-matrix product of every basis pair in
+    one contraction and read coordinate c off entry (I[c], J[c], D[c]) of
+    the symmetrised product. Every summand is 0 or ±1, so the table is
+    exact.
+    """
     if algebra.family == "spin":
         n = algebra.peirce_constant
         dim = algebra.dim
@@ -179,12 +174,13 @@ def multiplication_table(algebra: AlgebraDescriptor) -> np.ndarray:
     r, n = algebra.rank, algebra.peirce_constant
     basis = _herm_basis_matrices(r, n)
     tk = multiplication_tensor(n)
-    prod = np.einsum("aijm,bjln,mnp->abilp", basis, basis, tk)
-    sym = 0.5 * (prod + prod.transpose(1, 0, 2, 3, 4))
-    T = np.empty((algebra.dim, algebra.dim, algebra.dim))
-    for a in range(algebra.dim):
-        for b in range(algebra.dim):
-            T[a, b] = _kmatrix_to_coords(algebra, sym[a, b])
+    pairs = np.array(_herm_pairs(r), dtype=int).reshape(-1, 2)
+    I = np.concatenate([np.arange(r), np.repeat(pairs[:, 0], n)])
+    J = np.concatenate([np.arange(r), np.repeat(pairs[:, 1], n)])
+    D = np.concatenate([np.zeros(r, dtype=int), np.tile(np.arange(n), len(pairs))])
+    prod = np.einsum("aijm,bjln,mnp->abilp", basis, basis, tk, optimize=True)
+    prod = prod[:, :, I, J, D]
+    T = 0.5 * (prod + prod.transpose(1, 0, 2))
     T.setflags(write=False)
     return T
 
@@ -335,7 +331,10 @@ def jordan_inverse(algebra: AlgebraDescriptor, z, tol: float = INVERSE_DET_TOL) 
         raise SingularElement(
             f"quadratic representation has relative smallest singular value "
             f"{0.0 if sv[0] <= 0 else sv[-1] / sv[0]:.2e} for {algebra}")
-    return np.linalg.solve(P, z)
+    try:
+        return np.linalg.solve(P, z)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Jordan inverse solve failed: {exc}") from exc
 
 
 def triple_product(algebra: AlgebraDescriptor, x, y, z) -> np.ndarray:

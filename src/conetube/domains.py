@@ -172,7 +172,10 @@ def siegel_action(A, z):
     if sv[-1] < 1e-12 * max(1.0, sv[0]):
         raise SingularDenominator(
             f"cz + d has smallest singular value {sv[-1]:.2e}")
-    w = np.linalg.solve(denom.T, (a @ z + b).T).T
+    try:
+        w = np.linalg.solve(denom.T, (a @ z + b).T).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Möbius action solve failed: {exc}") from exc
     w = 0.5 * (w + w.T)
     input_upper = np.all(np.linalg.eigvalsh((z - z.conj().T) / 2j) > 0)
     if input_upper:

@@ -95,17 +95,29 @@ class GlOmegaSpan:
 def gl_omega_span(algebra: al.AlgebraDescriptor) -> GlOmegaSpan:
     """Span of the multiplication operators and their commutators.
 
-    The commutators alone span the derivation algebra; the multiplication
-    operators contribute the complementary dim V symmetric directions.
+    The commutators span the derivation algebra Der(V), and the
+    multiplication operators add the complementary dim V symmetric
+    directions. x ∧ y ↦ [L(x), L(y)] is linear on Λ²V and maps it onto
+    Der(V), and decomposable bivectors x ∧ y span Λ²V, so commutators of
+    generic pairs span Der(V) without forming all d(d-1)/2 basis pairs.
+    Batches of d commutators of seeded Gaussian pairs are stacked onto the
+    orthonormal rows found so far, and the first batch that does not raise
+    the rank ends the search. The fixed seed makes the rows deterministic.
     """
     ops = al._lmul_basis(algebra)
     d = algebra.dim
-    comms = [ops[i] @ ops[j] - ops[j] @ ops[i]
-             for i in range(d) for j in range(i + 1, d)]
-    comm_stack = (np.stack(comms).reshape(len(comms), -1)
-                  if comms else np.zeros((0, d * d)))
-    dim_der, _ = al.numeric_rank(comm_stack)
-    dim_gl, vh = al.numeric_rank(np.concatenate([ops.reshape(d, -1), comm_stack]))
+    rng = np.random.default_rng(0)
+    der = np.zeros((0, d * d))
+    while True:
+        lx = np.tensordot(rng.standard_normal((d, d)), ops, axes=(1, 0))
+        ly = np.tensordot(rng.standard_normal((d, d)), ops, axes=(1, 0))
+        rank, vh = al.numeric_rank(
+            np.concatenate([der, (lx @ ly - ly @ lx).reshape(d, -1)]))
+        if rank <= der.shape[0]:
+            break
+        der = vh[:rank]
+    dim_der = der.shape[0]
+    dim_gl, vh = al.numeric_rank(np.concatenate([ops.reshape(d, -1), der]))
     if dim_gl != d + dim_der:
         raise NumericalFailure(
             f"span of L(V) and derivations has rank {dim_gl}, "

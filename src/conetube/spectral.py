@@ -277,6 +277,14 @@ def _validate_spectral(algebra, eigenvalues, frame, x, tol):
             f"exceed tolerance {tol:.1e} for {algebra}")
 
 
+def _matrix_eigh(algebra: al.AlgebraDescriptor, x):
+    """Eigenvalues and eigenvectors of the Hermitian matrix realisation of x."""
+    try:
+        return np.linalg.eigh(al.element_to_matrix(algebra, x))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
+
+
 def spectral_decompose(algebra: al.AlgebraDescriptor, x,
                        tol: float = SPECTRAL_TOL) -> SpectralData:
     """Frame decomposition x = Σ λ_j e_j with eigenvalues descending."""
@@ -296,8 +304,7 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x,
             frame = np.vstack([plus, minus])
             eigenvalues = np.array([s + unorm, s - unorm])
     elif fam in ("hermR", "hermC"):
-        M = al.element_to_matrix(algebra, x)
-        w, U = np.linalg.eigh(M)
+        w, U = _matrix_eigh(algebra, x)
         order = np.argsort(w)[::-1]
         eigenvalues = w[order]
         rows = []
@@ -306,8 +313,7 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x,
             rows.append(al.matrix_to_element(algebra, np.outer(v, v.conj())))
         frame = np.vstack(rows)
     elif fam == "hermH":
-        M = al.element_to_matrix(algebra, x)
-        w, U = np.linalg.eigh(M)
+        w, U = _matrix_eigh(algebra, x)
         order = np.argsort(w)[::-1]
         w, U = w[order], U[:, order]
         scale = max(1.0, float(np.max(np.abs(w))))

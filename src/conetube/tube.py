@@ -32,9 +32,10 @@ the validated single-pair functions and the tests' oracles for both.
 
 Minimality needs no bracket generation: the brackets of HM-sections have
 values gl(Ω)·a ⊕ i·𝒜a at a, with 𝒜 the associative algebra generated by
-L(V) (see ``minimality_check``). The first is the rank of the rows L(b_i)a
-and [L(b_i), L(b_j)]a; the second is the rank of the closure of span{a}
-under every L(b_i), grown until it stops, which takes at most dim passes.
+L(V) (see ``minimality_check``). At the base point the first equals L(V)·a,
+the rank of the rows L(b_i)a; the second is the rank of the closure of
+span{a} under every L(b_i), grown until it stops, which takes at most dim
+passes.
 """
 
 from __future__ import annotations
@@ -124,12 +125,18 @@ def condition_star_holds(eigenvalues, tol: float = 1e-10) -> bool:
 
 def _gram_orthonormal_rows(algebra, projector, expected_dim):
     """Trace-form-orthonormal rows spanning the range of a real projector."""
-    chol = np.linalg.cholesky(al.trace_gram(algebra))
+    try:
+        chol = np.linalg.cholesky(al.trace_gram(algebra))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"trace Gram factorisation failed: {exc}") from exc
     rank, vh = al.numeric_rank((chol.T @ projector).T)
     if rank != expected_dim:
         raise NumericalFailure(
             f"projector rank {rank} differs from the block dimension {expected_dim}")
-    return np.linalg.solve(chol.T, vh[:rank].T).T
+    try:
+        return np.linalg.solve(chol.T, vh[:rank].T).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"trace-orthonormal solve failed: {exc}") from exc
 
 
 def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
@@ -356,16 +363,17 @@ def minimality_check(orbit: TubeOrbit) -> bool:
     at a span gl(Ω)·a ⊕ i·𝒜a, where 𝒜a is the smallest L(V)-invariant
     subspace containing a: one rank for the first, a rank closure for the
     second.
+
+    The first needs no commutators: L(V)·a = gl(Ω)·a at the canonical base
+    point. Condition * makes L(a) invertible on T_aC = V₁ ⊕ V_{1/2}, and
+    L(x)a = L(a)x, so L(V)·a = L(a)V = T_aC. And L(V)·a ⊆ gl(Ω)·a ⊆ T_aC,
+    the tangent space of the orbit at a.
     """
     dim = orbit.algebra.dim
-    a = orbit.base_point
     table = al.multiplication_table(orbit.algebra)  # (x @ table)[i] = b_i ∘ x
-    la = a @ table  # rows L(b_i) a
-    lla = la @ table  # [i, j] = L(b_i) L(b_j) a
-    real_rank, _ = al.numeric_rank(
-        np.concatenate([la, (lla - lla.transpose(1, 0, 2)).reshape(-1, dim)]))
-
-    closure_rank, vh = al.numeric_rank(la)  # span{a} grown once: a = e ∘ a
+    # rows L(b_i) a; their span is gl(Ω)·a, and also span{a} grown once
+    real_rank, vh = al.numeric_rank(orbit.base_point @ table)
+    closure_rank = real_rank
     while closure_rank < dim:  # the rank grows on every pass: at most dim passes
         grown, vh = al.numeric_rank((vh[:closure_rank] @ table).reshape(-1, dim))
         if grown <= closure_rank:

@@ -128,8 +128,9 @@ def test_spin_product_closed_form():
 def test_matrix_realisation_oracle():
     # product and quadratic map match (XY+YX)/2 and A X A on matrices
     rng = np.random.default_rng(37)
-    for fam, r in (("hermR", 3), ("hermC", 3), ("hermH", 2)):
-        A = ct.make_algebra(fam, rank=r)
+    hermitian = [A for A in DESK if A.family in ("hermR", "hermC", "hermH")]
+    for A in hermitian + [ct.make_algebra("hermC", rank=6),
+                          ct.make_algebra("hermH", rank=4)]:
         for _ in range(25):
             x, y = _rand(A, rng), _rand(A, rng)
             X = ct.element_to_matrix(A, x)
@@ -283,6 +284,13 @@ def test_jordan_inverse_singular():
         ct.jordan_inverse(A, c)
     with pytest.raises(ct.SingularElement):
         ct.jordan_inverse(A, np.zeros(A.dim))
+
+
+def test_jordan_inverse_solve_failure(break_linalg):
+    break_linalg("solve")
+    A = ct.make_algebra("hermR", rank=3)
+    with pytest.raises(ct.NumericalFailure, match="Jordan inverse"):
+        ct.jordan_inverse(A, ct.unit(A))
 
 
 def test_complex_bilinearity():

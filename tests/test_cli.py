@@ -290,6 +290,29 @@ def test_siegel_requires_arguments(capsys):
     assert code == 2
 
 
+ANALYZE_ARGV = ["analyze", "--family", "hermR", "--rank", "2", "--p", "1",
+                "--q", "0", "--json"]
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("cholesky", ANALYZE_ARGV, "trace Gram factorisation failed"),
+    ("solve", ANALYZE_ARGV, "trace-orthonormal solve failed"),
+    ("eigh", ["spectral", "--family", "hermR", "--rank", "2",
+              "--element", "[3,1,0]"], "eigensolver failed"),
+    ("eigh", ["orbit", "--family", "hermH", "--rank", "2",
+              "--element", "[1,2,0,0,0,0]"], "eigensolver failed"),
+    ("solve", ["siegel", "--matrix", json.dumps(np.eye(4).tolist()),
+               "--z", "[[[0,1],[0,0]],[[0,0],[0,1]]]"], "Möbius action solve failed"),
+], ids=["analyze-cholesky", "analyze-solve", "spectral-eigh", "orbit-eigh",
+        "siegel-solve"])
+def test_linalg_failure_exits_three(name, argv, message, break_linalg, capsys):
+    break_linalg(name)
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert err.startswith("numerical failure: ") and message in err
+    assert out == ""
+
+
 def test_unknown_family_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["table", "--family", "hermO"])

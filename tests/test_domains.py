@@ -185,6 +185,13 @@ def test_siegel_rejects_bad_input():
                          np.zeros((2, 2), dtype=complex))
 
 
+def test_siegel_action_solve_failure(break_linalg):
+    z = _siegel_point(2, np.random.default_rng(461))
+    break_linalg("solve")
+    with pytest.raises(ct.NumericalFailure, match="Möbius"):
+        ct.siegel_action(np.eye(4), z)
+
+
 def test_isotropy_dimension_light_cone():
     assert ct.isotropy_dimension(np.diag([1.0, 0.0])) == 5
 

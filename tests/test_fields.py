@@ -145,6 +145,31 @@ def test_gl_omega_span():
                 np.triu(np.ones((A.dim, A.dim)), k=1))
 
 
+def test_gl_omega_span_matches_exhaustive_stack():
+    # oracle: all L(b_i) and all basis commutators [L(b_i), L(b_j)]
+    for A in DESK:
+        d = A.dim
+        ops = np.stack([ct.lmul(A, row) for row in np.eye(d)])
+        comms = [ops[i] @ ops[j] - ops[j] @ ops[i]
+                 for i in range(d) for j in range(i + 1, d)]
+        stack = np.concatenate([ops, np.stack(comms)]).reshape(-1, d * d)
+        _, s, vh = np.linalg.svd(stack, full_matrices=False)
+        rank = int(np.count_nonzero(s > 1e-8 * s[0]))
+        span = fl.gl_omega_span(A)
+        assert span.dim_gl_omega == rank
+        np.testing.assert_allclose(span.rows @ span.rows.T, np.eye(rank),
+                                   atol=1e-12)
+        np.testing.assert_allclose(span.rows.T @ span.rows,
+                                   vh[:rank].T @ vh[:rank], atol=1e-10)
+
+
+def test_gl_omega_span_is_deterministic():
+    A = ct.make_algebra("albert")
+    first = fl.gl_omega_span(A).rows.tobytes()
+    fl.gl_omega_span.cache_clear()
+    assert fl.gl_omega_span(A).rows.tobytes() == first
+
+
 def test_derivation_span_rank_identity():
     # brackets of h^-1 with h^1 span all of gl(Omega)
     rng = np.random.default_rng(337)
@@ -187,6 +212,14 @@ def test_dim_tables():
 def test_dim_table_matches_computed():
     for A in DESK:
         assert fl.dim_table(A) == fl.expected_dim_table(A)
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("hermR", 6), ("hermR", 7), ("hermR", 8), ("hermC", 6), ("hermC", 7),
+    ("hermH", 4), ("hermH", 5)])
+def test_dim_table_above_the_desk(family, rank):
+    A = ct.make_algebra(family, rank=rank)
+    assert fl.dim_table(A) == fl.expected_dim_table(A)
 
 
 def test_aut_H_is_graded_sum():

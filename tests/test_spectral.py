@@ -300,3 +300,12 @@ def test_spectral_rejects_complex():
     A = ct.make_algebra("hermR", rank=2)
     with pytest.raises(ct.DimensionMismatch):
         ct.spectral_decompose(A, np.array([1j, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("family, rank", [("hermR", 3), ("hermC", 3), ("hermH", 2)])
+def test_spectral_decompose_eigh_failure(family, rank, break_linalg):
+    A = ct.make_algebra(family, rank=rank)
+    x = _rand(A, np.random.default_rng(509))
+    break_linalg("eigh")
+    with pytest.raises(ct.NumericalFailure, match="eigensolver"):
+        sp.spectral_decompose(A, x)

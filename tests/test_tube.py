@@ -179,6 +179,15 @@ def test_gram_orthonormal_rows_checks_projector_rank():
         tb._gram_orthonormal_rows(A, orb.pi_e1, k - 1)   # rank above
 
 
+@pytest.mark.parametrize("name", ["cholesky", "solve"])
+def test_gram_orthonormal_rows_linalg_failure(name, break_linalg):
+    A = ct.make_algebra("hermC", rank=3)
+    orb = ct.make_orbit(A, 2, 0)
+    break_linalg(name)
+    with pytest.raises(ct.NumericalFailure, match="trace"):
+        tb._gram_orthonormal_rows(A, orb.pi_e1, orb.basis_e1.shape[0])
+
+
 def test_levi_kernel_dimension():
     for A in DESK:
         n = A.peirce_constant
