@@ -42,7 +42,6 @@ from .composition import (
     conjugation_signs,
     multiplication_tensor,
     quaternion_to_complex_block,
-    complex_block_to_quaternion,
 )
 from .errors import (ClassificationError, DimensionMismatch, NumericalFailure,
                      SingularElement)
@@ -51,7 +50,8 @@ FAMILIES = ("spin", "hermR", "hermC", "hermH", "albert")
 
 _HERM_PEIRCE = {"hermR": 1, "hermC": 2, "hermH": 4, "albert": 8}
 
-# Threshold on |det P(z)| relative to the largest singular value scale.
+# Smallest singular value of P(z), relative to the largest, below which
+# jordan_inverse calls z singular.
 INVERSE_DET_TOL = 1e-10
 
 # Singular values at most this fraction of the largest count as zero.
@@ -316,7 +316,7 @@ def star(algebra: AlgebraDescriptor, z) -> np.ndarray:
     return np.conj(as_element(algebra, z))
 
 
-def jordan_inverse(algebra: AlgebraDescriptor, z, tol: float = INVERSE_DET_TOL) -> np.ndarray:
+def jordan_inverse(algebra: AlgebraDescriptor, z) -> np.ndarray:
     """Solve P(z) w = z; raises SingularElement when P(z) is singular.
 
     Singularity is decided on the smallest singular value of P(z) relative
@@ -327,7 +327,7 @@ def jordan_inverse(algebra: AlgebraDescriptor, z, tol: float = INVERSE_DET_TOL) 
     z = as_element(algebra, z)
     P = pquad(algebra, z)
     sv = np.linalg.svd(P, compute_uv=False)
-    if sv[0] <= 0.0 or sv[-1] <= tol * sv[0]:
+    if sv[0] <= 0.0 or sv[-1] <= INVERSE_DET_TOL * sv[0]:
         raise SingularElement(
             f"quadratic representation has relative smallest singular value "
             f"{0.0 if sv[0] <= 0 else sv[-1] / sv[0]:.2e} for {algebra}")
@@ -390,38 +390,37 @@ def element_to_matrix(algebra: AlgebraDescriptor, x) -> np.ndarray:
 
 
 def matrix_to_element(algebra: AlgebraDescriptor, M: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`element_to_matrix` (Hermitian part is implied)."""
-    r = algebra.rank
+    """Inverse of :func:`element_to_matrix` (Hermitian part is implied).
+
+    M may be a stack of shape (..., s, s), giving (..., dim). The pairs
+    (j, k) of :func:`_herm_pairs` are read with one index gather, each as
+    the mean of entry (j, k) and the conjugate transpose of entry (k, j).
+    For hermH the entries are the 2 x 2 blocks [[a, b], [-b̄, ā]] of the
+    quaternions a + bj, and a, b are each the mean of their two copies.
+    """
     fam = algebra.family
-    x = np.zeros(algebra.dim)
-    if fam == "hermR":
-        x[:r] = np.diag(M)
-        idx = r
-        for (j, k) in _herm_pairs(r):
-            x[idx] = 0.5 * (M[j, k] + M[k, j])
-            idx += 1
-        return x
-    if fam == "hermC":
-        x[:r] = np.diag(M).real
-        idx = r
-        for (j, k) in _herm_pairs(r):
-            entry = 0.5 * (M[j, k] + np.conj(M[k, j]))
-            x[idx], x[idx + 1] = entry.real, entry.imag
-            idx += 2
-        return x
+    if fam not in ("hermR", "hermC", "hermH"):
+        raise ClassificationError(f"no complex matrix realisation for family {fam!r}")
+    M = np.asarray(M)
+    r = algebra.rank
+    j, k = np.array(_herm_pairs(r), dtype=int).reshape(-1, 2).T
     if fam == "hermH":
-        for j in range(r):
-            block = M[2 * j: 2 * j + 2, 2 * j: 2 * j + 2]
-            x[j] = 0.5 * np.trace(block).real
-        idx = r
-        for (j, k) in _herm_pairs(r):
-            upper = M[2 * j: 2 * j + 2, 2 * k: 2 * k + 2]
-            lower = M[2 * k: 2 * k + 2, 2 * j: 2 * j + 2]
-            block = 0.5 * (upper + lower.conj().T)
-            x[idx:idx + 4] = complex_block_to_quaternion(block)
-            idx += 4
-        return x
-    raise ClassificationError(f"no complex matrix realisation for family {fam!r}")
+        B = M.reshape(M.shape[:-2] + (r, 2, r, 2)).swapaxes(-3, -2)  # 2 x 2 blocks
+        d = np.arange(r)
+        diag = 0.5 * (B[..., d, d, 0, 0] + B[..., d, d, 1, 1]).real
+        block = 0.5 * (B[..., j, k, :, :] + B[..., k, j, :, :].conj().swapaxes(-1, -2))
+        a = 0.5 * (block[..., 0, 0] + np.conj(block[..., 1, 1]))
+        b = 0.5 * (block[..., 0, 1] - np.conj(block[..., 1, 0]))
+        parts = (a.real, a.imag, b.real, b.imag)
+    else:
+        diag = np.diagonal(M, axis1=-2, axis2=-1).real
+        entry = 0.5 * (M[..., j, k] + np.conj(M[..., k, j]))
+        parts = (entry.real,) if fam == "hermR" else (entry.real, entry.imag)
+    x = np.empty(M.shape[:-2] + (algebra.dim,))
+    x[..., :r] = diag
+    for i, part in enumerate(parts):
+        x[..., r + i::len(parts)] = part
+    return x
 
 
 def numeric_rank(M: np.ndarray) -> tuple[int, np.ndarray]:

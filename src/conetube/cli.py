@@ -341,13 +341,10 @@ def cmd_siegel(args) -> int:
     return 0
 
 
-def _add_common(sub, family=True, rank=True, signature=False, element=False,
-                tol=True):
-    if family:
-        sub.add_argument("--family", choices=list(al.FAMILIES))
-        if rank:
-            sub.add_argument("--rank", type=int)
-            sub.add_argument("--n", type=int)
+def _add_common(sub, signature=False, element=False, tol=True):
+    sub.add_argument("--family", choices=list(al.FAMILIES))
+    sub.add_argument("--rank", type=int)
+    sub.add_argument("--n", type=int)
     if signature:
         sub.add_argument("--p", type=int, required=True)
         sub.add_argument("--q", type=int, required=True)

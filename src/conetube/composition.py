@@ -65,10 +65,6 @@ def conjugation_signs(n: int) -> np.ndarray:
     return signs
 
 
-def conjugate(x: np.ndarray) -> np.ndarray:
-    return conjugation_signs(len(x)) * x
-
-
 def quaternion_to_complex_block(q: np.ndarray) -> np.ndarray:
     """2x2 complex image of q = q0 + q1 i + q2 j + q3 k.
 
@@ -79,10 +75,3 @@ def quaternion_to_complex_block(q: np.ndarray) -> np.ndarray:
     a = q[0] + 1j * q[1]
     b = q[2] + 1j * q[3]
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
-
-
-def complex_block_to_quaternion(block: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`quaternion_to_complex_block`, averaging both copies."""
-    a = 0.5 * (block[0, 0] + np.conj(block[1, 1]))
-    b = 0.5 * (block[0, 1] - np.conj(block[1, 0]))
-    return np.array([a.real, a.imag, b.real, b.imag])

@@ -35,6 +35,7 @@ SHILOV = "Shilov_S0"
 EXTERIOR = "Exterior"
 
 _CACHE_TOL = 1e-12
+_STRATUM_TOL = 1e-8
 _SYMPLECTIC_TOL = 1e-10
 
 
@@ -79,19 +80,21 @@ class LieBallPoint:
         self.coords = np.atleast_1d(np.asarray(self.coords, dtype=complex))
         if self.coords.ndim != 1 or self.coords.size == 0:
             raise DimensionMismatch("Lie ball point must be a nonempty vector")
+        if not np.all(np.isfinite(self.coords)):
+            raise NonFiniteInput("Lie ball point has a NaN or infinite coordinate")
         h = float(np.real(np.vdot(self.coords, self.coords)))
         b = complex(np.sum(self.coords ** 2))
         if self.hermitian is None:
             self.hermitian = h
-        elif abs(self.hermitian - h) > _CACHE_TOL * max(1.0, h):
+        elif not abs(self.hermitian - h) <= _CACHE_TOL * max(1.0, h):  # NaN too
             raise DimensionMismatch("cached (z|z) disagrees with coordinates")
         if self.bilinear is None:
             self.bilinear = b
-        elif abs(self.bilinear - b) > _CACHE_TOL * max(1.0, abs(b)):
+        elif not abs(self.bilinear - b) <= _CACHE_TOL * max(1.0, abs(b)):
             raise DimensionMismatch("cached <z,z> disagrees with coordinates")
 
 
-def lie_ball_membership(z, tol: float = 1e-8) -> str:
+def lie_ball_membership(z) -> str:
     """Classify against D = {(z|z) + sqrt((z|z)² − |⟨z,z⟩|²) < 1}.
 
     The Shilov stratum (z|z) = |⟨z,z⟩| = 1 is tested first since it also
@@ -101,11 +104,11 @@ def lie_ball_membership(z, tol: float = 1e-8) -> str:
     h = point.hermitian
     babs = abs(point.bilinear)
     q = h + np.sqrt(max(h * h - babs * babs, 0.0))
-    if abs(h - 1.0) < tol and abs(babs - 1.0) < tol:
+    if abs(h - 1.0) < _STRATUM_TOL and abs(babs - 1.0) < _STRATUM_TOL:
         return SHILOV
-    if abs(q - 1.0) < tol:
+    if abs(q - 1.0) < _STRATUM_TOL:
         return SMOOTH_BOUNDARY
-    if q < 1.0 - tol:
+    if q < 1.0 - _STRATUM_TOL:
         return INTERIOR
     return EXTERIOR
 
@@ -138,7 +141,7 @@ def symplectic_lie_algebra_basis(r: int) -> np.ndarray:
     return np.stack(basis)
 
 
-def _check_symplectic(A: np.ndarray, tol: float = _SYMPLECTIC_TOL) -> int:
+def _check_symplectic(A: np.ndarray) -> int:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
         raise NotSymplectic(f"matrix shape {A.shape} is not 2r x 2r")
@@ -146,7 +149,7 @@ def _check_symplectic(A: np.ndarray, tol: float = _SYMPLECTIC_TOL) -> int:
     J = symplectic_form(r)
     resid = np.linalg.norm(A.T @ J @ A - J)
     scale = max(1.0, np.linalg.norm(A) ** 2)
-    if resid > tol * scale:
+    if resid > _SYMPLECTIC_TOL * scale:
         raise NotSymplectic(f"A^T J A - J has norm {resid:.2e}")
     return r
 

@@ -60,14 +60,6 @@ class ConditionStarViolated(ConetubeError):
     """Base point has eigenvalues with λ_j + λ_k = 0 but λ_j, λ_k ≠ 0."""
 
 
-class NotFinitelyNondegenerate(ConetubeError):
-    """The kernel chain stabilised at a nonzero dimension (open orbit)."""
-
-
-class ClosureViolation(ConetubeError):
-    """Bracket produced a linear part outside gl(Ω); implementation bug."""
-
-
 class InvalidBound(ConetubeError):
     """Resonance search requested with a degree bound below 2."""
 
@@ -112,8 +104,6 @@ NUMERICAL_ERRORS = (
     SingularElement,
     NumericalFailure,
     BorderlineSpectrum,
-    NotFinitelyNondegenerate,
-    ClosureViolation,
     FlowSingularity,
     SingularDenominator,
 )

@@ -8,8 +8,9 @@ the nonaffine one-parameter groups. The bracket convention is
     [f∂, g∂] = (g'f - f'g) ∂,
 
 so ad(δ) really has eigenvalues (-1, 0, +1) on the three graded pieces.
-Bracket results are verified against finite evaluation at sample points and
-the linear coefficient is checked to stay inside gl(Ω).
+``bracket`` is a closed form in the coefficients; the tests compare it with
+g'f - f'g evaluated at sample points and check that its linear coefficient
+stays inside gl(Ω).
 """
 
 from __future__ import annotations
@@ -23,17 +24,16 @@ import numpy as np
 from . import algebra as al
 from . import spectral as sp
 from .errors import (
-    ClosureViolation,
     ConditionStarViolated,
     DimensionMismatch,
     FlowSingularity,
     IndexOutOfRange,
     InvalidBound,
+    NonFiniteInput,
     NumericalFailure,
 )
 from .tube import condition_star_holds
 
-_BRACKET_SAMPLES = 5
 _CLOSURE_REL_TOL = 1e-8
 
 
@@ -85,10 +85,10 @@ class GlOmegaSpan:
     dim_der: int
     dim_gl_omega: int
 
-    def contains(self, mat: np.ndarray, rel_tol: float = _CLOSURE_REL_TOL) -> bool:
+    def contains(self, mat: np.ndarray) -> bool:
         flat = mat.reshape(-1)
-        resid = flat - self.rows.T @ (self.rows @ flat)
-        return np.linalg.norm(resid) <= rel_tol * max(1.0, np.linalg.norm(flat))
+        resid = np.linalg.norm(flat - self.rows.T @ (self.rows @ flat))
+        return resid <= _CLOSURE_REL_TOL * max(1.0, np.linalg.norm(flat))
 
 
 @lru_cache(maxsize=None)
@@ -125,14 +125,12 @@ def gl_omega_span(algebra: al.AlgebraDescriptor) -> GlOmegaSpan:
     return GlOmegaSpan(vh[:dim_gl], dim_der, dim_gl)
 
 
-def bracket(algebra: al.AlgebraDescriptor, f1: GradedField, f2: GradedField,
-            check: bool = True, tol: float = 1e-9) -> GradedField:
+def bracket(algebra: al.AlgebraDescriptor, f1: GradedField,
+            f2: GradedField) -> GradedField:
     """[f1∂, f2∂] = (f2'f1 - f1'f2)∂, returned in graded coefficients.
 
     The degree-one coefficient uses M(u, w) = L(u∘w) + L(u)L(w) - L(w)L(u),
-    the matrix of z ↦ P(z, u)w. When ``check`` is set the closed form is
-    compared against direct evaluation at seeded sample points and the
-    linear part is required to stay inside gl(Ω).
+    the matrix of z ↦ P(z, u)w.
     """
     u1, a1, w1 = f1.u, f1.A, f1.w
     u2, a2, w2 = f2.u, f2.A, f2.w
@@ -149,23 +147,7 @@ def bracket(algebra: al.AlgebraDescriptor, f1: GradedField, f2: GradedField,
     l1e = al.lmul(algebra, a1 @ e)
     l2e = al.lmul(algebra, a2 @ e)
     w_out = a2 @ w1 - a1 @ w2 + 2.0 * (l1e @ w2) - 2.0 * (l2e @ w1)
-    out = GradedField(u_out, a_out, w_out)
-
-    if check:
-        rng = np.random.default_rng(0)
-        for _ in range(_BRACKET_SAMPLES):
-            z = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
-            lhs = (field_derivative(algebra, f2, z) @ evaluate_field(algebra, f1, z)
-                   - field_derivative(algebra, f1, z) @ evaluate_field(algebra, f2, z))
-            rhs = evaluate_field(algebra, out, z)
-            resid = np.linalg.norm(lhs - rhs)
-            if resid > tol * max(1.0, np.linalg.norm(lhs)):
-                raise NumericalFailure(
-                    f"bracket closed form off by {resid:.2e} at a sample point")
-        if not gl_omega_span(algebra).contains(a_out):
-            raise ClosureViolation(
-                "bracket linear coefficient escapes gl(Ω)")
-    return out
+    return GradedField(u_out, a_out, w_out)
 
 
 def random_field(algebra: al.AlgebraDescriptor, rng) -> GradedField:
@@ -235,7 +217,7 @@ class VanishingReport:
 
 
 def vanishing_conditions(algebra: al.AlgebraDescriptor, field: GradedField,
-                         a, tol: float = 1e-9) -> VanishingReport:
+                         a) -> VanishingReport:
     """Vanishing of f and f' at a real point a whose spectrum satisfies (*).
 
     f(a) = 0 splits into the real part Aa = 0 and imaginary part
@@ -249,6 +231,7 @@ def vanishing_conditions(algebra: al.AlgebraDescriptor, field: GradedField,
     if not condition_star_holds(data.eigenvalues):
         raise ConditionStarViolated(
             f"spectrum {data.eigenvalues} has cancelling eigenvalue pairs")
+    tol = 1e-9
     scale = max(1.0, float(np.linalg.norm(a)))
     real_part = field.A @ a
     imag_part = field.u + al.pquad(algebra, a) @ field.w
@@ -293,7 +276,7 @@ def monomial_weight(m, j: int, eigenvalues) -> complex:
     return complex(m @ lam - lam[j - 1])
 
 
-def nonresonant(eigenvalues, bound: int, tol: float = 1e-9) -> NonresonanceResult:
+def nonresonant(eigenvalues, bound: int) -> NonresonanceResult:
     """Search Σ m_i λ_i = λ_j over 2 ≤ |m| ≤ bound.
 
     The verdict is exact when the search provably exhausts all resonance
@@ -303,13 +286,15 @@ def nonresonant(eigenvalues, bound: int, tol: float = 1e-9) -> NonresonanceResul
     lam = np.asarray(eigenvalues, dtype=complex)
     if lam.ndim != 1 or lam.size == 0:
         raise DimensionMismatch("eigenvalue list must be a nonempty vector")
+    if not np.all(np.isfinite(lam)):
+        raise NonFiniteInput("eigenvalue list has a NaN or infinite entry")
     if bound < 2:
         raise InvalidBound(f"resonance search needs bound >= 2, got {bound}")
     scale = max(1.0, float(np.max(np.abs(lam))))
     for total in range(2, bound + 1):
         for m in _multi_indices(lam.size, total):
             weights = np.asarray(m, dtype=float) @ lam - lam
-            hits = np.nonzero(np.abs(weights) <= tol * scale)[0]
+            hits = np.nonzero(np.abs(weights) <= 1e-9 * scale)[0]
             if hits.size:
                 return NonresonanceResult(False, True, bound,
                                           (m, int(hits[0]) + 1))

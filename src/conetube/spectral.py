@@ -167,13 +167,13 @@ def _cluster(values, gap):
     return groups
 
 
-def _split_candidates(algebra, rng_seed=0):
+def _split_candidates(algebra):
     dim = algebra.dim
     for i in range(dim):
         vec = np.zeros(dim)
         vec[i] = 1.0
         yield vec
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     for _ in range(16):
         yield rng.standard_normal(dim)
 
@@ -307,11 +307,8 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x,
         w, U = _matrix_eigh(algebra, x)
         order = np.argsort(w)[::-1]
         eigenvalues = w[order]
-        rows = []
-        for idx in order:
-            v = U[:, idx]
-            rows.append(al.matrix_to_element(algebra, np.outer(v, v.conj())))
-        frame = np.vstack(rows)
+        V = U[:, order].T  # row i is the eigenvector of eigenvalues[i]
+        frame = al.matrix_to_element(algebra, V[:, :, None] * V[:, None, :].conj())
     elif fam == "hermH":
         w, U = _matrix_eigh(algebra, x)
         order = np.argsort(w)[::-1]

@@ -80,8 +80,6 @@ class TubeOrbit:
     base_point: np.ndarray
     eigenvalues: np.ndarray
     frame: np.ndarray
-    joint: sp.JointPeirceData
-    support: np.ndarray
     pi_e1: np.ndarray
     pi_half: np.ndarray
     pi_e0: np.ndarray
@@ -111,10 +109,11 @@ class NondegeneracyResult:
     note: str | None = None
 
 
-def condition_star_holds(eigenvalues, tol: float = 1e-10) -> bool:
+def condition_star_holds(eigenvalues) -> bool:
     """True when λ_j + λ_k = 0 only happens with λ_j = λ_k = 0."""
     lam = np.asarray(eigenvalues, dtype=float)
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    tol = 1e-10
     for j in range(len(lam)):
         for k in range(j, len(lam)):
             if abs(lam[j] + lam[k]) <= tol * scale:
@@ -188,7 +187,6 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int,
             linv_h += 2.0 / nz * pjk
         else:
             pi_e0 += pjk
-    support = frame[nonzero].sum(axis=0) if np.any(nonzero) else np.zeros(dim)
 
     dims = cr_dimensions(algebra, p, q)
     d_e1 = dims["levi_kernel_dim"]
@@ -199,9 +197,8 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int,
     basis_e0 = _gram_orthonormal_rows(algebra, pi_e0, d_e0)
     basis_h = np.vstack([basis_e1, basis_half]) if d_e1 + d_half else np.zeros((0, dim))
 
-    orbit = TubeOrbit(algebra, p, q, a, lam, frame, joint, support,
-                      pi_e1, pi_half, pi_e0, linv_h, pinv_e1,
-                      basis_h, basis_e1, basis_half, basis_e0)
+    orbit = TubeOrbit(algebra, p, q, a, lam, frame, pi_e1, pi_half, pi_e0,
+                      linv_h, pinv_e1, basis_h, basis_e1, basis_half, basis_e0)
     sig = sp.orbit_signature(algebra, a) if p + q else sp.Signature(0, 0)
     if (sig.p, sig.q) != (p, q):
         raise NumericalFailure(f"constructed base point classifies as {sig}")
@@ -217,24 +214,25 @@ def tangent_data(orbit: TubeOrbit) -> dict[str, SubspaceBasis]:
     }
 
 
-def _check_rows_in_subspace(rows, projector, tol, error, what):
+def _check_rows_in_subspace(rows, projector, error, what):
     """Raise ``error`` unless every row lies in the range of ``projector``."""
     resid = np.linalg.norm(rows - rows @ projector.T, axis=1)
-    bad = np.flatnonzero(resid > tol * np.maximum(1.0, np.linalg.norm(rows, axis=1)))
+    scale = np.maximum(1.0, np.linalg.norm(rows, axis=1))
+    bad = np.flatnonzero(resid > MEMBERSHIP_TOL * scale)
     if bad.size:
         i = bad[0]
         raise error(f"{what}, row {i}: residual {resid[i]:.2e} "
-                    f"outside tolerance {tol:.1e}")
+                    f"outside tolerance {MEMBERSHIP_TOL:.1e}")
     return rows
 
 
-def _check_in_subspace(orbit, v, projector, tol, error, what):
+def _check_in_subspace(orbit, v, projector, error, what):
     """:func:`_check_rows_in_subspace` for one element, coerced first."""
     v = al.as_element(orbit.algebra, v)
-    return _check_rows_in_subspace(v[None], projector, tol, error, what)[0]
+    return _check_rows_in_subspace(v[None], projector, error, what)[0]
 
 
-def levi_form(orbit: TubeOrbit, v, w, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def levi_form(orbit: TubeOrbit, v, w) -> np.ndarray:
     """Λ_a(v, w) = E_0-part of v* ∘ (L(a)|_H)^{-1} w.
 
     Conjugate linear in v, complex linear in w; both arguments must lie in
@@ -242,9 +240,9 @@ def levi_form(orbit: TubeOrbit, v, w, tol: float = MEMBERSHIP_TOL) -> np.ndarray
     the identification E/H_aM ≅ E_0.
     """
     pi_h = orbit.pi_e1 + orbit.pi_half
-    v = _check_in_subspace(orbit, v, pi_h, tol, NotInHolomorphicTangent,
+    v = _check_in_subspace(orbit, v, pi_h, NotInHolomorphicTangent,
                            "first Levi argument")
-    w = _check_in_subspace(orbit, w, pi_h, tol, NotInHolomorphicTangent,
+    w = _check_in_subspace(orbit, w, pi_h, NotInHolomorphicTangent,
                            "second Levi argument")
     u = orbit.linv_h @ w
     val = al.jordan_product(orbit.algebra, np.conj(v), u)
@@ -259,8 +257,7 @@ def _levi_matrix(orbit: TubeOrbit) -> np.ndarray:
     """
     algebra = orbit.algebra
     basis_h = _check_rows_in_subspace(orbit.basis_h, orbit.pi_e1 + orbit.pi_half,
-                                      MEMBERSHIP_TOL, NotInHolomorphicTangent,
-                                      "Levi argument")
+                                      NotInHolomorphicTangent, "Levi argument")
     m, m0 = basis_h.shape[0], orbit.basis_e0.shape[0]
     coord = orbit.basis_e0 @ al.trace_gram(algebra) @ orbit.pi_e0
     t_e0 = al.multiplication_table(algebra) @ coord.T  # (d, d, m0)
@@ -285,14 +282,14 @@ def levi_kernel(orbit: TubeOrbit) -> SubspaceBasis:
     return SubspaceBasis("levi_kernel", (vh.conj()[rank:] @ basis_h).astype(complex))
 
 
-def beta_map(orbit: TubeOrbit, v, u, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def beta_map(orbit: TubeOrbit, v, u) -> np.ndarray:
     """β(v, u) = P(a, v*) (P(a)|_{E_1})^{-1} u, antilinear in v.
 
     v must lie in E_{1/2} and u in E_1; the value lies in E_{1/2} again.
     """
-    v = _check_in_subspace(orbit, v, orbit.pi_half, tol, BlockViolation,
+    v = _check_in_subspace(orbit, v, orbit.pi_half, BlockViolation,
                            "beta first argument (E_1/2)")
-    u = _check_in_subspace(orbit, u, orbit.pi_e1, tol, BlockViolation,
+    u = _check_in_subspace(orbit, u, orbit.pi_e1, BlockViolation,
                            "beta second argument (E_1)")
     w = orbit.pinv_e1 @ u
     return al.pquad(orbit.algebra, orbit.base_point, np.conj(v)) @ w
@@ -306,10 +303,9 @@ def _beta_matrix(orbit: TubeOrbit, kernel: np.ndarray) -> np.ndarray:
     """
     algebra = orbit.algebra
     half = _check_rows_in_subspace(orbit.basis_half, orbit.pi_half,
-                                   MEMBERSHIP_TOL, BlockViolation,
-                                   "beta first argument (E_1/2)")
-    kernel = _check_rows_in_subspace(kernel, orbit.pi_e1, MEMBERSHIP_TOL,
-                                     BlockViolation, "beta second argument (E_1)")
+                                   BlockViolation, "beta first argument (E_1/2)")
+    kernel = _check_rows_in_subspace(kernel, orbit.pi_e1, BlockViolation,
+                                     "beta second argument (E_1)")
     ops = al._lmul_basis(algebra)
     a = orbit.base_point
     v_star = np.conj(half)

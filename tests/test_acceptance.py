@@ -224,16 +224,16 @@ def test_criterion_7_field_algebra():
     for A in DESK:
         for _ in range(JACOBI_TRIPLES):
             f, g, h = (fl.random_field(A, rng) for _ in range(3))
-            fg = fl.bracket(A, f, g, check=False)
-            gf = fl.bracket(A, g, f, check=False)
+            fg = fl.bracket(A, f, g)
+            gf = fl.bracket(A, g, f)
             anti = max(np.max(np.abs(fg.u + gf.u)),
                        np.max(np.abs(fg.A + gf.A)),
                        np.max(np.abs(fg.w + gf.w)))
-            gh = fl.bracket(A, g, h, check=False)
-            hf = fl.bracket(A, h, f, check=False)
-            jac_u = fl.bracket(A, fg, h, check=False)
-            jac_v = fl.bracket(A, gh, f, check=False)
-            jac_w = fl.bracket(A, hf, g, check=False)
+            gh = fl.bracket(A, g, h)
+            hf = fl.bracket(A, h, f)
+            jac_u = fl.bracket(A, fg, h)
+            jac_v = fl.bracket(A, gh, f)
+            jac_w = fl.bracket(A, hf, g)
             jac = max(np.max(np.abs(jac_u.u + jac_v.u + jac_w.u)),
                       np.max(np.abs(jac_u.A + jac_v.A + jac_w.A)),
                       np.max(np.abs(jac_u.w + jac_v.w + jac_w.w)))
@@ -253,7 +253,7 @@ def test_criterion_7_field_algebra():
             f_minus = fl.GradedField(u=u, A=zero_m, w=zero_v)
             same = fl.bracket(A, f_minus,
                               fl.GradedField(u=np.roll(u, 1), A=zero_m,
-                                             w=zero_v), check=False)
+                                             w=zero_v))
             assert np.max(np.abs(same.u)) == 0.0
             assert np.max(np.abs(same.A)) == 0.0
             assert np.max(np.abs(same.w)) == 0.0
@@ -264,12 +264,11 @@ def test_criterion_7_field_algebra():
                 if i == 0:
                     pp = fl.bracket(A, f_plus,
                                     fl.GradedField(u=zero_v, A=zero_m,
-                                                   w=np.roll(w, 1)),
-                                    check=False)
+                                                   w=np.roll(w, 1)))
                     assert np.max(np.abs(pp.u)) == 0.0
                     assert np.max(np.abs(pp.A)) == 0.0
                     assert np.max(np.abs(pp.w)) == 0.0
-                rows.append(fl.bracket(A, f_minus, f_plus, check=False)
+                rows.append(fl.bracket(A, f_minus, f_plus)
                             .A.reshape(-1))
         stack = np.stack(rows)
         sv = np.linalg.svd(stack, compute_uv=False)

@@ -154,6 +154,51 @@ def test_matrix_round_trip():
                              np.zeros(27))
 
 
+
+def _matrix_to_element_loop(A, M):
+    """Reference: one (j, k) pair at a time, one matrix at a time."""
+    r = A.rank
+    x = np.zeros(A.dim)
+    idx = r
+    for (j, k) in al._herm_pairs(r):
+        if A.family == "hermH":
+            upper = M[2 * j: 2 * j + 2, 2 * k: 2 * k + 2]
+            block = 0.5 * (upper + M[2 * k: 2 * k + 2, 2 * j: 2 * j + 2].conj().T)
+            a = 0.5 * (block[0, 0] + np.conj(block[1, 1]))
+            b = 0.5 * (block[0, 1] - np.conj(block[1, 0]))
+            x[idx:idx + 4] = a.real, a.imag, b.real, b.imag
+            idx += 4
+        else:
+            entry = 0.5 * (M[j, k] + np.conj(M[k, j]))
+            x[idx] = entry.real
+            if A.family == "hermC":
+                x[idx + 1] = entry.imag
+            idx += A.peirce_constant
+    for j in range(r):
+        if A.family == "hermH":
+            x[j] = 0.5 * np.trace(M[2 * j: 2 * j + 2, 2 * j: 2 * j + 2]).real
+        else:
+            x[j] = M[j, j].real
+    return x
+
+
+def test_matrix_to_element_matches_loop_on_stacks():
+    # bit for bit against the pair loop, on stacks of non-Hermitian matrices
+    rng = np.random.default_rng(47)
+    for fam, r in (("hermR", 1), ("hermR", 4), ("hermC", 3), ("hermH", 3)):
+        A = ct.make_algebra(fam, rank=r)
+        mats = np.stack([ct.element_to_matrix(A, _rand(A, rng)) for _ in range(6)])
+        mats = mats + 1e-3 * rng.standard_normal(mats.shape)
+        want = np.stack([_matrix_to_element_loop(A, M) for M in mats])
+        got = ct.matrix_to_element(A, mats.reshape((2, 3) + mats.shape[1:]))
+        assert got.shape == (2, 3, A.dim)
+        assert got.reshape(6, A.dim).tobytes() == want.tobytes()
+        assert ct.matrix_to_element(A, mats[0]).tobytes() == want[0].tobytes()
+    with pytest.raises(ct.ClassificationError):
+        ct.matrix_to_element(ct.make_algebra("spin", peirce_constant=2),
+                             np.eye(2))
+
+
 def test_pquad_definition():
     # P(x) = 2 L(x)² - L(x²) entrywise, and P(x, x) = P(x)
     rng = np.random.default_rng(43)

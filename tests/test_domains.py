@@ -86,6 +86,21 @@ def test_lie_ball_point_cache_validation():
         dm.LieBallPoint(z, bilinear=0.3)
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_lie_ball_rejects_non_finite(bad):
+    # a NaN or infinite coordinate has no stratum; it used to read Exterior
+    with pytest.raises(ct.NonFiniteInput):
+        ct.lie_ball_membership([bad, 0.0])
+    with pytest.raises(ct.NonFiniteInput):
+        dm.LieBallPoint([0.5, bad], hermitian=0.25, bilinear=0.25)
+    # a non-finite cached form disagrees with any finite coordinates
+    with pytest.raises(ct.DimensionMismatch):
+        dm.LieBallPoint([0.5, 0.0], hermitian=bad)
+    with pytest.raises(ct.DimensionMismatch):
+        dm.LieBallPoint([0.5, 0.0], bilinear=bad)
+
+
 def test_symplectic_form():
     J = ct.symplectic_form(3)
     np.testing.assert_allclose(J @ J, -np.eye(6), atol=1e-14)

@@ -98,33 +98,32 @@ def test_bracket_antisymmetry_and_jacobi():
             f = fl.random_field(A, rng)
             g = fl.random_field(A, rng)
             h = fl.random_field(A, rng)
-            fg = fl.bracket(A, f, g, check=False)
-            gf = fl.bracket(A, g, f, check=False)
+            fg = fl.bracket(A, f, g)
+            gf = fl.bracket(A, g, f)
             np.testing.assert_allclose(_field_array(fg), -_field_array(gf),
                                        atol=BRACKET_TOL)
-            j1 = fl.bracket(A, f, fl.bracket(A, g, h, check=False),
-                            check=False)
-            j2 = fl.bracket(A, g, fl.bracket(A, h, f, check=False),
-                            check=False)
-            j3 = fl.bracket(A, h, fl.bracket(A, f, g, check=False),
-                            check=False)
+            j1 = fl.bracket(A, f, fl.bracket(A, g, h))
+            j2 = fl.bracket(A, g, fl.bracket(A, h, f))
+            j3 = fl.bracket(A, h, fl.bracket(A, f, g))
             total = _field_array(j1) + _field_array(j2) + _field_array(j3)
             assert np.max(np.abs(total)) < BRACKET_TOL
 
 
 def test_bracket_matches_section_evaluation():
-    # [f, g](z) = g'(z) f(z) - f'(z) g(z) at sample points
+    # [f, g](z) = g'(z) f(z) - f'(z) g(z) at sample points, and the linear
+    # coefficient of the closed form stays inside gl(Omega)
     rng = np.random.default_rng(317)
-    A = ct.make_algebra("hermR", rank=3)
-    f = fl.random_field(A, rng)
-    g = fl.random_field(A, rng)
-    b = fl.bracket(A, f, g)
-    for _ in range(5):
-        z = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
-        direct = fl.field_derivative(A, g, z) @ fl.evaluate_field(A, f, z) \
-            - fl.field_derivative(A, f, z) @ fl.evaluate_field(A, g, z)
-        np.testing.assert_allclose(fl.evaluate_field(A, b, z), direct,
-                                   atol=1e-9)
+    for A in DESK:
+        f = fl.random_field(A, rng)
+        g = fl.random_field(A, rng)
+        b = fl.bracket(A, f, g)
+        for _ in range(5):
+            z = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
+            direct = fl.field_derivative(A, g, z) @ fl.evaluate_field(A, f, z) \
+                - fl.field_derivative(A, f, z) @ fl.evaluate_field(A, g, z)
+            np.testing.assert_allclose(fl.evaluate_field(A, b, z), direct,
+                                       atol=1e-9, err_msg=repr(A))
+        assert fl.gl_omega_span(A).contains(b.A), A
 
 
 def test_gl_omega_span():
@@ -185,7 +184,7 @@ def test_derivation_span_rank_identity():
                 w = np.zeros(d)
                 w[j] = 1.0
                 g = ct.GradedField(np.zeros(d), np.zeros((d, d)), w)
-                b = fl.bracket(A, f, g, check=False)
+                b = fl.bracket(A, f, g)
                 mats.append(b.A.ravel())
         rank = np.linalg.matrix_rank(np.array(mats), tol=1e-8)
         assert rank == span.dim_gl_omega
@@ -311,6 +310,13 @@ def test_nonresonant_input_checks():
         fl.nonresonant([1.0, 2.0], bound=1)
     with pytest.raises(ct.DimensionMismatch):
         fl.nonresonant([], bound=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_nonresonant_rejects_non_finite(bad):
+    # a NaN weight never matches, so the search used to report nonresonant
+    with pytest.raises(ct.NonFiniteInput):
+        fl.nonresonant([bad, 1.0], bound=4)
 
 
 def test_multi_index_order():
