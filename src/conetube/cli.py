@@ -6,6 +6,9 @@ parse errors, 3 on numerical failures. JSON output (``--json``) renders
 floats with 12 significant digits and is byte-identical across runs for
 identical inputs; wall-clock timing appears only in the human-readable
 report for that reason.
+
+The argument parser is built once per process, at the first ``main`` call;
+later calls only parse.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -356,7 +360,9 @@ def _add_common(sub, signature=False, element=False, tol=True):
         sub.add_argument("--tol", type=float, default=1e-8)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; built once and shared by all ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="conetube",
         description="Jordan-algebraic CR invariants of tube manifolds "

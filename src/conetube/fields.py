@@ -319,6 +319,9 @@ def diagonal_flow_coefficients(v, c, t: float):
     c = np.atleast_1d(np.asarray(c, dtype=complex))
     if v.shape != c.shape:
         raise DimensionMismatch(f"rate shape {v.shape} != start shape {c.shape}")
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(c)) and np.isfinite(t)):
+        # NaN passes the pole test below and would come back as nan+nanj
+        raise NonFiniteInput("flow rates, start values and time must be finite")
     denom = 1.0 - 1j * v * c * t
     bad = np.abs(denom) < 1e-12
     if np.any(bad):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .errors import (
     BlockViolation,
     ConditionStarViolated,
     InvalidSignature,
+    NonFiniteInput,
     NotInHolomorphicTangent,
     NumericalFailure,
 )
@@ -112,6 +114,9 @@ class NondegeneracyResult:
 def condition_star_holds(eigenvalues) -> bool:
     """True when λ_j + λ_k = 0 only happens with λ_j = λ_k = 0."""
     lam = np.asarray(eigenvalues, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        # NaN fails every comparison below and would read as "no pair cancels"
+        raise NonFiniteInput("eigenvalue list has a NaN or infinite entry")
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     tol = 1e-10
     for j in range(len(lam)):
@@ -152,23 +157,44 @@ def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def _standard_joint_peirce(algebra: al.AlgebraDescriptor, tol: float):
+    """Checked joint Peirce projections of the standard frame, once per (algebra, tol).
+
+    Returns the frame and its ((j, k), π_jk) pairs. The cache hands the same
+    arrays to every caller, so they are read-only.
+    """
+    joint = sp.joint_peirce(algebra, al.standard_frame(algebra), tol=tol)
+    for arr in (joint.frame, *joint.projections.values()):
+        arr.flags.writeable = False
+    return joint.frame, tuple(joint.projections.items())
+
+
 def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int,
                tol: float = sp.SPECTRAL_TOL) -> TubeOrbit:
-    """Build the canonical base point of C_{p,q} and cache its Peirce data."""
+    """Build the canonical base point of C_{p,q} and cache its Peirce data.
+
+    The standard frame's joint Peirce projections are built and checked once
+    per (algebra, tol). The orbit's blocks, inverses and bases, and the
+    signature check of its base point, are built on every call.
+    """
     r = algebra.rank
     if p < 0 or q < 0 or p + q > r:
         raise InvalidSignature(f"(p, q) = ({p}, {q}) exceeds rank {r}")
-    frame = al.standard_frame(algebra)
-    lam = np.zeros(r)
+    if not 0 < tol < math.inf:  # also refuses NaN, which never hits the cache
+        raise NonFiniteInput(f"tol = {tol} is not a finite number > 0")
+    standard, projections = _standard_joint_peirce(algebra, tol)
+    lam = np.zeros(r)  # eigenvalues on the standard frame
     lam[:p] = np.arange(1, p + 1, dtype=float)
     lam[p:p + q] = -(p + 1.5 + np.arange(q, dtype=float))
     order = np.argsort(lam, kind="stable")[::-1]
-    lam, frame = lam[order], frame[order]
-    if not condition_star_holds(lam):
-        raise ConditionStarViolated(f"base point eigenvalues {lam} cancel pairwise")
-    a = lam @ frame
+    eigenvalues, frame = lam[order], standard[order]
+    if not condition_star_holds(eigenvalues):
+        raise ConditionStarViolated(f"base point eigenvalues {eigenvalues} cancel pairwise")
+    a = eigenvalues @ frame
 
-    joint = sp.joint_peirce(algebra, frame, tol=tol)
+    # each block sum runs over unordered pairs {j, k}, so the standard
+    # frame's order serves as well as the sorted one
     nonzero = lam != 0.0
     dim = algebra.dim
     pi_e1 = np.zeros((dim, dim))
@@ -176,7 +202,7 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int,
     pi_e0 = np.zeros((dim, dim))
     linv_h = np.zeros((dim, dim))
     pinv_e1 = np.zeros((dim, dim))
-    for (j, k), pjk in joint.projections.items():
+    for (j, k), pjk in projections:
         if nonzero[j] and nonzero[k]:
             pi_e1 += pjk
             linv_h += 2.0 / (lam[j] + lam[k]) * pjk
@@ -197,7 +223,7 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int,
     basis_e0 = _gram_orthonormal_rows(algebra, pi_e0, d_e0)
     basis_h = np.vstack([basis_e1, basis_half]) if d_e1 + d_half else np.zeros((0, dim))
 
-    orbit = TubeOrbit(algebra, p, q, a, lam, frame, pi_e1, pi_half, pi_e0,
+    orbit = TubeOrbit(algebra, p, q, a, eigenvalues, frame, pi_e1, pi_half, pi_e0,
                       linv_h, pinv_e1, basis_h, basis_e1, basis_half, basis_e0)
     sig = sp.orbit_signature(algebra, a) if p + q else sp.Signature(0, 0)
     if (sig.p, sig.q) != (p, q):

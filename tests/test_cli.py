@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conetube import cli
 from conetube import spectral as sp
 from conetube.cli import main
 
@@ -345,3 +346,30 @@ def test_json_byte_determinism_subprocess():
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert first == second
     json.loads(first)
+
+
+def test_one_parser_serves_every_call_like_a_fresh_interpreter(capsys):
+    sequence = [
+        ANALYZE_ARGV,
+        ["analyze", "--family", "hermR", "--rank", "2", "--p", "1"],  # no --q
+        ["nondegen", "--family", "spin", "--n", "3", "--p", "1", "--q", "1", "--json"],
+        ["spectral", "--family", "hermR", "--rank", "3", "--element", "[1,-2,0,0,0,0]",
+         "--json"],
+        ["table", "--family", "hermC", "--rank", "2", "--json"],
+        ANALYZE_ARGV + ["--tol", "1e-6"],
+    ]
+    cli._build_parser.cache_clear()
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # the parse error
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 0, 0]
+    for argv, outcome in zip(sequence, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "conetube", *argv],
+                               capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == outcome, argv

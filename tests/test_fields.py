@@ -372,6 +372,22 @@ def test_flow_singularity():
         fl.diagonal_flow_coefficients([1.0], [-1j], 1.0)
 
 
+@pytest.mark.parametrize("v, c, t", [
+    ([np.nan, 1.0], [1j, 2j], 0.5),
+    ([np.inf, 1.0], [1j, 2j], 0.5),
+    ([1.0, 1.0], [complex(np.nan, 1.0), 2j], 0.5),
+    ([1.0, 1.0], [1j, complex(0.0, -np.inf)], 0.5),
+    ([1.0, 1.0], [1j, 2j], np.nan),
+    ([1.0, 1.0], [1j, 2j], -np.inf),
+], ids=["v-nan", "v-inf", "c-nan", "c-inf", "t-nan", "t-inf"])
+def test_diagonal_flow_rejects_non_finite(v, c, t):
+    with pytest.raises(ct.NonFiniteInput):
+        fl.diagonal_flow_coefficients(v, c, t)
+    A = ct.make_algebra("hermR", rank=2)
+    with pytest.raises(ct.NonFiniteInput):
+        fl.diagonal_flow(A, ct.standard_frame(A), v, c, t)
+
+
 def test_flow_shape_checks():
     with pytest.raises(ct.DimensionMismatch):
         fl.diagonal_flow_coefficients([1.0, 2.0], [1j], 1.0)

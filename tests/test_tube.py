@@ -14,6 +14,7 @@ import pytest
 
 import conetube as ct
 from conetube import algebra as al
+from conetube import spectral as sp
 from conetube import tube as tb
 
 ORACLE_TOL = 1e-9
@@ -41,6 +42,65 @@ def test_condition_star():
     assert tb.condition_star_holds(np.array([1.0, 2.0, -1.5]))
     assert not tb.condition_star_holds(np.array([1.0, -1.0, 2.0]))
     assert tb.condition_star_holds(np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_condition_star_rejects_non_finite(bad):
+    with pytest.raises(ct.NonFiniteInput):
+        tb.condition_star_holds([bad, 1.0])
+
+
+def _per_call_blocks(A, orb):
+    """π_E1, π_½, π_E0, L(a)|_H⁻¹ and P(a)|_E1⁻¹ from a fresh joint_peirce
+    on the orbit's sorted frame: the make_orbit reference without a cache."""
+    joint = sp.joint_peirce(A, orb.frame)
+    lam = orb.eigenvalues
+    nonzero = lam != 0.0
+    pi_e1, pi_half, pi_e0, linv_h, pinv_e1 = (np.zeros((A.dim, A.dim)) for _ in range(5))
+    for (j, k), pjk in joint.projections.items():
+        if nonzero[j] and nonzero[k]:
+            pi_e1 += pjk
+            linv_h += 2.0 / (lam[j] + lam[k]) * pjk
+            pinv_e1 += 1.0 / (lam[j] * lam[k]) * pjk
+        elif nonzero[j] or nonzero[k]:
+            pi_half += pjk
+            nz = lam[j] if nonzero[j] else lam[k]
+            linv_h += 2.0 / nz * pjk
+        else:
+            pi_e0 += pjk
+    return pi_e1, pi_half, pi_e0, linv_h, pinv_e1
+
+
+def test_orbit_blocks_match_per_call_peirce():
+    for A in DESK:
+        for (p, q) in _all_orbits(A):
+            orb = ct.make_orbit(A, p, q)
+            got = (orb.pi_e1, orb.pi_half, orb.pi_e0, orb.linv_h, orb.pinv_e1)
+            for mine, want in zip(got, _per_call_blocks(A, orb)):
+                np.testing.assert_array_equal(mine, want)
+
+
+def test_cached_standard_projections_are_read_only():
+    A = ct.make_algebra("hermC", rank=3)
+    orb = ct.make_orbit(A, 1, 1)
+    frame, projections = tb._standard_joint_peirce(A, sp.SPECTRAL_TOL)
+    assert not frame.flags.writeable
+    assert len(projections) == math.comb(A.rank + 1, 2)
+    for _, pjk in projections:
+        with pytest.raises(ValueError):
+            pjk[0, 0] = 1.0
+    # what make_orbit stores is its own
+    for arr in (orb.frame, orb.eigenvalues, orb.pi_e1, orb.linv_h):
+        assert arr.flags.writeable
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_make_orbit_rejects_bad_tol(tol):
+    A = ct.make_algebra("hermR", rank=3)
+    before = tb._standard_joint_peirce.cache_info().currsize
+    with pytest.raises(ct.NonFiniteInput):
+        ct.make_orbit(A, 1, 0, tol=tol)
+    assert tb._standard_joint_peirce.cache_info().currsize == before
 
 
 def test_base_point_eigenvalues():
