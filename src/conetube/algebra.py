@@ -38,11 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .composition import (
-    conjugation_signs,
-    multiplication_tensor,
-    quaternion_to_complex_block,
-)
+from .composition import conjugation_signs, multiplication_tensor
 from .errors import (ClassificationError, DimensionMismatch, NumericalFailure,
                      SingularElement)
 
@@ -351,42 +347,36 @@ def element_to_matrix(algebra: AlgebraDescriptor, x) -> np.ndarray:
     """Hermitian matrix realisation used by the spectral routines.
 
     hermR gives a real symmetric r x r matrix, hermC a complex Hermitian
-    r x r matrix, hermH a complex Hermitian 2r x 2r matrix through the
-    quaternion block embedding. Spin and albert have no complex matrix model
-    here and raise ClassificationError.
+    r x r matrix, hermH a complex Hermitian 2r x 2r matrix whose 2 x 2
+    blocks are the images [[a, b], [-b̄, ā]] of the quaternions a + bj.
+    The pairs (j, k) of :func:`_herm_pairs` are written with one index
+    scatter, the mirror of :func:`matrix_to_element`. Spin and albert have
+    no complex matrix model here and raise ClassificationError.
     """
     x = as_real_element(algebra, x)
-    r = algebra.rank
     fam = algebra.family
-    if fam == "hermR":
-        M = np.zeros((r, r))
-        M[range(r), range(r)] = x[:r]
-        idx = r
-        for (j, k) in _herm_pairs(r):
-            M[j, k] = M[k, j] = x[idx]
-            idx += 1
-        return M
-    if fam == "hermC":
-        M = np.zeros((r, r), dtype=complex)
-        M[range(r), range(r)] = x[:r]
-        idx = r
-        for (j, k) in _herm_pairs(r):
-            M[j, k] = x[idx] + 1j * x[idx + 1]
-            M[k, j] = np.conj(M[j, k])
-            idx += 2
-        return M
+    if fam not in ("hermR", "hermC", "hermH"):
+        raise ClassificationError(f"no complex matrix realisation for family {fam!r}")
+    r = algebra.rank
+    j, k = np.array(_herm_pairs(r), dtype=int).reshape(-1, 2).T
+    d = np.arange(r)
+    off = x[r:]
     if fam == "hermH":
         M = np.zeros((2 * r, 2 * r), dtype=complex)
-        for j in range(r):
-            M[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = x[j] * np.eye(2)
-        idx = r
-        for (j, k) in _herm_pairs(r):
-            block = quaternion_to_complex_block(x[idx:idx + 4])
-            M[2 * j: 2 * j + 2, 2 * k: 2 * k + 2] = block
-            M[2 * k: 2 * k + 2, 2 * j: 2 * j + 2] = block.conj().T
-            idx += 4
+        B = M.reshape(r, 2, r, 2).swapaxes(1, 2)  # view of the 2 x 2 blocks
+        a = off[0::4] + 1j * off[1::4]
+        b = off[2::4] + 1j * off[3::4]
+        block = np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(-1, 2, 2)
+        B[d, d] = x[:r, None, None] * np.eye(2)
+        B[j, k] = block
+        B[k, j] = block.conj().swapaxes(-1, -2)
         return M
-    raise ClassificationError(f"no complex matrix realisation for family {fam!r}")
+    entry = off if fam == "hermR" else off[0::2] + 1j * off[1::2]
+    M = np.zeros((r, r), dtype=entry.dtype)
+    M[d, d] = x[:r]
+    M[j, k] = entry
+    M[k, j] = np.conj(entry)
+    return M
 
 
 def matrix_to_element(algebra: AlgebraDescriptor, M: np.ndarray) -> np.ndarray:

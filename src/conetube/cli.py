@@ -140,8 +140,8 @@ def cmd_table(args) -> int:
     return 0 if all_pass else 3
 
 
-def _analysis_report(algebra, p, q, tol):
-    orbit = tb.make_orbit(algebra, p, q, tol=tol)
+def _analysis_report(algebra, p, q):
+    orbit = tb.make_orbit(algebra, p, q)
     dims = tb.cr_dimensions(algebra, p, q)
     nd = tb.nondegeneracy_order(orbit)
     minimal = tb.minimality_check(orbit)
@@ -182,7 +182,7 @@ def _analysis_report(algebra, p, q, tol):
 def cmd_analyze(args) -> int:
     algebra = _algebra_from_args(args)
     started = time.perf_counter()
-    report = _analysis_report(algebra, args.p, args.q, args.tol)
+    report = _analysis_report(algebra, args.p, args.q)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     if args.json:
         print(sz.dumps_canonical(report))
@@ -209,7 +209,7 @@ def cmd_spectral(args) -> int:
     algebra = _algebra_from_args(args)
     x = sz.element_from_json(algebra, _load_json_arg(args.element))
     x = al.as_real_element(algebra, x)
-    data = sp.spectral_decompose(algebra, x, tol=args.tol)
+    data = sp.spectral_decompose(algebra, x)
     joint = sp.joint_peirce(algebra, data.frame) if args.projections else None
     if args.json:
         print(sz.dumps_canonical(sz.spectral_to_json(algebra, data, joint)))
@@ -229,8 +229,8 @@ def cmd_orbit(args) -> int:
     algebra = _algebra_from_args(args)
     x = sz.element_from_json(algebra, _load_json_arg(args.element))
     x = al.as_real_element(algebra, x)
-    sd = sp.spectral_decompose(algebra, x, tol=args.tol)
-    sig, support = sp._signature_and_support(sd, args.tol)
+    sd = sp.spectral_decompose(algebra, x)
+    sig, support = sp._signature_and_support(sd)
     minors = sp._minors(sd.eigenvalues)
     report = {
         "descriptor": sz.descriptor_to_json(algebra),
@@ -252,7 +252,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_nondegen(args) -> int:
     algebra = _algebra_from_args(args)
-    orbit = tb.make_orbit(algebra, args.p, args.q, tol=args.tol)
+    orbit = tb.make_orbit(algebra, args.p, args.q)
     nd = tb.nondegeneracy_order(orbit)
     minimal = tb.minimality_check(orbit)
     report = {
@@ -317,7 +317,7 @@ def cmd_siegel(args) -> int:
         if args.s is None:
             raise DimensionMismatch("--isotropy requires --s")
         s = _parse_s_matrix(args.s)
-        dim = dm.isotropy_dimension(s, tol=args.tol)
+        dim = dm.isotropy_dimension(s)
         r = s.shape[0]
         report = {
             "s": [sz.element_to_json(row) for row in s],
@@ -345,7 +345,7 @@ def cmd_siegel(args) -> int:
     return 0
 
 
-def _add_common(sub, signature=False, element=False, tol=True):
+def _add_common(sub, signature=False, element=False):
     sub.add_argument("--family", choices=list(al.FAMILIES))
     sub.add_argument("--rank", type=int)
     sub.add_argument("--n", type=int)
@@ -356,8 +356,6 @@ def _add_common(sub, signature=False, element=False, tol=True):
         sub.add_argument("--element", required=True,
                          help="element coordinates: inline JSON or a file path")
     sub.add_argument("--json", action="store_true")
-    if tol:
-        sub.add_argument("--tol", type=float, default=1e-8)
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     t = subs.add_parser("table", help="dimension table vs closed forms")
-    _add_common(t, tol=False)
+    _add_common(t)
     t.set_defaults(func=cmd_table)
 
     a = subs.add_parser("analyze", help="full CR invariant report of an orbit")
@@ -392,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     nd.set_defaults(func=cmd_nondegen)
 
     f = subs.add_parser("flow", help="closed-form diagonal flow of iP(z)w")
-    _add_common(f, tol=False)
+    _add_common(f)
     f.add_argument("--v", required=True, help="rate coefficients, e.g. '1,0.5'")
     f.add_argument("--c", required=True,
                    help="start coefficients, e.g. 'i,1+2i'")
@@ -405,16 +403,12 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--matrix", help="symplectic matrix, inline JSON or file")
     g.add_argument("--z", help="Siegel point, JSON matrix of [re,im] pairs")
     g.add_argument("--json", action="store_true")
-    g.add_argument("--tol", type=float, default=1e-8)
     g.set_defaults(func=cmd_siegel)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if "tol" in args and not 0 < args.tol < np.inf:  # also refuses NaN
-        parser.error(f"argument --tol: {args.tol} is not a finite number > 0")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

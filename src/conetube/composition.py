@@ -64,14 +64,3 @@ def conjugation_signs(n: int) -> np.ndarray:
     signs.setflags(write=False)
     return signs
 
-
-def quaternion_to_complex_block(q: np.ndarray) -> np.ndarray:
-    """2x2 complex image of q = q0 + q1 i + q2 j + q3 k.
-
-    With a = q0 + i q1 and b = q2 + i q3 the image is [[a, b], [-b̄, ā]];
-    conjugate quaternions map to conjugate-transpose blocks, so Hermitian
-    quaternionic matrices embed as complex Hermitian ones.
-    """
-    a = q[0] + 1j * q[1]
-    b = q[2] + 1j * q[3]
-    return np.array([[a, b], [-np.conj(b), np.conj(a)]])

@@ -36,6 +36,8 @@ EXTERIOR = "Exterior"
 
 _CACHE_TOL = 1e-12
 _STRATUM_TOL = 1e-8
+# symmetry and eigenvalue-sign cuts of isotropy_dimension, on s scaled to max 1
+_CONE_POINT_TOL = 1e-8
 _SYMPLECTIC_TOL = 1e-10
 
 
@@ -189,7 +191,7 @@ def siegel_action(A, z):
     return w
 
 
-def isotropy_dimension(s, tol: float = 1e-8) -> int:
+def isotropy_dimension(s) -> int:
     """Nullity of {X ∈ sp(r,ℝ) : αs + sαᵀ = 0, β + sγs = 0} at a cone point.
 
     These are the linearized stabilizer equations of the boundary point s
@@ -208,12 +210,12 @@ def isotropy_dimension(s, tol: float = 1e-8) -> int:
     if scale == 0:
         raise NotInLightCone("zero matrix is not a cone boundary point")
     s = s / scale
-    if np.linalg.norm(s - s.T) > tol:
+    if np.linalg.norm(s - s.T) > _CONE_POINT_TOL:
         raise NotInLightCone("matrix is not symmetric")
     eig = np.linalg.eigvalsh(s)
-    if eig[0] < -tol:
+    if eig[0] < -_CONE_POINT_TOL:
         raise NotInLightCone(f"matrix has a negative eigenvalue {eig[0] * scale:.2e}")
-    if eig[0] > tol:
+    if eig[0] > _CONE_POINT_TOL:
         raise NotInLightCone("matrix has full rank, interior cone point")
     basis = symplectic_lie_algebra_basis(r)
     rows = []

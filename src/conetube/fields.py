@@ -237,7 +237,7 @@ def vanishing_conditions(algebra: al.AlgebraDescriptor, field: GradedField,
     imag_part = field.u + al.pquad(algebra, a) @ field.w
     value_zero = (np.linalg.norm(real_part) <= tol * scale
                   and np.linalg.norm(imag_part) <= tol * scale)
-    support = sp.support_idempotent(algebra, a)
+    support = sp._signature_and_support(data)[1]
     pi0 = sp.peirce_projections(algebra, support).pi0
     one_jet_zero = bool(np.linalg.norm(field.A) <= tol
                         and np.linalg.norm(field.w - pi0 @ field.w) <= tol)

@@ -39,6 +39,11 @@ from .errors import (
     NumericalFailure,
 )
 
+# The one spectral tolerance, fixed: no function or command takes another.
+# It bounds the frame and reconstruction residuals of every decomposition and
+# the frame and idempotency checks of the Peirce projections, and it is the
+# sign cut of orbit_signature, relative to the largest eigenvalue magnitude,
+# with the band (SPECTRAL_TOL/10, SPECTRAL_TOL) refused as borderline.
 SPECTRAL_TOL = 1e-8
 
 # relative gap below which two matrix eigenvalues count as one quaternionic /
@@ -261,7 +266,7 @@ def _frame_products(algebra, frame):
     return np.tensordot(frame, frame @ al.multiplication_table(algebra), axes=(1, 0))
 
 
-def _validate_spectral(algebra, eigenvalues, frame, x, tol):
+def _validate_spectral(algebra, eigenvalues, frame, x):
     scale = max(1.0, float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 1.0)
     e = al.unit(algebra)
     r = len(frame)
@@ -271,10 +276,10 @@ def _validate_spectral(algebra, eigenvalues, frame, x, tol):
     worst = max(float(np.max(np.abs(resid))),
                 float(np.max(np.abs(frame.sum(axis=0) - e))))
     recon = float(np.max(np.abs(eigenvalues @ frame - x)))
-    if worst > tol or recon > tol * scale:
+    if worst > SPECTRAL_TOL or recon > SPECTRAL_TOL * scale:
         raise NumericalFailure(
             f"frame residual {worst:.2e}, reconstruction residual {recon:.2e} "
-            f"exceed tolerance {tol:.1e} for {algebra}")
+            f"exceed tolerance {SPECTRAL_TOL:.1e} for {algebra}")
 
 
 def _matrix_eigh(algebra: al.AlgebraDescriptor, x):
@@ -285,8 +290,7 @@ def _matrix_eigh(algebra: al.AlgebraDescriptor, x):
         raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
 
 
-def spectral_decompose(algebra: al.AlgebraDescriptor, x,
-                       tol: float = SPECTRAL_TOL) -> SpectralData:
+def spectral_decompose(algebra: al.AlgebraDescriptor, x) -> SpectralData:
     """Frame decomposition x = Σ λ_j e_j with eigenvalues descending."""
     x = al.as_real_element(algebra, x)
     fam = algebra.family
@@ -373,7 +377,7 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x,
     order = np.argsort(eigenvalues, kind="stable")[::-1]
     eigenvalues = eigenvalues[order]
     frame = frame[order]
-    _validate_spectral(algebra, eigenvalues, frame, x, tol)
+    _validate_spectral(algebra, eigenvalues, frame, x)
     return SpectralData(algebra, eigenvalues, frame)
 
 
@@ -397,8 +401,9 @@ def generic_minors(algebra: al.AlgebraDescriptor, x) -> tuple[np.ndarray, float]
     return minors, float(minors[-1])
 
 
-def _signature_and_support(sd: SpectralData, tol) -> tuple[Signature, np.ndarray]:
+def _signature_and_support(sd: SpectralData) -> tuple[Signature, np.ndarray]:
     """Orbit label and support idempotent of one decomposition; see orbit_signature."""
+    tol = SPECTRAL_TOL
     scale = float(np.max(np.abs(sd.eigenvalues)))
     rel = sd.eigenvalues / scale if scale else sd.eigenvalues
     in_band = (np.abs(rel) > tol / 10) & (np.abs(rel) < tol)
@@ -409,14 +414,14 @@ def _signature_and_support(sd: SpectralData, tol) -> tuple[Signature, np.ndarray
     return sig, sd.frame[np.abs(rel) >= tol].sum(axis=0)
 
 
-def orbit_signature(algebra: al.AlgebraDescriptor, x,
-                    tol: float = SPECTRAL_TOL) -> Signature:
+def orbit_signature(algebra: al.AlgebraDescriptor, x) -> Signature:
     """Orbit label (p, q): counts of positive/negative eigenvalues.
 
-    Eigenvalues are compared against tol relative to the largest magnitude;
-    anything falling in the band (tol/10, tol) is refused as borderline.
+    Eigenvalues are compared against SPECTRAL_TOL relative to the largest
+    magnitude; anything in the band (SPECTRAL_TOL/10, SPECTRAL_TOL) is
+    refused as borderline.
     """
-    return _signature_and_support(spectral_decompose(algebra, x, tol=tol), tol)[0]
+    return _signature_and_support(spectral_decompose(algebra, x))[0]
 
 
 def orbit_count(rank: int) -> int:
@@ -424,18 +429,16 @@ def orbit_count(rank: int) -> int:
     return math.comb(rank + 2, 2)
 
 
-def support_idempotent(algebra: al.AlgebraDescriptor, x,
-                       tol: float = SPECTRAL_TOL) -> np.ndarray:
+def support_idempotent(algebra: al.AlgebraDescriptor, x) -> np.ndarray:
     """Sum of the frame idempotents belonging to nonzero eigenvalues."""
-    return _signature_and_support(spectral_decompose(algebra, x, tol=tol), tol)[1]
+    return _signature_and_support(spectral_decompose(algebra, x))[1]
 
 
 # ---------------------------------------------------------------------------
 # Peirce decompositions
 
 
-def peirce_projections(algebra: al.AlgebraDescriptor, c,
-                       tol: float = SPECTRAL_TOL) -> PeirceData:
+def peirce_projections(algebra: al.AlgebraDescriptor, c) -> PeirceData:
     """Projections onto V_1, V_{1/2}, V_0 for a single idempotent c.
 
     L(c) has spectrum in {1, 1/2, 0}, so the projections are the quadratic
@@ -443,7 +446,7 @@ def peirce_projections(algebra: al.AlgebraDescriptor, c,
     """
     c = al.as_real_element(algebra, c)
     cc = al.jordan_product(algebra, c, c)
-    if np.max(np.abs(cc - c)) > tol * max(1.0, float(np.max(np.abs(c))) ** 2):
+    if np.max(np.abs(cc - c)) > SPECTRAL_TOL * max(1.0, float(np.max(np.abs(c))) ** 2):
         raise NotIdempotent(f"c∘c differs from c by {np.max(np.abs(cc - c)):.2e}")
     L = al.lmul(algebra, c)
     L2 = L @ L
@@ -455,7 +458,7 @@ def peirce_projections(algebra: al.AlgebraDescriptor, c,
     return PeirceData(algebra, c, pi1, pi_half, pi0, dims)
 
 
-def _check_frame(algebra, frame, tol):
+def _check_frame(algebra, frame):
     frame = np.asarray(frame, dtype=float)
     if frame.shape != (algebra.rank, algebra.dim):
         raise InvalidFrame(
@@ -463,26 +466,25 @@ def _check_frame(algebra, frame, tol):
     e = al.unit(algebra)
     prods = _frame_products(algebra, frame)
     for j in range(algebra.rank):
-        if np.max(np.abs(prods[j, j] - frame[j])) > tol:
+        if np.max(np.abs(prods[j, j] - frame[j])) > SPECTRAL_TOL:
             raise InvalidFrame(f"frame member {j} is not idempotent")
         if abs(al.generic_trace(algebra, frame[j]) - 1.0) > 1e-6:
             raise InvalidFrame(f"frame member {j} is not minimal")
         for k in range(j + 1, algebra.rank):
-            if np.max(np.abs(prods[j, k])) > tol:
+            if np.max(np.abs(prods[j, k])) > SPECTRAL_TOL:
                 raise InvalidFrame(f"frame members {j}, {k} are not orthogonal")
-    if np.max(np.abs(frame.sum(axis=0) - e)) > tol:
+    if np.max(np.abs(frame.sum(axis=0) - e)) > SPECTRAL_TOL:
         raise InvalidFrame("frame does not sum to the unit")
     return frame
 
 
-def joint_peirce(algebra: al.AlgebraDescriptor, frame,
-                 tol: float = SPECTRAL_TOL) -> JointPeirceData:
+def joint_peirce(algebra: al.AlgebraDescriptor, frame) -> JointPeirceData:
     """Joint Peirce projections π_jk for a full frame (0-based keys, j <= k).
 
     π_jj = 2 L_j² - L_j and π_jk = 4 L_j L_k; the L(e_j) commute, all
     projections are polynomial and sum to the identity.
     """
-    frame = _check_frame(algebra, frame, tol)
+    frame = _check_frame(algebra, frame)
     r = algebra.rank
     Ls = [al.lmul(algebra, frame[j]) for j in range(r)]
     projections: dict[tuple[int, int], np.ndarray] = {}
@@ -497,6 +499,6 @@ def joint_peirce(algebra: al.AlgebraDescriptor, frame,
             projections[(j, k)] = pjk
             dims[(j, k)] = int(round(float(np.trace(pjk))))
             total += pjk
-    if np.max(np.abs(total - np.eye(algebra.dim))) > tol * algebra.rank:
+    if np.max(np.abs(total - np.eye(algebra.dim))) > SPECTRAL_TOL * algebra.rank:
         raise InvalidFrame("joint Peirce projections do not resolve the identity")
     return JointPeirceData(algebra, frame, projections, dims)

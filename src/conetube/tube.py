@@ -127,12 +127,11 @@ def condition_star_holds(eigenvalues) -> bool:
     return True
 
 
-def _gram_orthonormal_rows(algebra, projector, expected_dim):
-    """Trace-form-orthonormal rows spanning the range of a real projector."""
-    try:
-        chol = np.linalg.cholesky(al.trace_gram(algebra))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"trace Gram factorisation failed: {exc}") from exc
+def _gram_orthonormal_rows(chol, projector, expected_dim):
+    """Trace-form-orthonormal rows spanning the range of a real projector.
+
+    ``chol`` is the Cholesky factor of the trace Gram matrix.
+    """
     rank, vh = al.numeric_rank((chol.T @ projector).T)
     if rank != expected_dim:
         raise NumericalFailure(
@@ -158,32 +157,31 @@ def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _standard_joint_peirce(algebra: al.AlgebraDescriptor, tol: float):
-    """Checked joint Peirce projections of the standard frame, once per (algebra, tol).
+def _standard_joint_peirce(algebra: al.AlgebraDescriptor):
+    """Checked joint Peirce projections of the standard frame, once per algebra.
 
     Returns the frame and its ((j, k), π_jk) pairs. The cache hands the same
     arrays to every caller, so they are read-only.
     """
-    joint = sp.joint_peirce(algebra, al.standard_frame(algebra), tol=tol)
+    joint = sp.joint_peirce(algebra, al.standard_frame(algebra))
     for arr in (joint.frame, *joint.projections.values()):
         arr.flags.writeable = False
     return joint.frame, tuple(joint.projections.items())
 
 
-def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int,
-               tol: float = sp.SPECTRAL_TOL) -> TubeOrbit:
+def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     """Build the canonical base point of C_{p,q} and cache its Peirce data.
 
     The standard frame's joint Peirce projections are built and checked once
-    per (algebra, tol). The orbit's blocks, inverses and bases, and the
-    signature check of its base point, are built on every call.
+    per algebra. The orbit's blocks, inverses and bases, and the signature
+    check of its base point, are built on every call. The spectral checks
+    use the fixed ``spectral.SPECTRAL_TOL`` and the block ranks
+    ``algebra.RANK_REL_CUT``; no caller sets a tolerance.
     """
     r = algebra.rank
     if p < 0 or q < 0 or p + q > r:
         raise InvalidSignature(f"(p, q) = ({p}, {q}) exceeds rank {r}")
-    if not 0 < tol < math.inf:  # also refuses NaN, which never hits the cache
-        raise NonFiniteInput(f"tol = {tol} is not a finite number > 0")
-    standard, projections = _standard_joint_peirce(algebra, tol)
+    standard, projections = _standard_joint_peirce(algebra)
     lam = np.zeros(r)  # eigenvalues on the standard frame
     lam[:p] = np.arange(1, p + 1, dtype=float)
     lam[p:p + q] = -(p + 1.5 + np.arange(q, dtype=float))
@@ -218,9 +216,13 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int,
     d_e1 = dims["levi_kernel_dim"]
     d_half = dims["crdim"] - d_e1
     d_e0 = dims["crcodim"]
-    basis_e1 = _gram_orthonormal_rows(algebra, pi_e1, d_e1)
-    basis_half = _gram_orthonormal_rows(algebra, pi_half, d_half)
-    basis_e0 = _gram_orthonormal_rows(algebra, pi_e0, d_e0)
+    try:
+        chol = np.linalg.cholesky(al.trace_gram(algebra))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"trace Gram factorisation failed: {exc}") from exc
+    basis_e1 = _gram_orthonormal_rows(chol, pi_e1, d_e1)
+    basis_half = _gram_orthonormal_rows(chol, pi_half, d_half)
+    basis_e0 = _gram_orthonormal_rows(chol, pi_e0, d_e0)
     basis_h = np.vstack([basis_e1, basis_half]) if d_e1 + d_half else np.zeros((0, dim))
 
     orbit = TubeOrbit(algebra, p, q, a, eigenvalues, frame, pi_e1, pi_half, pi_e0,

@@ -199,6 +199,50 @@ def test_matrix_to_element_matches_loop_on_stacks():
                              np.eye(2))
 
 
+def _element_to_matrix_loop(A, x):
+    """Reference: one (j, k) pair at a time, hermH blocks [[a, b], [-b̄, ā]]."""
+    r = A.rank
+    if A.family == "hermR":
+        M = np.zeros((r, r))
+    else:
+        M = np.zeros((2 * r, 2 * r) if A.family == "hermH" else (r, r), dtype=complex)
+    idx = r
+    for (j, k) in al._herm_pairs(r):
+        if A.family == "hermH":
+            a = x[idx] + 1j * x[idx + 1]
+            b = x[idx + 2] + 1j * x[idx + 3]
+            block = np.array([[a, b], [-np.conj(b), np.conj(a)]])
+            M[2 * j: 2 * j + 2, 2 * k: 2 * k + 2] = block
+            M[2 * k: 2 * k + 2, 2 * j: 2 * j + 2] = block.conj().T
+        else:
+            M[j, k] = x[idx] if A.family == "hermR" else x[idx] + 1j * x[idx + 1]
+            M[k, j] = np.conj(M[j, k])
+        idx += A.peirce_constant
+    for j in range(r):
+        if A.family == "hermH":
+            M[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = x[j] * np.eye(2)
+        else:
+            M[j, j] = x[j]
+    return M
+
+
+def test_element_to_matrix_matches_loop_with_signed_zeros():
+    # bit for bit against the pair loop, zero entries of either sign included
+    rng = np.random.default_rng(53)
+    for fam, ranks in (("hermR", (1, 2, 5)), ("hermC", (1, 3, 4)),
+                       ("hermH", (1, 2, 3))):
+        for r in ranks:
+            A = ct.make_algebra(fam, rank=r)
+            for _ in range(10):
+                x = _rand(A, rng)
+                zero = rng.random(A.dim) < 0.3
+                x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+                want = _element_to_matrix_loop(A, x)
+                got = ct.element_to_matrix(A, x)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
 def test_pquad_definition():
     # P(x) = 2 L(x)² - L(x²) entrywise, and P(x, x) = P(x)
     rng = np.random.default_rng(43)
