@@ -41,9 +41,9 @@ def main():
     print("  hermitian symmetry deviation",
           f"{np.max(np.abs(lam_vw - np.conj(lam_wv))):.2e}")
     kernel = ct.levi_kernel(orb2)
-    print("  numeric kernel dimension", kernel.dim,
+    print("  numeric kernel dimension", kernel.shape[0],
           " closed form", ct.cr_dimensions(B, 1, 1)["levi_kernel_dim"])
-    u = kernel.vectors[0]
+    u = kernel[0]
     print("  kernel vector annihilates:",
           f"{np.max(np.abs(ct.levi_form(orb2, u, v))):.2e}")
 

@@ -2,10 +2,12 @@
 
 Subcommands: table, analyze, spectral, orbit, nondegen, flow, siegel.
 Exit codes: 0 on success (for ``table``: all rows PASS), 2 on input or
-parse errors, 3 on numerical failures. JSON output (``--json``) renders
-floats with 12 significant digits and is byte-identical across runs for
-identical inputs; wall-clock timing appears only in the human-readable
-report for that reason.
+parse errors, 3 on numerical failures. Each ``cmd_*`` function returns
+(exit code, report, text lines) and prints nothing; ``main`` alone chooses
+between the canonical JSON of the report (``--json``) and the text lines.
+JSON output renders floats with 12 significant digits and is byte-identical
+across runs for identical inputs; wall-clock timing appears only in the
+human-readable report for that reason.
 
 The argument parser is built once per process, at the first ``main`` call;
 later calls only parse.
@@ -114,7 +116,7 @@ def _table_rows(args):
     return [a for a in al.desk_algebras() if a.family == args.family]
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     rows = []
     all_pass = True
     for algebra in _table_rows(args):
@@ -123,21 +125,21 @@ def cmd_table(args) -> int:
         ok = got == want
         all_pass &= ok
         rows.append((algebra, got, want, ok))
-    if args.json:
-        payload = [{"descriptor": sz.descriptor_to_json(a), "computed": g,
-                    "expected": w, "pass": ok} for a, g, w, ok in rows]
-        print(sz.dumps_canonical(payload))
-    else:
-        header = (f"{'algebra':<22}{'der(V)':>8}{'sl(Omega)':>11}"
-                  f"{'aut(H)':>8}{'sl(D)':>7}  status")
-        print(header)
-        print("-" * len(header))
-        for a, g, w, ok in rows:
-            label = f"{a.family} r={a.rank} n={a.peirce_constant}"
-            status = "PASS" if ok else f"FAIL (expected {w})"
-            print(f"{label:<22}{g['dim_der']:>8}{g['dim_sl_omega']:>11}"
-                  f"{g['dim_aut_H']:>8}{g['dim_sl_D']:>7}  {status}")
-    return 0 if all_pass else 3
+    report = [{"descriptor": sz.descriptor_to_json(a), "computed": g,
+               "expected": w, "pass": ok} for a, g, w, ok in rows]
+    header = (f"{'algebra':<22}{'der(V)':>8}{'sl(Omega)':>11}"
+              f"{'aut(H)':>8}{'sl(D)':>7}  status")
+    lines = [header, "-" * len(header)]
+    for a, g, w, ok in rows:
+        label = f"{a.family} r={a.rank} n={a.peirce_constant}"
+        status = "PASS" if ok else f"FAIL (expected {w})"
+        lines.append(f"{label:<22}{g['dim_der']:>8}{g['dim_sl_omega']:>11}"
+                     f"{g['dim_aut_H']:>8}{g['dim_sl_D']:>7}  {status}")
+    return (0 if all_pass else 3), report, lines
+
+
+def _order_label(nd):
+    return nd.order if nd.order is not None else "NotFinitelyNondegenerate"
 
 
 def _analysis_report(algebra, p, q):
@@ -166,8 +168,7 @@ def _analysis_report(algebra, p, q):
         "crdim": dims["crdim"],
         "crcodim": dims["crcodim"],
         "levi_kernel_dim": nd.chain_dims[1] if rho else 0,
-        "nondegeneracy_order": (nd.order if nd.order is not None
-                                else "NotFinitelyNondegenerate"),
+        "nondegeneracy_order": _order_label(nd),
         "chain_dims": nd.chain_dims,
         "minimal": minimal,
         "aut_germ_dim": germ,
@@ -179,56 +180,48 @@ def _analysis_report(algebra, p, q):
     return report
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     algebra = _algebra_from_args(args)
     started = time.perf_counter()
     report = _analysis_report(algebra, args.p, args.q)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
-    if args.json:
-        print(sz.dumps_canonical(report))
-        return 0
-    print(f"algebra         {algebra!r}")
-    print(f"signature       (p, q) = ({args.p}, {args.q})   "
-          f"rank {report['rank']}, corank {report['corank']}")
-    print(f"CR dimensions   crdim {report['crdim']}, "
-          f"crcodim {report['crcodim']}")
-    print(f"Levi kernel     dim {report['levi_kernel_dim']}")
-    print(f"nondegeneracy   order {report['nondegeneracy_order']}, "
-          f"chain {report['chain_dims']}")
-    print(f"minimal         {'yes' if report['minimal'] else 'no'}")
+    lines = [
+        f"algebra         {algebra!r}",
+        f"signature       (p, q) = ({args.p}, {args.q})   "
+        f"rank {report['rank']}, corank {report['corank']}",
+        f"CR dimensions   crdim {report['crdim']}, crcodim {report['crcodim']}",
+        f"Levi kernel     dim {report['levi_kernel_dim']}",
+        f"nondegeneracy   order {report['nondegeneracy_order']}, "
+        f"chain {report['chain_dims']}",
+        f"minimal         {'yes' if report['minimal'] else 'no'}",
+    ]
     if report["aut_germ_dim"] is not None:
-        print(f"aut germ dim    {report['aut_germ_dim']}")
-        print(f"aut1 dim        {report['aut1_dim']}")
-    for note in report.get("notices", ()):
-        print(f"note            {note}")
-    print(f"elapsed         {elapsed_ms:.1f} ms")
-    return 0
+        lines.append(f"aut germ dim    {report['aut_germ_dim']}")
+        lines.append(f"aut1 dim        {report['aut1_dim']}")
+    lines += [f"note            {note}" for note in report.get("notices", ())]
+    lines.append(f"elapsed         {elapsed_ms:.1f} ms")
+    return 0, report, lines
 
 
-def cmd_spectral(args) -> int:
+def cmd_spectral(args):
     algebra = _algebra_from_args(args)
     x = sz.element_from_json(algebra, _load_json_arg(args.element))
-    x = al.as_real_element(algebra, x)
     data = sp.spectral_decompose(algebra, x)
     joint = sp.joint_peirce(algebra, data.frame) if args.projections else None
-    if args.json:
-        print(sz.dumps_canonical(sz.spectral_to_json(algebra, data, joint)))
-        return 0
-    print(f"algebra      {algebra!r}")
-    print("eigenvalues  " + ", ".join(_fmt(v) for v in data.eigenvalues))
-    for i, row in enumerate(data.frame):
-        print(f"e_{i + 1}          [" + ", ".join(_fmt(v) for v in row) + "]")
+    lines = [f"algebra      {algebra!r}",
+             "eigenvalues  " + ", ".join(_fmt(v) for v in data.eigenvalues)]
+    lines += [f"e_{i + 1}          [" + ", ".join(_fmt(v) for v in row) + "]"
+              for i, row in enumerate(data.frame)]
     if joint is not None:
         dims = ", ".join(f"V_{j + 1}{k + 1}:{d}"
                          for (j, k), d in sorted(joint.dims.items()))
-        print(f"block dims   {dims}")
-    return 0
+        lines.append(f"block dims   {dims}")
+    return 0, sz.spectral_to_json(algebra, data, joint), lines
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args):
     algebra = _algebra_from_args(args)
     x = sz.element_from_json(algebra, _load_json_arg(args.element))
-    x = al.as_real_element(algebra, x)
     sd = sp.spectral_decompose(algebra, x)
     sig, support = sp._signature_and_support(sd)
     minors = sp._minors(sd.eigenvalues)
@@ -240,17 +233,14 @@ def cmd_orbit(args) -> int:
         "generic_norm": float(minors[-1]),
         "support": sz.element_to_json(support),
     }
-    if args.json:
-        print(sz.dumps_canonical(report))
-        return 0
-    print(f"algebra       {algebra!r}")
-    print(f"signature     (p, q) = ({sig.p}, {sig.q})")
-    print("minors        " + ", ".join(_fmt(v) for v in minors))
-    print(f"generic norm  {_fmt(minors[-1])}")
-    return 0
+    lines = [f"algebra       {algebra!r}",
+             f"signature     (p, q) = ({sig.p}, {sig.q})",
+             "minors        " + ", ".join(_fmt(v) for v in minors),
+             f"generic norm  {_fmt(minors[-1])}"]
+    return 0, report, lines
 
 
-def cmd_nondegen(args) -> int:
+def cmd_nondegen(args):
     algebra = _algebra_from_args(args)
     orbit = tb.make_orbit(algebra, args.p, args.q)
     nd = tb.nondegeneracy_order(orbit)
@@ -258,27 +248,22 @@ def cmd_nondegen(args) -> int:
     report = {
         "descriptor": sz.descriptor_to_json(algebra),
         "signature": {"p": args.p, "q": args.q},
-        "order": (nd.order if nd.order is not None
-                  else "NotFinitelyNondegenerate"),
+        "order": _order_label(nd),
         "chain_dims": nd.chain_dims,
         "finitely_nondegenerate": nd.finitely_nondegenerate,
         "minimal": minimal,
     }
+    lines = [f"algebra   {algebra!r}",
+             f"order     {report['order']}",
+             f"chain     {nd.chain_dims}",
+             f"minimal   {'yes' if minimal else 'no'}"]
     if nd.note:
         report["note"] = nd.note
-    if args.json:
-        print(sz.dumps_canonical(report))
-        return 0
-    print(f"algebra   {algebra!r}")
-    print(f"order     {report['order']}")
-    print(f"chain     {nd.chain_dims}")
-    print(f"minimal   {'yes' if minimal else 'no'}")
-    if nd.note:
-        print(f"note      {nd.note}")
-    return 0
+        lines.append(f"note      {nd.note}")
+    return 0, report, lines
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args):
     try:
         v = np.asarray([float(t) for t in args.v.split(",")])
     except ValueError as exc:
@@ -304,15 +289,12 @@ def cmd_flow(args) -> int:
         "coefficients": [sz.complex_pair(g) for g in coeffs],
         "element": sz.element_to_json(element),
     }
-    if args.json:
-        print(sz.dumps_canonical(report))
-        return 0
-    for j, g in enumerate(coeffs):
-        print(f"g_{j + 1}({_fmt(args.t)}) = {_fmt_complex(g)}")
-    return 0
+    lines = [f"g_{j + 1}({_fmt(args.t)}) = {_fmt_complex(g)}"
+             for j, g in enumerate(coeffs)]
+    return 0, report, lines
 
 
-def cmd_siegel(args) -> int:
+def cmd_siegel(args):
     if args.isotropy:
         if args.s is None:
             raise DimensionMismatch("--isotropy requires --s")
@@ -324,12 +306,8 @@ def cmd_siegel(args) -> int:
             "isotropy_dimension": dim,
             "sp_dim": r * (2 * r + 1),
         }
-        if args.json:
-            print(sz.dumps_canonical(report))
-        else:
-            print(f"isotropy dimension  {dim}")
-            print(f"dim sp({r},R)        {r * (2 * r + 1)}")
-        return 0
+        return 0, report, [f"isotropy dimension  {dim}",
+                           f"dim sp({r},R)        {r * (2 * r + 1)}"]
     if args.matrix is None or args.z is None:
         raise DimensionMismatch(
             "siegel needs either --isotropy --s or --matrix with --z")
@@ -337,12 +315,7 @@ def cmd_siegel(args) -> int:
     z = sz.matrix_from_json(_load_json_arg(args.z), allow_complex=True)
     w = dm.siegel_action(A, z)
     report = {"result": [[sz.complex_pair(v) for v in row] for row in w]}
-    if args.json:
-        print(sz.dumps_canonical(report))
-    else:
-        for row in w:
-            print("  ".join(_fmt_complex(v) for v in row))
-    return 0
+    return 0, report, ["  ".join(_fmt_complex(v) for v in row) for row in w]
 
 
 def _add_common(sub, signature=False, element=False):
@@ -410,7 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, report, lines = args.func(args)
+        if args.json:
+            print(sz.dumps_canonical(report))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except json.JSONDecodeError as exc:
         print(f"input error: invalid JSON at line {exc.lineno} "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)

@@ -15,7 +15,7 @@ subalgebra at a rank-deficient cone point is computed as a linear nullity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ SMOOTH_BOUNDARY = "SmoothBoundary_S1"
 SHILOV = "Shilov_S0"
 EXTERIOR = "Exterior"
 
-_CACHE_TOL = 1e-12
 _STRATUM_TOL = 1e-8
 # symmetry and eigenvalue-sign cuts of isotropy_dimension, on s scaled to max 1
 _CONE_POINT_TOL = 1e-8
@@ -72,11 +71,11 @@ def ball_to_spin(w):
 
 @dataclass
 class LieBallPoint:
-    """ℂ^m coordinates with the two cached forms (z|z) and ⟨z,z⟩."""
+    """ℂ^m coordinates with the two forms (z|z) and ⟨z,z⟩ computed from them."""
 
     coords: np.ndarray
-    hermitian: float = None
-    bilinear: complex = None
+    hermitian: float = field(init=False)
+    bilinear: complex = field(init=False)
 
     def __post_init__(self):
         self.coords = np.atleast_1d(np.asarray(self.coords, dtype=complex))
@@ -84,16 +83,8 @@ class LieBallPoint:
             raise DimensionMismatch("Lie ball point must be a nonempty vector")
         if not np.all(np.isfinite(self.coords)):
             raise NonFiniteInput("Lie ball point has a NaN or infinite coordinate")
-        h = float(np.real(np.vdot(self.coords, self.coords)))
-        b = complex(np.sum(self.coords ** 2))
-        if self.hermitian is None:
-            self.hermitian = h
-        elif not abs(self.hermitian - h) <= _CACHE_TOL * max(1.0, h):  # NaN too
-            raise DimensionMismatch("cached (z|z) disagrees with coordinates")
-        if self.bilinear is None:
-            self.bilinear = b
-        elif not abs(self.bilinear - b) <= _CACHE_TOL * max(1.0, abs(b)):
-            raise DimensionMismatch("cached <z,z> disagrees with coordinates")
+        self.hermitian = float(np.real(np.vdot(self.coords, self.coords)))
+        self.bilinear = complex(np.sum(self.coords ** 2))
 
 
 def lie_ball_membership(z) -> str:

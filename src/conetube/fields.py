@@ -68,13 +68,16 @@ def evaluate_field(algebra: al.AlgebraDescriptor, field: GradedField, z):
             + 1j * (al.pquad(algebra, z) @ field.w))
 
 
+def _mmat(algebra, u, w):
+    """M(u, w) = L(u∘w) + L(u)L(w) - L(w)L(u), the matrix of z ↦ P(z, u)w."""
+    lu, lw = al.lmul(algebra, u), al.lmul(algebra, w)
+    return al.lmul(algebra, al.jordan_product(algebra, u, w)) + lu @ lw - lw @ lu
+
+
 def field_derivative(algebra: al.AlgebraDescriptor, field: GradedField, z):
-    """Jacobian matrix f'(z) = A + 2i (L(z)L(w) + L(z∘w) - L(w)L(z))."""
+    """Jacobian matrix f'(z) = A + 2i M(z, w), with M as in :func:`_mmat`."""
     z = al.as_element(algebra, z)
-    lz = al.lmul(algebra, z)
-    lw = al.lmul(algebra, field.w)
-    lzw = al.lmul(algebra, al.jordan_product(algebra, z, field.w))
-    return field.A + 2j * (lz @ lw + lzw - lw @ lz)
+    return field.A + 2j * _mmat(algebra, z, field.w)
 
 
 @dataclass
@@ -129,20 +132,16 @@ def bracket(algebra: al.AlgebraDescriptor, f1: GradedField,
             f2: GradedField) -> GradedField:
     """[f1∂, f2∂] = (f2'f1 - f1'f2)∂, returned in graded coefficients.
 
-    The degree-one coefficient uses M(u, w) = L(u∘w) + L(u)L(w) - L(w)L(u),
-    the matrix of z ↦ P(z, u)w.
+    The degree-one coefficient uses M(u, w) of :func:`_mmat`.
     """
     u1, a1, w1 = f1.u, f1.A, f1.w
     u2, a2, w2 = f2.u, f2.A, f2.w
     if u1.shape[0] != algebra.dim or u2.shape[0] != algebra.dim:
         raise DimensionMismatch("field does not live on this algebra")
 
-    def mmat(u, w):
-        lu, lw = al.lmul(algebra, u), al.lmul(algebra, w)
-        return al.lmul(algebra, al.jordan_product(algebra, u, w)) + lu @ lw - lw @ lu
-
     u_out = a2 @ u1 - a1 @ u2
-    a_out = a2 @ a1 - a1 @ a2 - 2.0 * mmat(u1, w2) + 2.0 * mmat(u2, w1)
+    a_out = (a2 @ a1 - a1 @ a2 - 2.0 * _mmat(algebra, u1, w2)
+             + 2.0 * _mmat(algebra, u2, w1))
     e = al.unit(algebra)
     l1e = al.lmul(algebra, a1 @ e)
     l2e = al.lmul(algebra, a2 @ e)

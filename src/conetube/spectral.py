@@ -10,17 +10,22 @@ family specific:
   for repeated eigenvalues);
 * hermH eigendecomposes the 2r x 2r complex realisation, where the spectrum
   comes in pairs; full eigenprojections are polynomial in the matrix, hence
-  quaternionic, and map back to idempotents that are split further if needed;
+  quaternionic, and map back to one idempotent per eigenvalue cluster;
 * albert solves the rank-3 characteristic polynomial obtained from power
-  traces by Newton's identities and builds Lagrange idempotents from powers
-  of x, again splitting repeated roots.
+  traces by Newton's identities and builds one Lagrange idempotent per root
+  cluster from powers of x.
+
+The hermH and albert routes only produce (cluster idempotent, multiplicity)
+pairs; one shared tail finishes both. It splits every idempotent of
+multiplicity m > 1 into m minimal ones, purifies the frame when it has more
+than one member, and takes every eigenvalue from the Rayleigh value
+tr(x ∘ e_j), which is exact on an exact frame.
 
 Repeated-root splitting works inside the Peirce-1 subalgebra V_1(c) of the
 degenerate idempotent c: a deterministic candidate list (coordinate basis
 vectors, then Gaussian vectors from a fixed seed) is projected into V_1(c)
 and the candidate whose subalgebra spectrum separates best is used to build
-minimal Lagrange idempotents. Final eigenvalues are refined through the
-Rayleigh values tr(x ∘ e_j) which are exact on exact frames.
+minimal Lagrange idempotents.
 """
 
 from __future__ import annotations
@@ -108,9 +113,9 @@ def _power_traces(algebra, x, m):
     return traces
 
 
-def _char_roots(algebra, x, m):
-    """Eigenvalues of x inside a rank-m subalgebra containing it."""
-    p = _power_traces(algebra, x, m)
+def _char_roots(p):
+    """Eigenvalues of x inside a rank-m subalgebra from p = (tr x, …, tr x^m)."""
+    m = len(p)
     e = np.zeros(m + 1)
     e[0] = 1.0
     for k in range(1, m + 1):
@@ -210,7 +215,7 @@ def _split_idempotent(algebra, c, m):
         if scale < 1e-10:
             continue
         try:
-            roots = _char_roots(algebra, y, m)
+            roots = _char_roots(_power_traces(algebra, y, m))
         except NumericalFailure:
             continue
         spread = roots[0] - roots[-1]
@@ -290,6 +295,43 @@ def _matrix_eigh(algebra: al.AlgebraDescriptor, x):
         raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
 
 
+def _hermH_clusters(algebra, x):
+    """(Eigenprojection idempotent, multiplicity) of each eigenvalue cluster."""
+    w, U = _matrix_eigh(algebra, x)
+    order = np.argsort(w)[::-1]
+    w, U = w[order], U[:, order]
+    scale = max(1.0, float(np.max(np.abs(w))))
+    for group in _cluster(w, _CLUSTER_REL_GAP * scale):
+        if len(group) % 2:
+            raise NumericalFailure("quaternionic spectrum failed to pair up")
+        cols = U[:, group]
+        yield al.matrix_to_element(algebra, cols @ cols.conj().T), len(group) // 2
+
+
+def _albert_clusters(algebra, x):
+    """(Lagrange idempotent, multiplicity) of each characteristic-root cluster."""
+    # the frame of x equals the frame of its trace-free part, whose
+    # eigenvalue spread is order one after normalisation; recentering
+    # keeps the characteristic-root route away from clustered roots
+    e = al.unit(algebra)
+    lam_mean = float(al.generic_trace(algebra, x)) / algebra.rank
+    xc = x - lam_mean * e
+    nrm = float(np.linalg.norm(xc))
+    if nrm <= 1e-14 * max(1.0, abs(lam_mean)):
+        return [(c, 1) for c in al.standard_frame(algebra)]
+    y = xc / nrm
+    traces = _power_traces(algebra, y, algebra.rank)
+    roots = _char_roots(traces)
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    groups = _cluster(roots, _ROOT_CLUSTER_REL_GAP * scale)
+    if len(groups) == 1:
+        raise NumericalFailure("trace-free unit element reported a triple eigenvalue")
+    mults = [len(g) for g in groups]
+    values = _refine_cluster_values(
+        traces, [float(np.mean(roots[g])) for g in groups], mults)
+    return list(zip(_lagrange_idempotents(algebra, y, values, e), mults))
+
+
 def spectral_decompose(algebra: al.AlgebraDescriptor, x) -> SpectralData:
     """Frame decomposition x = Σ λ_j e_j with eigenvalues descending."""
     x = al.as_real_element(algebra, x)
@@ -313,62 +355,12 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x) -> SpectralData:
         eigenvalues = w[order]
         V = U[:, order].T  # row i is the eigenvector of eigenvalues[i]
         frame = al.matrix_to_element(algebra, V[:, :, None] * V[:, None, :].conj())
-    elif fam == "hermH":
-        w, U = _matrix_eigh(algebra, x)
-        order = np.argsort(w)[::-1]
-        w, U = w[order], U[:, order]
-        scale = max(1.0, float(np.max(np.abs(w))))
-        groups = _cluster(w, _CLUSTER_REL_GAP * scale)
-        eigenvalues_list, rows = [], []
-        for group in groups:
-            if len(group) % 2:
-                raise NumericalFailure("quaternionic spectrum failed to pair up")
-            cols = U[:, group]
-            proj = cols @ cols.conj().T
-            c = al.matrix_to_element(algebra, proj)
-            mult = len(group) // 2
-            value = float(np.mean(w[group]))
-            for piece in _split_idempotent(algebra, c, mult):
-                rows.append(piece)
-                eigenvalues_list.append(
-                    al.generic_trace(algebra, al.jordan_product(algebra, x, piece))
-                    if mult > 1 else value)
-        frame = np.vstack(rows)
-        eigenvalues = np.asarray(eigenvalues_list, dtype=float)
-    else:  # albert
-        # the frame of x equals the frame of its trace-free part, whose
-        # eigenvalue spread is order one after normalisation; recentering
-        # keeps the characteristic-root route away from clustered roots
-        e = al.unit(algebra)
-        lam_mean = float(al.generic_trace(algebra, x)) / algebra.rank
-        xc = x - lam_mean * e
-        nrm = float(np.linalg.norm(xc))
-        if nrm <= 1e-14 * max(1.0, abs(lam_mean)):
-            frame = al.standard_frame(algebra)
-            eigenvalues = np.full(algebra.rank, lam_mean)
-        else:
-            y = xc / nrm
-            roots = _char_roots(algebra, y, algebra.rank)
-            scale = max(1.0, float(np.max(np.abs(roots))))
-            groups = _cluster(roots, _ROOT_CLUSTER_REL_GAP * scale)
-            if len(groups) == 1:
-                raise NumericalFailure(
-                    "trace-free unit element reported a triple eigenvalue")
-            mults = [len(g) for g in groups]
-            values = _refine_cluster_values(
-                _power_traces(algebra, y, algebra.rank),
-                [float(np.mean(roots[g])) for g in groups], mults)
-            idems = _lagrange_idempotents(algebra, y, values, e)
-            eigenvalues_list, rows = [], []
-            for value, idem, mult in zip(values, idems, mults):
-                for piece in _split_idempotent(algebra, idem, mult):
-                    rows.append(piece)
-                    eigenvalues_list.append(lam_mean + nrm * value)
-            frame = np.vstack(rows)
-            eigenvalues = np.asarray(eigenvalues_list, dtype=float)
-
-    if fam in ("hermH", "albert") and len(frame) > 1:
-        frame = _purify_frame(algebra, frame)
+    else:  # hermH, albert
+        clusters = (_hermH_clusters if fam == "hermH" else _albert_clusters)(algebra, x)
+        frame = np.vstack([piece for c, mult in clusters
+                           for piece in _split_idempotent(algebra, c, mult)])
+        if len(frame) > 1:
+            frame = _purify_frame(algebra, frame)
         # Rayleigh values are exact on exact frames
         eigenvalues = np.array([
             al.generic_trace(algebra, al.jordan_product(algebra, x, c))

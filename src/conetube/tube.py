@@ -61,18 +61,6 @@ MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass
-class SubspaceBasis:
-    """Rows span a subspace of E; rows are orthonormal for the trace form."""
-
-    label: str
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-
-@dataclass
 class TubeOrbit:
     """Canonical base point of C_{p,q} with all Peirce machinery cached."""
 
@@ -233,15 +221,6 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     return orbit
 
 
-def tangent_data(orbit: TubeOrbit) -> dict[str, SubspaceBasis]:
-    """Trace-orthonormal bases of T_aC (real), H_aM (complex) and E_0."""
-    return {
-        "T_aC": SubspaceBasis("T_aC", orbit.basis_h.copy()),
-        "H_aM": SubspaceBasis("H_aM", orbit.basis_h.astype(complex)),
-        "E_0": SubspaceBasis("E_0", orbit.basis_e0.astype(complex)),
-    }
-
-
 def _check_rows_in_subspace(rows, projector, error, what):
     """Raise ``error`` unless every row lies in the range of ``projector``."""
     resid = np.linalg.norm(rows - rows @ projector.T, axis=1)
@@ -294,20 +273,21 @@ def _levi_matrix(orbit: TubeOrbit) -> np.ndarray:
     return (left.transpose(0, 2, 1) @ right.T).reshape(m * m0, m)
 
 
-def levi_kernel(orbit: TubeOrbit) -> SubspaceBasis:
+def levi_kernel(orbit: TubeOrbit) -> np.ndarray:
     """Numeric nullspace of the Levi form on H_aM (no block shortcut).
 
     The Levi form on all basis pairs is one contraction of the structure
     tensor (see :func:`_levi_matrix`); the kernel is its nullspace from
-    ``algebra.numeric_rank``.
+    ``algebra.numeric_rank``, returned as trace-orthonormal complex rows of
+    shape (k, dim).
     """
     basis_h = orbit.basis_h
     if basis_h.shape[0] == 0:
-        return SubspaceBasis("levi_kernel", np.zeros((0, orbit.algebra.dim), dtype=complex))
+        return np.zeros((0, orbit.algebra.dim), dtype=complex)
     if orbit.basis_e0.shape[0] == 0:
-        return SubspaceBasis("levi_kernel", basis_h.astype(complex))
+        return basis_h.astype(complex)
     rank, vh = al.numeric_rank(_levi_matrix(orbit))
-    return SubspaceBasis("levi_kernel", (vh.conj()[rank:] @ basis_h).astype(complex))
+    return (vh.conj()[rank:] @ basis_h).astype(complex)
 
 
 def beta_map(orbit: TubeOrbit, v, u) -> np.ndarray:
@@ -360,7 +340,7 @@ def nondegeneracy_order(orbit: TubeOrbit) -> NondegeneracyResult:
         return NondegeneracyResult(0, True, [0],
                                    "totally real: order 0 by convention")
     chain = [orbit.basis_h.shape[0]]
-    kernel = levi_kernel(orbit).vectors
+    kernel = levi_kernel(orbit)
     chain.append(kernel.shape[0])
     while chain[-1] > 0:
         if chain[-1] == chain[-2]:

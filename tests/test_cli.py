@@ -376,3 +376,33 @@ def test_one_parser_serves_every_call_like_a_fresh_interpreter(capsys):
         fresh = subprocess.run([sys.executable, "-m", "conetube", *argv],
                                capture_output=True, text=True)
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == outcome, argv
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "hermC", "--rank", "2"],
+    ["analyze", "--family", "hermR", "--rank", "2", "--p", "1", "--q", "0"],
+    ["spectral", "--family", "hermH", "--rank", "2", "--element",
+     "[1,-2,0,0,0,0]", "--projections"],
+    ["orbit", "--family", "albert", "--element", json.dumps([1.0] * 3 + [0.0] * 24)],
+    ["nondegen", "--family", "spin", "--n", "3", "--p", "2", "--q", "0"],
+    ["flow", "--v", "1,0.5", "--c", "i,1+2i"],
+    ["siegel", "--isotropy", "--s", "diag(1,0)"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_prints_json_or_text(argv, capsys):
+    code, out, err = run(argv + ["--json"], capsys)
+    assert code == 0 and err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    _strict_json(out)
+
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == "" and out.strip()
+    with pytest.raises(ValueError):
+        _strict_json(out)
+    for line in out.splitlines():
+        assert not line.lstrip().startswith(("{", "[")), line

@@ -70,21 +70,13 @@ def test_lie_ball_strata():
     e1 = np.zeros(m, dtype=complex)
     e1[0], e1[1] = 0.5, 0.5j
     assert ct.lie_ball_membership(e1) == dm.SMOOTH_BOUNDARY
+    point = dm.LieBallPoint(e1)
+    assert (point.hermitian, point.bilinear) == (0.5, 0.0)
+    assert ct.lie_ball_membership(point) == dm.SMOOTH_BOUNDARY
     shilov = np.zeros(m, dtype=complex)
     shilov[0] = 1.0
     assert ct.lie_ball_membership(shilov) == dm.SHILOV
     assert ct.lie_ball_membership(3.0 * e1) == dm.EXTERIOR
-
-
-def test_lie_ball_point_cache_validation():
-    z = np.array([0.5, 0.5j, 0.0])
-    p = dm.LieBallPoint(z, hermitian=0.5, bilinear=0.0)
-    assert ct.lie_ball_membership(p) == dm.SMOOTH_BOUNDARY
-    with pytest.raises(ct.DimensionMismatch):
-        dm.LieBallPoint(z, hermitian=0.7)
-    with pytest.raises(ct.DimensionMismatch):
-        dm.LieBallPoint(z, bilinear=0.3)
-
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -93,12 +85,7 @@ def test_lie_ball_rejects_non_finite(bad):
     with pytest.raises(ct.NonFiniteInput):
         ct.lie_ball_membership([bad, 0.0])
     with pytest.raises(ct.NonFiniteInput):
-        dm.LieBallPoint([0.5, bad], hermitian=0.25, bilinear=0.25)
-    # a non-finite cached form disagrees with any finite coordinates
-    with pytest.raises(ct.DimensionMismatch):
-        dm.LieBallPoint([0.5, 0.0], hermitian=bad)
-    with pytest.raises(ct.DimensionMismatch):
-        dm.LieBallPoint([0.5, 0.0], bilinear=bad)
+        dm.LieBallPoint([0.5, bad])
 
 
 def test_symplectic_form():

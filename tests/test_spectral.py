@@ -309,3 +309,15 @@ def test_spectral_decompose_eigh_failure(family, rank, break_linalg):
     break_linalg("eigh")
     with pytest.raises(ct.NumericalFailure, match="eigensolver"):
         sp.spectral_decompose(A, x)
+
+
+@pytest.mark.parametrize("family", ["hermR", "hermC", "hermH"])
+@pytest.mark.parametrize("x0", [2.5, -0.75, 0.0, 1e-300])
+def test_rank_one_decomposition_is_exact(family, x0):
+    # the one-member frame skips purification; its Rayleigh value is x0 itself
+    A = ct.make_algebra(family, rank=1)
+    data = sp.spectral_decompose(A, [x0])
+    assert data.eigenvalues.tolist() == [x0]
+    assert data.frame.tolist() == [[1.0]]
+    want = (1, 0) if x0 > 0 else (0, 1) if x0 < 0 else (0, 0)
+    assert sp.orbit_signature(A, [x0]) == want
