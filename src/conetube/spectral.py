@@ -5,21 +5,16 @@ orthogonal minimal idempotents summing to the unit. The eigenvalue routes are
 family specific:
 
 * spin factors have the closed form λ = s ± |u| with frame (1, ±u/|u|)/2;
-* hermR/hermC use a symmetric/Hermitian eigendecomposition of the matrix
-  realisation (orthonormal eigenvector columns give minimal idempotents even
-  for repeated eigenvalues);
-* hermH eigendecomposes the 2r x 2r complex realisation, where the spectrum
-  comes in pairs; full eigenprojections are polynomial in the matrix, hence
-  quaternionic, and map back to one idempotent per eigenvalue cluster;
+* hermR/hermC/hermH eigendecompose the Hermitian matrix realisation, of
+  size 2r x 2r for hermH, and take the frame straight from the orthonormal
+  eigenvectors, which give minimal idempotents even for repeated
+  eigenvalues. A hermH spectrum comes in pairs (v, Jv) spanning one
+  quaternionic line, so r eigenvectors on distinct lines are picked;
 * albert solves the rank-3 characteristic polynomial obtained from power
   traces by Newton's identities and builds one Lagrange idempotent per root
-  cluster from powers of x.
-
-The hermH and albert routes only produce (cluster idempotent, multiplicity)
-pairs; one shared tail finishes both. It splits every idempotent of
-multiplicity m > 1 into m minimal ones, purifies the frame when it has more
-than one member, and takes every eigenvalue from the Rayleigh value
-tr(x ∘ e_j), which is exact on an exact frame.
+  cluster from powers of x. It splits every idempotent of multiplicity
+  m > 1 into m minimal ones, purifies the frame, and takes every eigenvalue
+  from the Rayleigh value tr(x ∘ e_j), which is exact on an exact frame.
 
 Repeated-root splitting works inside the Peirce-1 subalgebra V_1(c) of the
 degenerate idempotent c: a deterministic candidate list (coordinate basis
@@ -51,11 +46,8 @@ from .errors import (
 # with the band (SPECTRAL_TOL/10, SPECTRAL_TOL) refused as borderline.
 SPECTRAL_TOL = 1e-8
 
-# relative gap below which two matrix eigenvalues count as one quaternionic /
-# repeated eigenvalue; well above eigh noise, well below generic separations
-_CLUSTER_REL_GAP = 1e-6
 # polynomial-root noise on an m-fold root scales like eps^(1/m), so the
-# rank-3 route needs a wider merge window than the eigh routes
+# rank-3 route merges roots closer than this, relative to the largest
 _ROOT_CLUSTER_REL_GAP = 2e-4
 
 
@@ -272,7 +264,7 @@ def _frame_products(algebra, frame):
 
 
 def _validate_spectral(algebra, eigenvalues, frame, x):
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 1.0)
+    scale = float(np.max(np.abs(eigenvalues)))
     e = al.unit(algebra)
     r = len(frame)
     resid = _frame_products(algebra, frame)
@@ -288,24 +280,38 @@ def _validate_spectral(algebra, eigenvalues, frame, x):
 
 
 def _matrix_eigh(algebra: al.AlgebraDescriptor, x):
-    """Eigenvalues and eigenvectors of the Hermitian matrix realisation of x."""
+    """Eigenvalues and eigenvectors of the Hermitian matrix realisation of x.
+
+    x is first divided by an exact power of two, so the matrix has entries
+    of order one and LAPACK never rescales it (which would cost the last bit
+    of a tiny eigenvalue); the eigenvalues are multiplied back exactly.
+    """
+    _, exp = math.frexp(float(np.max(np.abs(x))))
     try:
-        return np.linalg.eigh(al.element_to_matrix(algebra, x))
+        w, U = np.linalg.eigh(al.element_to_matrix(algebra, np.ldexp(x, -exp)))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
+    return np.ldexp(w, exp), U
 
 
-def _hermH_clusters(algebra, x):
-    """(Eigenprojection idempotent, multiplicity) of each eigenvalue cluster."""
-    w, U = _matrix_eigh(algebra, x)
-    order = np.argsort(w)[::-1]
-    w, U = w[order], U[:, order]
-    scale = max(1.0, float(np.max(np.abs(w))))
-    for group in _cluster(w, _CLUSTER_REL_GAP * scale):
-        if len(group) % 2:
-            raise NumericalFailure("quaternionic spectrum failed to pair up")
-        cols = U[:, group]
-        yield al.matrix_to_element(algebra, cols @ cols.conj().T), len(group) // 2
+def _quaternionic_lines(w, U):
+    """One eigenvector per quaternionic line of the 2r x 2r realisation.
+
+    Each pick is the eigenvector with the largest remainder outside the
+    lines (v, Jv) picked so far, J(v1, v2) = (-v̄2, v̄1) on every 2-block;
+    the remainder is the next v, and w[i] its eigenvalue.
+    """
+    picked = np.zeros((U.shape[0], 0), dtype=U.dtype)  # columns v, Jv, v, Jv, ...
+    chosen = []
+    for _ in range(U.shape[0] // 2):
+        rest = U - picked @ (picked.conj().T @ U)
+        norms = np.linalg.norm(rest, axis=0)
+        i = int(np.argmax(norms))
+        v = rest[:, i] / norms[i]
+        jv = np.conj(v.reshape(-1, 2)[:, ::-1] * [-1, 1]).reshape(-1)
+        picked = np.column_stack([picked, v, jv])
+        chosen.append(i)
+    return w[chosen], picked[:, 0::2]
 
 
 def _albert_clusters(algebra, x):
@@ -317,7 +323,7 @@ def _albert_clusters(algebra, x):
     lam_mean = float(al.generic_trace(algebra, x)) / algebra.rank
     xc = x - lam_mean * e
     nrm = float(np.linalg.norm(xc))
-    if nrm <= 1e-14 * max(1.0, abs(lam_mean)):
+    if nrm <= 1e-14 * abs(lam_mean):
         return [(c, 1) for c in al.standard_frame(algebra)]
     y = xc / nrm
     traces = _power_traces(algebra, y, algebra.rank)
@@ -349,18 +355,20 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x) -> SpectralData:
             minus = 0.5 * np.concatenate(([1.0], -direction))
             frame = np.vstack([plus, minus])
             eigenvalues = np.array([s + unorm, s - unorm])
-    elif fam in ("hermR", "hermC"):
+    elif fam in ("hermR", "hermC", "hermH"):
         w, U = _matrix_eigh(algebra, x)
+        if fam == "hermH":
+            w, U = _quaternionic_lines(w, U)
         order = np.argsort(w)[::-1]
         eigenvalues = w[order]
         V = U[:, order].T  # row i is the eigenvector of eigenvalues[i]
         frame = al.matrix_to_element(algebra, V[:, :, None] * V[:, None, :].conj())
-    else:  # hermH, albert
-        clusters = (_hermH_clusters if fam == "hermH" else _albert_clusters)(algebra, x)
-        frame = np.vstack([piece for c, mult in clusters
+        if fam == "hermH":
+            frame *= 2.0  # v v* is half of its line's projector v v* + Jv (Jv)*
+    else:  # albert
+        frame = np.vstack([piece for c, mult in _albert_clusters(algebra, x)
                            for piece in _split_idempotent(algebra, c, mult)])
-        if len(frame) > 1:
-            frame = _purify_frame(algebra, frame)
+        frame = _purify_frame(algebra, frame)
         # Rayleigh values are exact on exact frames
         eigenvalues = np.array([
             al.generic_trace(algebra, al.jordan_product(algebra, x, c))

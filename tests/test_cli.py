@@ -406,3 +406,14 @@ def test_every_subcommand_prints_json_or_text(argv, capsys):
         _strict_json(out)
     for line in out.splitlines():
         assert not line.lstrip().startswith(("{", "[")), line
+
+
+@pytest.mark.parametrize("element", [
+    "[1e-8,0,1e-8,0,0,0]", "[0,0,1e-8,0,0,0]", "[0,0,1e-7,0,0,0]"])
+def test_orbit_small_hermH_element(element, capsys):
+    # eigenvalues of order 1e-8 with opposite signs: the orbit is (1,1)
+    code, out, _ = run(["orbit", "--family", "hermH", "--rank", "2",
+                        "--element", element, "--json"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["p"], rep["q"]) == (1, 1)

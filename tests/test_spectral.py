@@ -83,7 +83,8 @@ def test_spectral_diag_example():
 
 
 def test_spectral_repeated_eigenvalues():
-    # multiples of idempotents stress the splitting route in every family
+    # multiples of idempotents repeat an eigenvalue: albert splits a cluster,
+    # the eigh families pick frame members inside a repeated eigenspace
     rng = np.random.default_rng(107)
     for A in DESK:
         frame = ct.standard_frame(A)
@@ -314,10 +315,81 @@ def test_spectral_decompose_eigh_failure(family, rank, break_linalg):
 @pytest.mark.parametrize("family", ["hermR", "hermC", "hermH"])
 @pytest.mark.parametrize("x0", [2.5, -0.75, 0.0, 1e-300])
 def test_rank_one_decomposition_is_exact(family, x0):
-    # the one-member frame skips purification; its Rayleigh value is x0 itself
+    # eigh sees x0 divided by an exact power of two, so even 1e-300 comes back
+    # exactly instead of losing its last bit to LAPACK's own rescaling
     A = ct.make_algebra(family, rank=1)
     data = sp.spectral_decompose(A, [x0])
     assert data.eigenvalues.tolist() == [x0]
     assert data.frame.tolist() == [[1.0]]
     want = (1, 0) if x0 > 0 else (0, 1) if x0 < 0 else (0, 0)
     assert sp.orbit_signature(A, [x0]) == want
+
+
+def _transported(A, lam, rng):
+    """P(g)·Σ λ_j c_j for g = e + y with every eigenvalue of y in [-1/2, 1/2].
+
+    g lies inside the cone, so P(g) keeps the orbit of Σ λ_j c_j.
+    """
+    y = rng.standard_normal(A.dim)
+    y *= 0.5 / math.sqrt(float(y @ al.trace_gram(A) @ y) * A.rank / A.dim)
+    return ct.pquad(A, ct.unit(A) + y) @ (np.asarray(lam, float) @ ct.standard_frame(A))
+
+
+@pytest.mark.parametrize("A", [A for A in DESK if A.family != "albert"], ids=str)
+def test_orbit_signature_is_scale_invariant(A):
+    rng = np.random.default_rng(211)
+    r = A.rank
+    for p in range(r + 1):
+        for q in range(r + 1 - p):
+            for _ in range(2):
+                lam = rng.uniform(0.5, 2.0, r) * np.repeat([1.0, -1.0, 0.0], [p, q, r - p - q])
+                x = _transported(A, rng.permutation(lam), rng)
+                for t in 10.0 ** np.arange(-12, 13, 2):
+                    assert sp.orbit_signature(A, t * x) == (p, q), (p, q, t)
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-6, 1.0, 1e12])
+def test_hermH_eigenvalues_scale_with_the_element(t):
+    # an off-diagonal quaternion entry t has eigenvalues ±t
+    data = sp.spectral_decompose(ct.make_algebra("hermH", rank=2), [0, 0, t, 0, 0, 0])
+    np.testing.assert_allclose(data.eigenvalues, [t, -t], rtol=1e-12)
+    A = ct.make_algebra("hermH", rank=3)
+    f = ct.standard_frame(A)
+    x = t * (2.0 * (f[0] + f[1]) - f[2])
+    data = sp.spectral_decompose(A, x)
+    np.testing.assert_allclose(data.eigenvalues, [2 * t, 2 * t, -t], rtol=1e-12)
+    _check_frame_properties(A, data, x)
+
+
+def test_hermH_takes_no_albert_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hermH left the eigh route")
+    for name in ("_split_idempotent", "_purify_frame"):
+        monkeypatch.setattr(sp, name, refuse)
+    monkeypatch.setattr(al, "jordan_product", refuse)
+    rng = np.random.default_rng(223)
+    for r in (1, 2, 3, 4):
+        A = ct.make_algebra("hermH", rank=r)
+        f = ct.standard_frame(A)
+        for x in (_rand(A, rng), 3.0 * ct.unit(A), f[0], np.zeros(A.dim)):
+            sp.spectral_decompose(A, x)
+
+
+@pytest.mark.parametrize("lam, want", [([1, 0, 0], (1, 0)), ([1, 1, 0], (2, 0))])
+def test_small_albert_element_keeps_its_signature(lam, want):
+    # a trace-free part of size 1e-14 is not a multiple of the unit
+    A = ct.make_algebra("albert")
+    x = _transported(A, lam, np.random.default_rng(7))
+    assert sp.orbit_signature(A, x) == want
+    assert sp.orbit_signature(A, 1e-14 * x) == want
+
+
+def test_validate_spectral_is_relative_to_the_element():
+    # swapping the frame misses x by 2e-10, far above 1e-8 of its size
+    A = ct.make_algebra("hermR", rank=2)
+    x = np.array([1e-10, -1e-10, 0.0])
+    lam = np.array([1e-10, -1e-10])
+    frame = ct.standard_frame(A)
+    sp._validate_spectral(A, lam, frame, x)
+    with pytest.raises(ct.NumericalFailure, match="reconstruction residual 2.00e-10"):
+        sp._validate_spectral(A, lam, frame[::-1], x)
