@@ -12,15 +12,21 @@ family specific:
   quaternionic line, so r eigenvectors on distinct lines are picked;
 * albert solves the rank-3 characteristic polynomial obtained from power
   traces by Newton's identities and builds one Lagrange idempotent per root
-  cluster from powers of x. It splits every idempotent of multiplicity
-  m > 1 into m minimal ones, purifies the frame, and takes every eigenvalue
-  from the Rayleigh value tr(x ∘ e_j), which is exact on an exact frame.
+  cluster from powers of x. A cluster of multiplicity 2 is split in closed
+  form (see below); the frame is then purified, and every eigenvalue is the
+  Rayleigh value tr(x ∘ e_j), which is exact on an exact frame.
 
-Repeated-root splitting works inside the Peirce-1 subalgebra V_1(c) of the
-degenerate idempotent c: a deterministic candidate list (coordinate basis
-vectors, then Gaussian vectors from a fixed seed) is projected into V_1(c)
-and the candidate whose subalgebra spectrum separates best is used to build
-minimal Lagrange idempotents.
+albert's only split is of a rank-2 idempotent c, and the Peirce-1 subalgebra
+V_1(c) = P(c)V is then a spin factor (Faraut–Korányi, Analysis on Symmetric
+Cones, ch. IV): the trace-free part u of any of its elements has u ∘ u = μc,
+so (c ± u/√μ)/2 are two orthogonal minimal idempotents summing to c. No
+candidate is searched and no random number is drawn.
+
+Every route decomposes x·2^-e, where 2^e is the power of two just above
+max|x|, and the eigenvalues are multiplied back by 2^e once at the end. So
+every family is exactly equivariant under x -> 2^k x: the frame bytes stay
+the same and the eigenvalues scale exactly, from subnormal elements up to
+those whose eigenvalues overflow, which raise NumericalFailure.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from . import algebra as al
 from .errors import (
     BorderlineSpectrum,
     InvalidFrame,
+    NonFiniteInput,
     NotIdempotent,
     NumericalFailure,
 )
@@ -92,21 +99,22 @@ class JointPeirceData:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues inside a subalgebra via Newton's identities
+# albert eigenvalues via Newton's identities
 
 
-def _power_traces(algebra, x, m):
-    traces = np.empty(m)
+def _power_traces(algebra, x):
+    """(tr x, tr x², …, tr x^r) for r the rank of the algebra."""
+    traces = np.empty(algebra.rank)
     power = x
-    for k in range(m):
+    for k in range(algebra.rank):
         traces[k] = al.generic_trace(algebra, power)
-        if k + 1 < m:
+        if k + 1 < algebra.rank:
             power = al.jordan_product(algebra, power, x)
     return traces
 
 
 def _char_roots(p):
-    """Eigenvalues of x inside a rank-m subalgebra from p = (tr x, …, tr x^m)."""
+    """Eigenvalues of x in a rank-m algebra from p = (tr x, …, tr x^m)."""
     m = len(p)
     e = np.zeros(m + 1)
     e[0] = 1.0
@@ -169,67 +177,37 @@ def _cluster(values, gap):
     return groups
 
 
-def _split_candidates(algebra):
-    dim = algebra.dim
-    for i in range(dim):
-        vec = np.zeros(dim)
-        vec[i] = 1.0
-        yield vec
-    rng = np.random.default_rng(0)
-    for _ in range(16):
-        yield rng.standard_normal(dim)
-
-
-def _lagrange_idempotents(algebra, x, values, unit_elem):
-    """Idempotents ∏_{k≠j}(x - μ_k u)/(μ_j - μ_k); x, u in one subalgebra."""
+def _lagrange_idempotents(algebra, x, values):
+    """Idempotents ∏_{k≠j}(x - μ_k e)/(μ_j - μ_k) for the distinct values μ_j."""
+    e = al.unit(algebra)
     out = []
     for j, mu in enumerate(values):
-        prod = unit_elem
+        prod = e
         denom = 1.0
         for k, nu in enumerate(values):
             if k == j:
                 continue
-            prod = al.jordan_product(algebra, prod, x - nu * unit_elem)
+            prod = al.jordan_product(algebra, prod, x - nu * e)
             denom *= mu - nu
         out.append(prod / denom)
     return out
 
 
 def _split_idempotent(algebra, c, m):
-    """Split an idempotent of rank m into m minimal orthogonal idempotents."""
+    """Split an idempotent of rank m <= 2 into m minimal orthogonal idempotents.
+
+    For m = 2, V_1(c) is a spin factor: u, the largest trace-free part of a
+    column of P(c), has u∘u = μc, and the frame of c is (c ± u/√μ)/2.
+    """
     if m == 1:
         return [c]
-    pi1 = al.pquad(algebra, c)
-    best = None
-    for cand in _split_candidates(algebra):
-        y = pi1 @ cand
-        scale = np.max(np.abs(y))
-        if scale < 1e-10:
-            continue
-        try:
-            roots = _char_roots(_power_traces(algebra, y, m))
-        except NumericalFailure:
-            continue
-        spread = roots[0] - roots[-1]
-        if spread <= 1e-10 * max(1.0, scale):
-            continue
-        gap = np.min(np.diff(roots[::-1])) / spread
-        if best is None or gap > best[0]:
-            best = (gap, y, roots)
-        if gap > 0.1:
-            break
-    if best is None or best[0] < 1e-3:
-        raise NumericalFailure(
-            f"could not separate a rank-{m} idempotent in {algebra}")
-    _, y, roots = best
-    pieces = _lagrange_idempotents(algebra, y, roots, c)
-    out = []
-    for piece in pieces:
-        rank = int(round(al.generic_trace(algebra, piece)))
-        if rank != 1:
-            raise NumericalFailure("separating candidate produced a non-minimal piece")
-        out.append(piece)
-    return out
+    pc = al.pquad(algebra, c)
+    # generic traces of every column of P(c) in one product
+    traces = np.trace(al._lmul_basis(algebra), axis1=1, axis2=2) * (algebra.rank / algebra.dim)
+    free = pc - np.outer(c, traces @ pc / m)
+    u = free[:, np.argmax(np.linalg.norm(free, axis=0))]
+    f = u / math.sqrt(traces @ al.jordan_product(algebra, u, u) / m)
+    return [(c + f) / 2, (c - f) / 2]
 
 
 def _purify_frame(algebra, frame):
@@ -282,16 +260,14 @@ def _validate_spectral(algebra, eigenvalues, frame, x):
 def _matrix_eigh(algebra: al.AlgebraDescriptor, x):
     """Eigenvalues and eigenvectors of the Hermitian matrix realisation of x.
 
-    x is first divided by an exact power of two, so the matrix has entries
-    of order one and LAPACK never rescales it (which would cost the last bit
-    of a tiny eigenvalue); the eigenvalues are multiplied back exactly.
+    spectral_decompose passes x scaled to max|x| in [1/2, 1), so the matrix
+    has entries of order one and LAPACK never rescales it, which would cost
+    the last bit of a tiny eigenvalue.
     """
-    _, exp = math.frexp(float(np.max(np.abs(x))))
     try:
-        w, U = np.linalg.eigh(al.element_to_matrix(algebra, np.ldexp(x, -exp)))
+        return np.linalg.eigh(al.element_to_matrix(algebra, x))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
-    return np.ldexp(w, exp), U
 
 
 def _quaternionic_lines(w, U):
@@ -326,7 +302,7 @@ def _albert_clusters(algebra, x):
     if nrm <= 1e-14 * abs(lam_mean):
         return [(c, 1) for c in al.standard_frame(algebra)]
     y = xc / nrm
-    traces = _power_traces(algebra, y, algebra.rank)
+    traces = _power_traces(algebra, y)
     roots = _char_roots(traces)
     scale = max(1.0, float(np.max(np.abs(roots))))
     groups = _cluster(roots, _ROOT_CLUSTER_REL_GAP * scale)
@@ -335,12 +311,17 @@ def _albert_clusters(algebra, x):
     mults = [len(g) for g in groups]
     values = _refine_cluster_values(
         traces, [float(np.mean(roots[g])) for g in groups], mults)
-    return list(zip(_lagrange_idempotents(algebra, y, values, e), mults))
+    return list(zip(_lagrange_idempotents(algebra, y, values), mults))
 
 
 def spectral_decompose(algebra: al.AlgebraDescriptor, x) -> SpectralData:
     """Frame decomposition x = Σ λ_j e_j with eigenvalues descending."""
     x = al.as_real_element(algebra, x)
+    big = float(np.abs(x).max())
+    if not math.isfinite(big):
+        raise NonFiniteInput(f"element of {algebra} has a NaN or infinite entry")
+    _, exp = math.frexp(big)
+    x = np.ldexp(x, -exp)  # every route sees max|x| in [1/2, 1)
     fam = algebra.family
 
     if fam == "spin":
@@ -378,7 +359,10 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x) -> SpectralData:
     eigenvalues = eigenvalues[order]
     frame = frame[order]
     _validate_spectral(algebra, eigenvalues, frame, x)
-    return SpectralData(algebra, eigenvalues, frame)
+    # compare exponents, so that an overflow raises before ldexp warns
+    if math.frexp(float(np.abs(eigenvalues).max()))[1] + exp > 1024:
+        raise NumericalFailure(f"an eigenvalue overflows for {algebra}")
+    return SpectralData(algebra, np.ldexp(eigenvalues, exp), frame)
 
 
 # ---------------------------------------------------------------------------

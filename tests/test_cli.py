@@ -417,3 +417,13 @@ def test_orbit_small_hermH_element(element, capsys):
     assert code == 0
     rep = json.loads(out)
     assert (rep["p"], rep["q"]) == (1, 1)
+
+
+def test_orbit_overflowing_eigenvalue_exits_three(capsys):
+    # every entry is finite, but the eigenvalues of this albert element are not
+    element = "[" + ",".join(["1e308"] * 27) + "]"
+    code, out, err = run(["orbit", "--family", "albert", "--element", element, "--json"],
+                         capsys)
+    assert code == 3
+    assert "numerical failure" in err and "overflows" in err
+    assert out == ""

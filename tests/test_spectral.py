@@ -1,6 +1,7 @@
 """Spectral decompositions, minors, orbit signatures, Peirce projections."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -393,3 +394,61 @@ def test_validate_spectral_is_relative_to_the_element():
     sp._validate_spectral(A, lam, frame, x)
     with pytest.raises(ct.NumericalFailure, match="reconstruction residual 2.00e-10"):
         sp._validate_spectral(A, lam, frame[::-1], x)
+
+
+@pytest.mark.parametrize("A", DESK, ids=str)
+def test_spectral_decompose_is_exactly_scale_equivariant(A):
+    # every route decomposes x·2^-e, so scaling by 2^k changes only that e
+    rng = np.random.default_rng(227)
+    r = A.rank
+    for p in range(r + 1):
+        for q in range(r + 1 - p):
+            lam = rng.uniform(0.5, 2.0, r) * np.repeat([1.0, -1.0, 0.0], [p, q, r - p - q])
+            x = _transported(A, rng.permutation(lam), rng)
+            data = sp.spectral_decompose(A, x)
+            for k in (-1000, -900, 900, 1000):
+                scaled = sp.spectral_decompose(A, np.ldexp(x, k))
+                assert scaled.frame.tobytes() == data.frame.tobytes(), (p, q, k)
+                assert scaled.eigenvalues.tobytes() == np.ldexp(data.eigenvalues, k).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(2.0, -1.0), (3.0, 0.5), (0.0, 1.5), (0.0, -1.0)])
+def test_albert_split_is_closed_form(a, b, monkeypatch):
+    # x = a·e + (b - a)·f has eigenvalues (a, a, b): the a-cluster is a rank-2
+    # idempotent, split in its Peirce-1 spin factor with no random draw
+    A = ct.make_algebra("albert")
+    f = _transported(A, [1.0, 0.0, 0.0], np.random.default_rng(229))
+    f /= ct.generic_trace(A, f)  # P(g) maps the ray of c_1 onto the ray of f
+    x = a * ct.unit(A) + (b - a) * f
+
+    def refuse(*args):
+        raise AssertionError("the albert split drew random numbers")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for t in (1e-12, 1.0, 1e12):
+        data = sp.spectral_decompose(A, t * x)
+        sp._check_frame(A, data.frame)
+        assert np.max(np.abs(data.eigenvalues @ data.frame - t * x)) <= SD_TOL * t
+        np.testing.assert_allclose(data.eigenvalues, t * np.sort([a, a, b])[::-1],
+                                   rtol=0, atol=1e-12 * t)
+
+
+@pytest.mark.parametrize("A", list({A.family: A for A in DESK}.values()), ids=str)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_element_is_refused(A, bad):
+    x = ct.unit(A)
+    x[-1] = bad
+    with pytest.raises(ct.NonFiniteInput, match="NaN or infinite"):
+        sp.spectral_decompose(A, x)
+    with pytest.raises(ct.NonFiniteInput):
+        sp.orbit_signature(A, x)
+
+
+def test_overflowing_eigenvalue_raises():
+    # [[1e308, 1e308], [1e308, 1e308]] has eigenvalues 2e308 and 0
+    A = ct.make_algebra("hermR", rank=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ct.NumericalFailure, match="overflows"):
+            sp.orbit_signature(A, [1e308] * 3)
+        data = sp.spectral_decompose(A, [1e307] * 3)
+    np.testing.assert_allclose(data.eigenvalues, [2e307, 0.0], rtol=1e-15, atol=0)
