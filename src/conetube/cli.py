@@ -52,17 +52,9 @@ def _fmt_complex(c: complex) -> str:
 
 
 def _parse_complex_scalar(text: str) -> complex:
-    token = text.strip().replace(" ", "").replace("i", "j")
-    if token in ("j", "+j"):
-        token = "1j"
-    elif token == "-j":
-        token = "-1j"
-    elif token.endswith("+j"):
-        token = token[:-2] + "+1j"
-    elif token.endswith("-j"):
-        token = token[:-2] + "-1j"
+    """'i', '-i', '1+2i', …: Python's complex() with i for j; anything else is refused."""
     try:
-        return complex(token)
+        return complex(text.strip().replace(" ", "").replace("i", "j"))
     except ValueError as exc:
         raise DimensionMismatch(f"cannot parse complex number {text!r}") from exc
 

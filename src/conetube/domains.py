@@ -209,12 +209,9 @@ def isotropy_dimension(s) -> int:
     if eig[0] > _CONE_POINT_TOL:
         raise NotInLightCone("matrix has full rank, interior cone point")
     basis = symplectic_lie_algebra_basis(r)
-    rows = []
-    for X in basis:
-        alpha, beta = X[:r, :r], X[:r, r:]
-        gamma = X[r:, :r]
-        c1 = alpha @ s + s @ alpha.T
-        c2 = beta + s @ gamma @ s
-        rows.append(np.concatenate([c1.reshape(-1), c2.reshape(-1)]))
-    rank, _ = al.numeric_rank(np.stack(rows))
-    return len(basis) - rank
+    m = len(basis)
+    alpha, beta, gamma = basis[:, :r, :r], basis[:, :r, r:], basis[:, r:, :r]
+    c1 = alpha @ s + s @ alpha.transpose(0, 2, 1)
+    c2 = beta + s @ gamma @ s
+    rank, _ = al.numeric_rank(np.concatenate([c1.reshape(m, -1), c2.reshape(m, -1)], axis=1))
+    return m - rank

@@ -370,9 +370,17 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x) -> SpectralData:
 
 
 def _minors(eigenvalues) -> np.ndarray:
-    """Elementary symmetric functions N_1..N_r of the eigenvalues."""
+    """Elementary symmetric functions N_1..N_r of the eigenvalues.
+
+    Finite eigenvalues can still have products past the float range, and
+    np.poly overflows without a warning, so a minor that is not finite raises.
+    """
     coeffs = np.poly(eigenvalues)  # t^r + c_1 t^{r-1} + ... ; c_k = (-1)^k N_k
-    return np.array([(-1) ** k * coeffs[k] for k in range(1, len(eigenvalues) + 1)])
+    minors = np.array([(-1) ** k * coeffs[k] for k in range(1, len(eigenvalues) + 1)])
+    bad = np.flatnonzero(~np.isfinite(minors))
+    if bad.size:
+        raise NumericalFailure(f"generic minor N_{bad[0] + 1} overflows the float range")
+    return minors
 
 
 def generic_minors(algebra: al.AlgebraDescriptor, x) -> tuple[np.ndarray, float]:
@@ -465,24 +473,20 @@ def _check_frame(algebra, frame):
 def joint_peirce(algebra: al.AlgebraDescriptor, frame) -> JointPeirceData:
     """Joint Peirce projections π_jk for a full frame (0-based keys, j <= k).
 
-    π_jj = 2 L_j² - L_j and π_jk = 4 L_j L_k; the L(e_j) commute, all
-    projections are polynomial and sum to the identity.
+    π_jj = 2 L_j² - L_j and π_jk = 4 L_j L_k with L_j = L(e_j); the L_j
+    commute, all projections are polynomial and sum to the identity. The
+    L_j are stacked once, and every product L_j L_k comes from one batched
+    matmul over the pairs of ``np.triu_indices(r)``, which is the key order.
     """
     frame = _check_frame(algebra, frame)
-    r = algebra.rank
-    Ls = [al.lmul(algebra, frame[j]) for j in range(r)]
-    projections: dict[tuple[int, int], np.ndarray] = {}
-    dims: dict[tuple[int, int], int] = {}
-    total = np.zeros((algebra.dim, algebra.dim))
-    for j in range(r):
-        for k in range(j, r):
-            if j == k:
-                pjk = 2.0 * (Ls[j] @ Ls[j]) - Ls[j]
-            else:
-                pjk = 4.0 * (Ls[j] @ Ls[k])
-            projections[(j, k)] = pjk
-            dims[(j, k)] = int(round(float(np.trace(pjk))))
-            total += pjk
-    if np.max(np.abs(total - np.eye(algebra.dim))) > SPECTRAL_TOL * algebra.rank:
+    ls = np.tensordot(frame, al._lmul_basis(algebra), axes=(1, 0))  # (r, dim, dim)
+    j, k = np.triu_indices(algebra.rank)
+    stack = ls[j] @ ls[k]
+    diag = j == k
+    stack[~diag] *= 4.0
+    stack[diag] = 2.0 * stack[diag] - ls
+    if np.max(np.abs(stack.sum(axis=0) - np.eye(algebra.dim))) > SPECTRAL_TOL * algebra.rank:
         raise InvalidFrame("joint Peirce projections do not resolve the identity")
-    return JointPeirceData(algebra, frame, projections, dims)
+    keys = list(zip(j.tolist(), k.tolist()))
+    dims = np.rint(np.trace(stack, axis1=1, axis2=2)).astype(int).tolist()
+    return JointPeirceData(algebra, frame, dict(zip(keys, stack)), dict(zip(keys, dims)))

@@ -20,6 +20,10 @@ and E_0 (both zero); then
 
 and the kernel chain H⁰ ⊃ H¹ ⊃ H² … decides the nondegeneracy order. All
 subspace bases returned are orthonormal with respect to the trace form.
+The standard frame's π_jk are stacked once per algebra into one
+(m, dim, dim) table, m = r(r+1)/2; the three block projectors and both
+inverses are a single contraction of five weight rows over the pairs with
+that table (see ``make_orbit``).
 
 Every rank here is decided by ``algebra.numeric_rank`` on dense matrices
 built by single contractions over those bases, not pair by pair.
@@ -105,14 +109,10 @@ def condition_star_holds(eigenvalues) -> bool:
     if not np.all(np.isfinite(lam)):
         # NaN fails every comparison below and would read as "no pair cancels"
         raise NonFiniteInput("eigenvalue list has a NaN or infinite entry")
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    tol = 1e-10
-    for j in range(len(lam)):
-        for k in range(j, len(lam)):
-            if abs(lam[j] + lam[k]) <= tol * scale:
-                if abs(lam[j]) > tol * scale or abs(lam[k]) > tol * scale:
-                    return False
-    return True
+    cut = 1e-10 * np.max(np.abs(lam), initial=1.0)
+    nonzero = np.abs(lam) > cut
+    cancels = np.abs(np.add.outer(lam, lam)) <= cut
+    return not np.any(cancels & (nonzero[:, None] | nonzero))
 
 
 def _gram_orthonormal_rows(chol, projector, expected_dim):
@@ -148,29 +148,35 @@ def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
 def _standard_joint_peirce(algebra: al.AlgebraDescriptor):
     """Checked joint Peirce projections of the standard frame, once per algebra.
 
-    Returns the frame and its ((j, k), π_jk) pairs. The cache hands the same
-    arrays to every caller, so they are read-only.
+    Returns ``(frame, pairs, stack)``: ``pairs`` is the (m, 2) array of the
+    ``joint_peirce`` keys (j, k), in their order, and ``stack[i]`` is the
+    projection π_jk of ``pairs[i]``, shape (m, dim, dim). The cache hands the
+    same arrays to every caller, so they are read-only.
     """
     joint = sp.joint_peirce(algebra, al.standard_frame(algebra))
-    for arr in (joint.frame, *joint.projections.values()):
+    pairs = np.array(list(joint.projections))
+    stack = np.stack(list(joint.projections.values()))
+    for arr in (joint.frame, pairs, stack):
         arr.flags.writeable = False
-    return joint.frame, tuple(joint.projections.items())
+    return joint.frame, pairs, stack
 
 
 def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     """Build the canonical base point of C_{p,q} and cache its Peirce data.
 
     The standard frame's joint Peirce projections are built and checked once
-    per algebra. The orbit's blocks, inverses and bases, and the signature
-    check of its base point, are built on every call. The spectral checks
-    use the fixed ``spectral.SPECTRAL_TOL`` and the block ranks
-    ``algebra.RANK_REL_CUT``; no caller sets a tolerance.
+    per algebra. V_jk lies in E_1, E_{1/2} or E_0 as two, one or none of
+    λ_j, λ_k are nonzero; on it L(a) acts as (λ_j + λ_k)/2 and P(a) as
+    λ_j λ_k. So one contraction of five weight rows over the pairs with the
+    stacked π_jk gives π_E1, π_½, π_E0, (L(a)|_H)^{-1} and (P(a)|_{E_1})^{-1}.
+    The orbit's blocks, inverses and bases, and the signature check of its
+    base point, are built on every call. The spectral checks use the fixed
+    ``spectral.SPECTRAL_TOL`` and the block ranks ``algebra.RANK_REL_CUT``;
+    no caller sets a tolerance.
     """
-    r = algebra.rank
-    if p < 0 or q < 0 or p + q > r:
-        raise InvalidSignature(f"(p, q) = ({p}, {q}) exceeds rank {r}")
-    standard, projections = _standard_joint_peirce(algebra)
-    lam = np.zeros(r)  # eigenvalues on the standard frame
+    dims = cr_dimensions(algebra, p, q)
+    standard, pairs, stack = _standard_joint_peirce(algebra)
+    lam = np.zeros(algebra.rank)  # eigenvalues on the standard frame
     lam[:p] = np.arange(1, p + 1, dtype=float)
     lam[p:p + q] = -(p + 1.5 + np.arange(q, dtype=float))
     order = np.argsort(lam, kind="stable")[::-1]
@@ -179,39 +185,25 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
         raise ConditionStarViolated(f"base point eigenvalues {eigenvalues} cancel pairwise")
     a = eigenvalues @ frame
 
-    # each block sum runs over unordered pairs {j, k}, so the standard
-    # frame's order serves as well as the sorted one
-    nonzero = lam != 0.0
-    dim = algebra.dim
-    pi_e1 = np.zeros((dim, dim))
-    pi_half = np.zeros((dim, dim))
-    pi_e0 = np.zeros((dim, dim))
-    linv_h = np.zeros((dim, dim))
-    pinv_e1 = np.zeros((dim, dim))
-    for (j, k), pjk in projections:
-        if nonzero[j] and nonzero[k]:
-            pi_e1 += pjk
-            linv_h += 2.0 / (lam[j] + lam[k]) * pjk
-            pinv_e1 += 1.0 / (lam[j] * lam[k]) * pjk
-        elif nonzero[j] or nonzero[k]:
-            pi_half += pjk
-            nz = lam[j] if nonzero[j] else lam[k]
-            linv_h += 2.0 / nz * pjk
-        else:
-            pi_e0 += pjk
+    # the pairs {j, k} are unordered, so the standard frame's order serves
+    # as well as the sorted one; with one λ zero, λ_j + λ_k is the other
+    lam_jk = lam[pairs]
+    nonzero = np.count_nonzero(lam_jk, axis=1)
+    weights = np.zeros((5, len(pairs)))
+    weights[:3] = nonzero == np.array([[2], [1], [0]])
+    np.divide(2.0, lam_jk.sum(axis=1), out=weights[3], where=nonzero > 0)
+    np.divide(1.0, lam_jk.prod(axis=1), out=weights[4], where=nonzero == 2)
+    pi_e1, pi_half, pi_e0, linv_h, pinv_e1 = np.tensordot(weights, stack, axes=1)
 
-    dims = cr_dimensions(algebra, p, q)
     d_e1 = dims["levi_kernel_dim"]
-    d_half = dims["crdim"] - d_e1
-    d_e0 = dims["crcodim"]
     try:
         chol = np.linalg.cholesky(al.trace_gram(algebra))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"trace Gram factorisation failed: {exc}") from exc
     basis_e1 = _gram_orthonormal_rows(chol, pi_e1, d_e1)
-    basis_half = _gram_orthonormal_rows(chol, pi_half, d_half)
-    basis_e0 = _gram_orthonormal_rows(chol, pi_e0, d_e0)
-    basis_h = np.vstack([basis_e1, basis_half]) if d_e1 + d_half else np.zeros((0, dim))
+    basis_half = _gram_orthonormal_rows(chol, pi_half, dims["crdim"] - d_e1)
+    basis_e0 = _gram_orthonormal_rows(chol, pi_e0, dims["crcodim"])
+    basis_h = np.vstack([basis_e1, basis_half])
 
     orbit = TubeOrbit(algebra, p, q, a, eigenvalues, frame, pi_e1, pi_half, pi_e0,
                       linv_h, pinv_e1, basis_h, basis_e1, basis_half, basis_e0)

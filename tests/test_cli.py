@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report content, JSON determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conetube import algebra as al
 from conetube import cli
 from conetube import spectral as sp
 from conetube.cli import main
@@ -257,6 +259,9 @@ _FLOW = ["flow", "--v", "1,0.5", "--c", "i,1"]
     ["flow", "--v", "1,x", "--c", "i,1"],
     ["flow", "--v", "1,0.5", "--c", "nan,1"],
     ["flow", "--v", "1,0.5", "--c", "i,1+nani"],
+    # an exponent without digits, not 2e + i or 1e - i
+    _FLOW[:3] + ["2e+i,1"],
+    _FLOW[:3] + ["1e-i,1"],
     # the spectral tolerance is fixed, so no command takes --tol
     ["table", "--family", "hermR", "--rank", "2", "--tol", "1e-6"],
     _FLOW + ["--tol", "1e-6"],
@@ -427,3 +432,46 @@ def test_orbit_overflowing_eigenvalue_exits_three(capsys):
     assert code == 3
     assert "numerical failure" in err and "overflows" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("text, value", [
+    ("i", 1j), ("+i", 1j), ("-i", -1j), ("1+i", 1 + 1j), ("2-i", 2 - 1j),
+    (" - i ", -1j), ("1+2i", 1 + 2j), ("3", 3 + 0j)])
+def test_parse_complex_scalar(text, value):
+    assert cli._parse_complex_scalar(text) == value
+
+
+def test_orbit_overflowing_minor_exits_three(capsys):
+    # the eigenvalues are finite, so spectral answers; their product is not
+    argv = ["--family", "hermR", "--rank", "2", "--element", "[1e200,1e200,0]", "--json"]
+    code, out, err = run(["orbit"] + argv, capsys)
+    assert code == 3
+    assert "numerical failure: generic minor N_2 overflows" in err
+    assert out == ""
+    code, out, _ = run(["spectral"] + argv, capsys)
+    assert code == 0
+    assert json.loads(out)["eigenvalues"] == [1e200, 1e200]
+
+
+# sha256 over exit code and stdout of `analyze --json` and `nondegen --json` on
+# every desk orbit. The reports hold only ints, bools and strings, so the
+# digest is the same on every platform. A change that alters these bytes
+# updates the digest and says so in CHANGES.md.
+DESK_JSON_SHA256 = "5c3425d3549ea9c74188a117292616a647f56f934ff8432925a03a3e4046d7f6"
+
+
+def test_desk_analyze_and_nondegen_json_bytes(capsys):
+    digest = hashlib.sha256()
+    count = 0
+    for A in al.desk_algebras():
+        size = (["--n", str(A.peirce_constant)] if A.family == "spin" else
+                [] if A.family == "albert" else ["--rank", str(A.rank)])
+        for p in range(A.rank + 1):
+            for q in range(A.rank + 1 - p):
+                for command in ("analyze", "nondegen"):
+                    code, out, _ = run([command, "--family", A.family, *size,
+                                        "--p", str(p), "--q", str(q), "--json"], capsys)
+                    digest.update(f"{code}\n{out}".encode())
+                    count += 1
+    assert count == 2 * 178
+    assert digest.hexdigest() == DESK_JSON_SHA256

@@ -136,6 +136,19 @@ def test_minors_homogeneity():
         np.testing.assert_allclose(mt, t ** degrees * m1, rtol=1e-7, atol=1e-9)
 
 
+@pytest.mark.parametrize("family, rank, element, minor", [
+    ("hermR", 2, [1e200, 1e200, 0.0], 2),
+    ("albert", 3, [1e150] * 27, 3),
+    ("albert", 3, [1e300] * 27, 2),
+])
+def test_generic_minors_overflow_raises(family, rank, element, minor):
+    # finite eigenvalues whose products leave the float range
+    A = ct.make_algebra(family, rank=rank)
+    assert np.all(np.isfinite(ct.spectral_decompose(A, element).eigenvalues))
+    with pytest.raises(ct.NumericalFailure, match=f"generic minor N_{minor} overflows"):
+        ct.generic_minors(A, element)
+
+
 def test_orbit_signature_examples():
     A = ct.make_algebra("hermR", rank=3)
     assert ct.orbit_signature(A, ct.unit(A)) == (3, 0)
@@ -264,6 +277,23 @@ def test_joint_peirce_multiplication_rule():
     prod = ct.jordan_product(A, x, y)
     np.testing.assert_allclose(joint.projections[(0, 1)] @ prod, prod,
                                atol=1e-10)
+
+
+def test_joint_peirce_matches_per_pair_products():
+    # the batched products against 2 L_j² - L_j and 4 L_j L_k pair by pair
+    rng = np.random.default_rng(157)
+    for A in DESK:
+        for _ in range(4):
+            frame = ct.spectral_decompose(A, _rand(A, rng)).frame
+            joint = ct.joint_peirce(A, frame)
+            Ls = [ct.lmul(A, c) for c in frame]
+            for (j, k), pjk in joint.projections.items():
+                if j == k:
+                    want = 2.0 * (Ls[j] @ Ls[j]) - Ls[j]
+                else:
+                    want = 4.0 * (Ls[j] @ Ls[k])
+                np.testing.assert_array_equal(pjk, want)
+                assert joint.dims[(j, k)] == int(round(float(np.trace(want))))
 
 
 _BAD_FRAME_MESSAGES = {

@@ -21,6 +21,8 @@ ORACLE_TOL = 1e-9
 N_PAIRS = 100
 
 DESK = ct.desk_algebras()
+LARGE_RANK = [ct.make_algebra(family, rank=r)
+              for family, r in (("hermR", 6), ("hermR", 7), ("hermC", 6), ("hermH", 4))]
 
 
 def _degenerate_orbits(A):
@@ -72,7 +74,7 @@ def _per_call_blocks(A, orb):
 
 
 def test_orbit_blocks_match_per_call_peirce():
-    for A in DESK:
+    for A in DESK + LARGE_RANK:
         for (p, q) in _all_orbits(A):
             orb = ct.make_orbit(A, p, q)
             got = (orb.pi_e1, orb.pi_half, orb.pi_e0, orb.linv_h, orb.pinv_e1)
@@ -83,15 +85,50 @@ def test_orbit_blocks_match_per_call_peirce():
 def test_cached_standard_projections_are_read_only():
     A = ct.make_algebra("hermC", rank=3)
     orb = ct.make_orbit(A, 1, 1)
-    frame, projections = tb._standard_joint_peirce(A)
-    assert not frame.flags.writeable
-    assert len(projections) == math.comb(A.rank + 1, 2)
-    for _, pjk in projections:
+    frame, pairs, stack = tb._standard_joint_peirce(A)
+    for arr in (frame, pairs, stack):
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            pjk[0, 0] = 1.0
+            arr.flat[0] = 1
+    m = math.comb(A.rank + 1, 2)
+    assert pairs.shape == (m, 2) and stack.shape == (m, A.dim, A.dim)
+    joint = sp.joint_peirce(A, frame)
+    assert [tuple(pair) for pair in pairs.tolist()] == list(joint.projections)
+    for pjk, want in zip(stack, joint.projections.values()):
+        np.testing.assert_array_equal(pjk, want)
     # what make_orbit stores is its own
-    for arr in (orb.frame, orb.eigenvalues, orb.pi_e1, orb.linv_h):
+    for arr in (orb.frame, orb.eigenvalues, orb.pi_e1, orb.pi_half, orb.pi_e0,
+                orb.linv_h, orb.pinv_e1, orb.basis_h):
         assert arr.flags.writeable
+
+
+def _condition_star_pair_loop(lam):
+    """condition_star_holds as a loop over the pairs j <= k."""
+    cut = 1e-10 * max([1.0] + [abs(v) for v in lam])
+    for j in range(len(lam)):
+        for k in range(j, len(lam)):
+            if abs(lam[j] + lam[k]) <= cut and max(abs(lam[j]), abs(lam[k])) > cut:
+                return False
+    return True
+
+
+def test_condition_star_matches_pair_loop():
+    rng = np.random.default_rng(151)
+    verdicts = set()
+    for _ in range(2000):
+        r = int(rng.integers(0, 8))
+        scale = 10.0 ** rng.integers(-3, 6)
+        lam = scale * rng.uniform(-1.0, 1.0, size=r)
+        lam[rng.random(r) < 0.2] = 0.0
+        if r >= 2:
+            # a pair that nearly cancels, just inside or outside the cut
+            j, k = rng.choice(r, size=2, replace=False)
+            cut = 1e-10 * max(1.0, float(np.max(np.abs(lam))))
+            lam[k] = -lam[j] + rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5]) * cut
+        want = _condition_star_pair_loop(lam.tolist())
+        assert tb.condition_star_holds(lam) == want, lam
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_base_point_eigenvalues():
