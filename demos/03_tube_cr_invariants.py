@@ -12,6 +12,16 @@ import numpy as np
 import conetube as ct
 
 
+NOISE_BOUND = 1e-12
+
+
+def _below(what, value):
+    """Print whether a value that is zero in exact arithmetic stays below the
+    bound; its digits are rounding noise, not data."""
+    print(f"  {what} < {NOISE_BOUND:g}:",
+          "yes" if value < NOISE_BOUND else f"no ({value:.2e})")
+
+
 def main():
     rng = np.random.default_rng(3)
 
@@ -38,14 +48,13 @@ def main():
          + 1j * rng.standard_normal(orb2.basis_h.shape[0])) @ orb2.basis_h
     lam_vw = ct.levi_form(orb2, v, w)
     lam_wv = ct.levi_form(orb2, w, v)
-    print("  hermitian symmetry deviation",
-          f"{np.max(np.abs(lam_vw - np.conj(lam_wv))):.2e}")
+    _below("hermitian symmetry deviation", np.max(np.abs(lam_vw - np.conj(lam_wv))))
     kernel = ct.levi_kernel(orb2)
     print("  numeric kernel dimension", kernel.shape[0],
           " closed form", ct.cr_dimensions(B, 1, 1)["levi_kernel_dim"])
     u = kernel[0]
-    print("  kernel vector annihilates:",
-          f"{np.max(np.abs(ct.levi_form(orb2, u, v))):.2e}")
+    _below("kernel vector's Levi form against v",
+           np.max(np.abs(ct.levi_form(orb2, u, v))))
 
     print()
     print("== order is 2 on every degenerate orbit ==")

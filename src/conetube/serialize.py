@@ -23,8 +23,7 @@ def format_float(x: float) -> str:
         raise NumericalFailure(f"non-finite value {x!r} in output")
     if x == 0:
         x = 0.0  # fold -0.0
-    out = "%.12g" % float(x)
-    return out
+    return "%.12g" % float(x)
 
 
 def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -33,27 +32,22 @@ def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+# exact leaf types skip the isinstance chain; _quote gives json.dumps(str)'s bytes
+_quote = json.encoder.encode_basestring_ascii
+_LEAVES = {str: _quote, int: str, float: format_float,
+           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
 def _encode(obj, parts: list):
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(obj))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _encode([obj.real, obj.imag], parts)
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        parts.append(leaf(obj))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 parts.append(",")
-            parts.append(json.dumps(str(k)))
+            parts.append(_quote(str(k)))
             parts.append(":")
             _encode(v, parts)
         parts.append("}")
@@ -65,6 +59,14 @@ def _encode(obj, parts: list):
                 parts.append(",")
             _encode(v, parts)
         parts.append("]")
+    elif isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(format_float(obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _encode([obj.real, obj.imag], parts)
     else:
         raise TypeError(f"cannot canonically encode {type(obj).__name__}")
 

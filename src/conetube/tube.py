@@ -20,10 +20,10 @@ and E_0 (both zero); then
 
 and the kernel chain H⁰ ⊃ H¹ ⊃ H² … decides the nondegeneracy order. All
 subspace bases returned are orthonormal with respect to the trace form.
-The standard frame's π_jk are stacked once per algebra into one
-(m, dim, dim) table, m = r(r+1)/2; the three block projectors and both
-inverses are a single contraction of five weight rows over the pairs with
-that table (see ``make_orbit``).
+The standard frame's π_jk, and a basis of each V_jk, are stacked once per
+algebra, m = r(r+1)/2 of each; the three block projectors and both inverses
+are one contraction of five weight rows with the (m, dim, dim) table, and
+the block bases are picked from the rows (see ``make_orbit``).
 
 Every rank here is decided by ``algebra.numeric_rank`` on dense matrices
 built by single contractions over those bases, not pair by pair.
@@ -54,7 +54,6 @@ from . import algebra as al
 from . import spectral as sp
 from .errors import (
     BlockViolation,
-    ConditionStarViolated,
     InvalidSignature,
     NonFiniteInput,
     NotInHolomorphicTangent,
@@ -146,43 +145,48 @@ def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _standard_joint_peirce(algebra: al.AlgebraDescriptor):
-    """Checked joint Peirce projections of the standard frame, once per algebra.
+    """Checked joint Peirce data of the standard frame, once per algebra.
 
-    Returns ``(frame, pairs, stack)``: ``pairs`` is the (m, 2) array of the
-    ``joint_peirce`` keys (j, k), in their order, and ``stack[i]`` is the
-    projection π_jk of ``pairs[i]``, shape (m, dim, dim). The cache hands the
-    same arrays to every caller, so they are read-only.
+    Returns read-only ``(frame, pairs, stack, rows, row_pair)``, shared by all
+    callers: ``pairs`` is the (m, 2) array of the ``joint_peirce`` keys (j, k),
+    in their order, ``stack[i]`` is π_jk of ``pairs[i]``, and the ``rows`` with
+    ``row_pair == i`` are a trace-orthonormal basis of its V_jk (the V_jk are
+    mutually trace-orthogonal).
     """
     joint = sp.joint_peirce(algebra, al.standard_frame(algebra))
     pairs = np.array(list(joint.projections))
     stack = np.stack(list(joint.projections.values()))
-    for arr in (joint.frame, pairs, stack):
+    dims = np.where(pairs[:, 0] == pairs[:, 1], 1, algebra.peirce_constant)
+    try:
+        chol = np.linalg.cholesky(al.trace_gram(algebra))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"trace Gram factorisation failed: {exc}") from exc
+    rows = np.vstack([_gram_orthonormal_rows(chol, pjk, d) for pjk, d in zip(stack, dims)])
+    row_pair = np.repeat(np.arange(len(pairs)), dims)
+    for arr in (joint.frame, pairs, stack, rows, row_pair):
         arr.flags.writeable = False
-    return joint.frame, pairs, stack
+    return joint.frame, pairs, stack, rows, row_pair
 
 
 def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     """Build the canonical base point of C_{p,q} and cache its Peirce data.
 
-    The standard frame's joint Peirce projections are built and checked once
-    per algebra. V_jk lies in E_1, E_{1/2} or E_0 as two, one or none of
-    λ_j, λ_k are nonzero; on it L(a) acts as (λ_j + λ_k)/2 and P(a) as
-    λ_j λ_k. So one contraction of five weight rows over the pairs with the
-    stacked π_jk gives π_E1, π_½, π_E0, (L(a)|_H)^{-1} and (P(a)|_{E_1})^{-1}.
-    The orbit's blocks, inverses and bases, and the signature check of its
-    base point, are built on every call. The spectral checks use the fixed
-    ``spectral.SPECTRAL_TOL`` and the block ranks ``algebra.RANK_REL_CUT``;
-    no caller sets a tolerance.
+    The standard frame's joint Peirce projections and per-pair bases are
+    built and checked once per algebra. V_jk lies in E_1, E_{1/2} or E_0 as
+    two, one or none of λ_j, λ_k are nonzero; on it L(a) acts as
+    (λ_j + λ_k)/2 and P(a) as λ_j λ_k. So one contraction of five weight rows
+    over the pairs with the stacked π_jk gives π_E1, π_½, π_E0, (L(a)|_H)^{-1}
+    and (P(a)|_{E_1})^{-1}, and each block's basis is the rows of its pairs.
+    No factorisation or spectral check runs per call: the base point
+    satisfies condition * and has signature (p, q) by construction.
     """
-    dims = cr_dimensions(algebra, p, q)
-    standard, pairs, stack = _standard_joint_peirce(algebra)
+    cr_dimensions(algebra, p, q)  # raises InvalidSignature for a bad (p, q)
+    standard, pairs, stack, rows, row_pair = _standard_joint_peirce(algebra)
     lam = np.zeros(algebra.rank)  # eigenvalues on the standard frame
     lam[:p] = np.arange(1, p + 1, dtype=float)
     lam[p:p + q] = -(p + 1.5 + np.arange(q, dtype=float))
     order = np.argsort(lam, kind="stable")[::-1]
     eigenvalues, frame = lam[order], standard[order]
-    if not condition_star_holds(eigenvalues):
-        raise ConditionStarViolated(f"base point eigenvalues {eigenvalues} cancel pairwise")
     a = eigenvalues @ frame
 
     # the pairs {j, k} are unordered, so the standard frame's order serves
@@ -195,22 +199,11 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     np.divide(1.0, lam_jk.prod(axis=1), out=weights[4], where=nonzero == 2)
     pi_e1, pi_half, pi_e0, linv_h, pinv_e1 = np.tensordot(weights, stack, axes=1)
 
-    d_e1 = dims["levi_kernel_dim"]
-    try:
-        chol = np.linalg.cholesky(al.trace_gram(algebra))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"trace Gram factorisation failed: {exc}") from exc
-    basis_e1 = _gram_orthonormal_rows(chol, pi_e1, d_e1)
-    basis_half = _gram_orthonormal_rows(chol, pi_half, dims["crdim"] - d_e1)
-    basis_e0 = _gram_orthonormal_rows(chol, pi_e0, dims["crcodim"])
+    kind = nonzero[row_pair]  # boolean indexing copies: the bases are the orbit's own
+    basis_e1, basis_half, basis_e0 = rows[kind == 2], rows[kind == 1], rows[kind == 0]
     basis_h = np.vstack([basis_e1, basis_half])
-
-    orbit = TubeOrbit(algebra, p, q, a, eigenvalues, frame, pi_e1, pi_half, pi_e0,
-                      linv_h, pinv_e1, basis_h, basis_e1, basis_half, basis_e0)
-    sig = sp.orbit_signature(algebra, a) if p + q else sp.Signature(0, 0)
-    if (sig.p, sig.q) != (p, q):
-        raise NumericalFailure(f"constructed base point classifies as {sig}")
-    return orbit
+    return TubeOrbit(algebra, p, q, a, eigenvalues, frame, pi_e1, pi_half, pi_e0,
+                     linv_h, pinv_e1, basis_h, basis_e1, basis_half, basis_e0)
 
 
 def _check_rows_in_subspace(rows, projector, error, what):

@@ -11,6 +11,7 @@ import pytest
 from conetube import algebra as al
 from conetube import cli
 from conetube import spectral as sp
+from conetube import tube as tb
 from conetube.cli import main
 
 
@@ -316,6 +317,9 @@ ANALYZE_ARGV = ["analyze", "--family", "hermR", "--rank", "2", "--p", "1",
         "siegel-solve"])
 def test_linalg_failure_exits_three(name, argv, message, break_linalg, capsys):
     break_linalg(name)
+    # the trace Gram factorisation and solves run once per algebra, when the
+    # standard frame's Peirce data is cached; clearing it reaches that site
+    tb._standard_joint_peirce.cache_clear()
     code, out, err = run(argv, capsys)
     assert code == 3
     assert err.startswith("numerical failure: ") and message in err
@@ -454,16 +458,18 @@ def test_orbit_overflowing_minor_exits_three(capsys):
 
 
 # sha256 over exit code and stdout of `analyze --json` and `nondegen --json` on
-# every desk orbit. The reports hold only ints, bools and strings, so the
-# digest is the same on every platform. A change that alters these bytes
+# every orbit of the desk, and of the algebras above it that the benchmark's
+# large-rank workload runs. The reports hold only ints, bools and strings, so
+# the digests are the same on every platform. A change that alters these bytes
 # updates the digest and says so in CHANGES.md.
 DESK_JSON_SHA256 = "5c3425d3549ea9c74188a117292616a647f56f934ff8432925a03a3e4046d7f6"
+LARGE_RANK_JSON_SHA256 = "8fbcf7927442bd49a1cf432003e120428d4a6a535a8de2497df9f185280a68ec"
 
 
-def test_desk_analyze_and_nondegen_json_bytes(capsys):
+def _analyze_and_nondegen_digest(algebras, capsys):
     digest = hashlib.sha256()
     count = 0
-    for A in al.desk_algebras():
+    for A in algebras:
         size = (["--n", str(A.peirce_constant)] if A.family == "spin" else
                 [] if A.family == "albert" else ["--rank", str(A.rank)])
         for p in range(A.rank + 1):
@@ -473,5 +479,16 @@ def test_desk_analyze_and_nondegen_json_bytes(capsys):
                                         "--p", str(p), "--q", str(q), "--json"], capsys)
                     digest.update(f"{code}\n{out}".encode())
                     count += 1
-    assert count == 2 * 178
-    assert digest.hexdigest() == DESK_JSON_SHA256
+    return count, digest.hexdigest()
+
+
+def test_desk_analyze_and_nondegen_json_bytes(capsys):
+    assert _analyze_and_nondegen_digest(al.desk_algebras(), capsys) \
+        == (2 * 178, DESK_JSON_SHA256)
+
+
+def test_large_rank_analyze_and_nondegen_json_bytes(capsys):
+    large = [al.make_algebra(family, rank=r)
+             for family, r in (("hermR", 6), ("hermR", 7), ("hermC", 6), ("hermH", 4))]
+    assert _analyze_and_nondegen_digest(large, capsys) \
+        == (2 * 107, LARGE_RANK_JSON_SHA256)

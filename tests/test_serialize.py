@@ -52,6 +52,24 @@ def test_dumps_canonical_is_valid_json():
     assert parsed["nested"] == [{"a": 1}, [2, 3]]
 
 
+def test_dumps_canonical_strings_and_scalar_types():
+    # strings and keys get the bytes of json.dumps; bool is no int, numpy
+    # scalars and str subclasses encode as their plain types
+    class Label(str):
+        pass
+
+    for text in ("plain", 'quote " and \\', "tab\tnew\nline", "\x00\x1f", "é ∂ 😀"):
+        assert sz.dumps_canonical(text) == json.dumps(text)
+        assert sz.dumps_canonical({text: 1}) == "{" + json.dumps(text) + ":1}"
+        assert sz.dumps_canonical(Label(text)) == json.dumps(text)
+    assert sz.dumps_canonical({1: True, 2.5: False, None: 0}) == \
+        '{"1":true,"2.5":false,"None":0}'
+    assert sz.dumps_canonical([np.int64(-3), np.float64(0.25), np.complex128(1 - 2j),
+                               np.float32(-0.0)]) == "[-3,0.25,[1,-2],0]"
+    with pytest.raises(TypeError):
+        sz.dumps_canonical(np.bool_(True))
+
+
 def test_dumps_canonical_deterministic():
     obj = {"b": [0.1, 0.2 + 0.3j], "a": {"k": np.arange(3)}}
     assert sz.dumps_canonical(obj) == sz.dumps_canonical(obj)

@@ -85,20 +85,29 @@ def test_orbit_blocks_match_per_call_peirce():
 def test_cached_standard_projections_are_read_only():
     A = ct.make_algebra("hermC", rank=3)
     orb = ct.make_orbit(A, 1, 1)
-    frame, pairs, stack = tb._standard_joint_peirce(A)
-    for arr in (frame, pairs, stack):
+    frame, pairs, stack, rows, row_pair = tb._standard_joint_peirce(A)
+    for arr in (frame, pairs, stack, rows, row_pair):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 1
     m = math.comb(A.rank + 1, 2)
     assert pairs.shape == (m, 2) and stack.shape == (m, A.dim, A.dim)
+    assert rows.shape == (A.dim, A.dim) and row_pair.shape == (A.dim,)
     joint = sp.joint_peirce(A, frame)
     assert [tuple(pair) for pair in pairs.tolist()] == list(joint.projections)
     for pjk, want in zip(stack, joint.projections.values()):
         np.testing.assert_array_equal(pjk, want)
+    # the per-pair rows: trace-orthonormal, as many per pair as the block's
+    # dimension, each in the range of its π_jk
+    G = ct.trace_gram(A)
+    np.testing.assert_allclose(rows @ G @ rows.T, np.eye(A.dim), atol=1e-10)
+    assert np.bincount(row_pair, minlength=m).tolist() == list(joint.dims.values())
+    for row, i in zip(rows, row_pair):
+        np.testing.assert_allclose(stack[i] @ row, row, atol=1e-10)
     # what make_orbit stores is its own
     for arr in (orb.frame, orb.eigenvalues, orb.pi_e1, orb.pi_half, orb.pi_e0,
-                orb.linv_h, orb.pinv_e1, orb.basis_h):
+                orb.linv_h, orb.pinv_e1, orb.basis_h, orb.basis_e1, orb.basis_half,
+                orb.basis_e0):
         assert arr.flags.writeable
 
 
@@ -156,8 +165,8 @@ def test_cr_dimension_formulas():
 
 
 def test_orbit_subspace_dims():
-    for A in DESK:
-        for (p, q) in _degenerate_orbits(A):
+    for A in DESK + LARGE_RANK:
+        for (p, q) in _all_orbits(A):
             orb = ct.make_orbit(A, p, q)
             dims = ct.cr_dimensions(A, p, q)
             assert orb.basis_h.shape[0] == dims["crdim"]
@@ -170,10 +179,9 @@ def test_orbit_subspace_dims():
 
 def test_orbit_basis_orthonormal():
     # rows are orthonormal for the trace form and lie in their blocks
-    for A in (ct.make_algebra("hermC", rank=3),
-              ct.make_algebra("spin", peirce_constant=6)):
+    for A in DESK + LARGE_RANK:
         G = ct.trace_gram(A)
-        for (p, q) in _degenerate_orbits(A):
+        for (p, q) in _all_orbits(A):
             orb = ct.make_orbit(A, p, q)
             for basis, proj in ((orb.basis_e1, orb.pi_e1),
                                 (orb.basis_half, orb.pi_half),
@@ -184,6 +192,17 @@ def test_orbit_basis_orthonormal():
                 np.testing.assert_allclose(gram, np.eye(basis.shape[0]),
                                            atol=1e-10)
                 np.testing.assert_allclose(basis @ proj.T, basis, atol=1e-8)
+
+
+def test_base_point_has_its_signature_and_condition_star():
+    # make_orbit checks neither per call: both hold by construction
+    for A in DESK + LARGE_RANK:
+        for (p, q) in _all_orbits(A):
+            orb = ct.make_orbit(A, p, q)
+            assert tb.condition_star_holds(orb.eigenvalues)
+            if p + q:
+                sig = sp.orbit_signature(A, orb.base_point)
+                assert (sig.p, sig.q) == (p, q)
 
 
 def test_invalid_signature():
@@ -270,9 +289,11 @@ def test_gram_orthonormal_rows_checks_projector_rank():
 
 @pytest.mark.parametrize("name", ["cholesky", "solve"])
 def test_gram_orthonormal_rows_linalg_failure(name, break_linalg):
-    # make_orbit factors the trace Gram matrix once for its three bases
+    # the trace Gram matrix is factored once per algebra, for the per-pair
+    # bases that make_orbit picks its three bases from
     A = ct.make_algebra("hermC", rank=3)
     break_linalg(name)
+    tb._standard_joint_peirce.cache_clear()
     with pytest.raises(ct.NumericalFailure, match="trace"):
         ct.make_orbit(A, 2, 0)
 
