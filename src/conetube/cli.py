@@ -145,7 +145,7 @@ def _analysis_report(algebra, p, q):
         notices.append(nd.note)
     if 0 < rho < algebra.rank:
         germ = tb.aut_germ_dimension(algebra, p, q)
-        aut1 = len(tb.aut1_basis(orbit))
+        aut1 = orbit.basis_e0.shape[0]
     else:
         germ = None
         aut1 = None

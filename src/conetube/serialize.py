@@ -101,51 +101,35 @@ def element_to_json(x) -> list:
     return [float(v) for v in x]
 
 
+def _entry(entry, allow_pair: bool, refusal: str) -> complex:
+    """A JSON number, or an [re, im] pair if ``allow_pair``; else ``refusal`` + repr."""
+    if isinstance(entry, (int, float)):
+        return complex(entry)
+    if (allow_pair and isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(t, (int, float)) for t in entry)):
+        return complex(entry[0], entry[1])
+    raise DimensionMismatch(f"{refusal}{entry!r}")
+
+
 def element_from_json(algebra: al.AlgebraDescriptor, data) -> np.ndarray:
     if not isinstance(data, list):
         raise DimensionMismatch("element must be a JSON array")
-    vals = []
-    is_complex = False
-    for entry in data:
-        if isinstance(entry, (int, float)):
-            vals.append(complex(entry))
-        elif (isinstance(entry, list) and len(entry) == 2
-              and all(isinstance(t, (int, float)) for t in entry)):
-            vals.append(complex(entry[0], entry[1]))
-            is_complex = True
-        else:
-            raise DimensionMismatch(
-                f"element entries must be numbers or [re, im] pairs, got {entry!r}")
+    refusal = "element entries must be numbers or [re, im] pairs, got "
+    vals = [_entry(entry, True, refusal) for entry in data]
     arr = _require_finite(np.asarray(vals, dtype=complex), "element")
-    if not is_complex or np.all(arr.imag == 0):
-        return al.as_element(algebra, arr.real)
-    return al.as_element(algebra, arr)
+    return al.as_element(algebra, arr.real if np.all(arr.imag == 0) else arr)
 
 
 def matrix_from_json(data, allow_complex: bool = False) -> np.ndarray:
     if not isinstance(data, list) or not data or not all(
             isinstance(row, list) for row in data):
         raise DimensionMismatch("matrix must be a JSON array of rows")
-    rows = []
-    for row in data:
-        vals = []
-        for entry in row:
-            if isinstance(entry, (int, float)):
-                vals.append(complex(entry))
-            elif (allow_complex and isinstance(entry, list) and len(entry) == 2
-                  and all(isinstance(t, (int, float)) for t in entry)):
-                vals.append(complex(entry[0], entry[1]))
-            else:
-                raise DimensionMismatch(f"bad matrix entry {entry!r}")
-        rows.append(vals)
+    rows = [[_entry(entry, allow_complex, "bad matrix entry ") for entry in row]
+            for row in data]
     if len({len(r) for r in rows}) != 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
     arr = _require_finite(np.asarray(rows, dtype=complex), "matrix")
-    if np.all(arr.imag == 0):
-        arr = arr.real
-    elif not allow_complex:
-        raise DimensionMismatch("matrix must be real")
-    return arr
+    return arr.real if np.all(arr.imag == 0) else arr
 
 
 def field_to_json(field) -> dict:

@@ -29,10 +29,15 @@ Every rank here is decided by ``algebra.numeric_rank`` on dense matrices
 built by single contractions over those bases, not pair by pair.
 With T the structure tensor, B_H and B_0 the bases of H_aM and E_0 and G
 the trace Gram matrix, the Levi matrix is T contracted with the E_0
-coordinate rows B_0 G Π_E0, then with conj B_H and L(a)|_H^{-1} B_H; the
+coordinate rows B_0 G, then with conj B_H and L(a)|_H^{-1} B_H; the
 β matrix stacks P(a, v*) over the E_{1/2} basis and applies it to
 (P(a)|_{E_1})^{-1} of the kernel rows. ``levi_form`` and ``beta_map`` stay
 the validated single-pair functions and the tests' oracles for both.
+
+A ``TubeOrbit`` is frozen and its arrays are read-only, so the batched
+matrices use the blocks ``make_orbit`` built unchecked. Membership checks
+remain on what comes from outside or from a rank decision: the arguments
+of ``levi_form`` and ``beta_map``, and the kernel rows of ``_beta_matrix``.
 
 Minimality needs no bracket generation: the brackets of HM-sections have
 values gl(Ω)·a ⊕ i·𝒜a at a, with 𝒜 the associative algebra generated by
@@ -63,9 +68,14 @@ from .errors import (
 MEMBERSHIP_TOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TubeOrbit:
-    """Canonical base point of C_{p,q} with all Peirce machinery cached."""
+    """Canonical base point of C_{p,q} with all Peirce machinery cached.
+
+    Built only by :func:`make_orbit`. Frozen, and every array is the
+    orbit's own read-only copy, so the Peirce blocks cannot drift from the
+    base point; copy an array to change it.
+    """
 
     algebra: al.AlgebraDescriptor
     p: int
@@ -178,7 +188,8 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     over the pairs with the stacked π_jk gives π_E1, π_½, π_E0, (L(a)|_H)^{-1}
     and (P(a)|_{E_1})^{-1}, and each block's basis is the rows of its pairs.
     No factorisation or spectral check runs per call: the base point
-    satisfies condition * and has signature (p, q) by construction.
+    satisfies condition * and has signature (p, q) by construction. Every
+    array stored is marked read-only in a frozen orbit.
     """
     cr_dimensions(algebra, p, q)  # raises InvalidSignature for a bad (p, q)
     standard, pairs, stack, rows, row_pair = _standard_joint_peirce(algebra)
@@ -202,8 +213,11 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     kind = nonzero[row_pair]  # boolean indexing copies: the bases are the orbit's own
     basis_e1, basis_half, basis_e0 = rows[kind == 2], rows[kind == 1], rows[kind == 0]
     basis_h = np.vstack([basis_e1, basis_half])
-    return TubeOrbit(algebra, p, q, a, eigenvalues, frame, pi_e1, pi_half, pi_e0,
-                     linv_h, pinv_e1, basis_h, basis_e1, basis_half, basis_e0)
+    arrays = (a, eigenvalues, frame, pi_e1, pi_half, pi_e0, linv_h, pinv_e1,
+              basis_h, basis_e1, basis_half, basis_e0)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return TubeOrbit(algebra, p, q, *arrays)
 
 
 def _check_rows_in_subspace(rows, projector, error, what):
@@ -247,11 +261,9 @@ def _levi_matrix(orbit: TubeOrbit) -> np.ndarray:
     Entry [i·m0 + k, j] is the k-th E_0 coordinate of Λ_a(h_i, h_j), the
     same number :func:`levi_form` gives for that pair.
     """
-    algebra = orbit.algebra
-    basis_h = _check_rows_in_subspace(orbit.basis_h, orbit.pi_e1 + orbit.pi_half,
-                                      NotInHolomorphicTangent, "Levi argument")
+    algebra, basis_h = orbit.algebra, orbit.basis_h
     m, m0 = basis_h.shape[0], orbit.basis_e0.shape[0]
-    coord = orbit.basis_e0 @ al.trace_gram(algebra) @ orbit.pi_e0
+    coord = orbit.basis_e0 @ al.trace_gram(algebra)
     t_e0 = al.multiplication_table(algebra) @ coord.T  # (d, d, m0)
     left = np.tensordot(np.conj(basis_h), t_e0, axes=(1, 0))  # (m, d, m0)
     right = basis_h @ orbit.linv_h.T  # rows (L(a)|_H)^{-1} h_j
@@ -295,20 +307,17 @@ def _beta_matrix(orbit: TubeOrbit, kernel: np.ndarray) -> np.ndarray:
     number :func:`beta_map` gives for that pair.
     """
     algebra = orbit.algebra
-    half = _check_rows_in_subspace(orbit.basis_half, orbit.pi_half,
-                                   BlockViolation, "beta first argument (E_1/2)")
     kernel = _check_rows_in_subspace(kernel, orbit.pi_e1, BlockViolation,
                                      "beta second argument (E_1)")
     ops = al._lmul_basis(algebra)
-    a = orbit.base_point
-    v_star = np.conj(half)
-    l_a = al.lmul(algebra, a)
+    v_star = np.conj(orbit.basis_half)
+    l_a = al.lmul(algebra, orbit.base_point)
     l_v = np.tensordot(v_star, ops, axes=(1, 0))  # (h, d, d): L(v_i*)
-    a_v = v_star @ np.tensordot(a, al.multiplication_table(algebra), axes=(0, 0))
+    a_v = v_star @ l_a.T  # rows a∘v_i*
     # P[i] = P(a, v_i*) = L(a)L(v_i*) + L(v_i*)L(a) - L(a∘v_i*)
     P = l_a @ l_v + l_v @ l_a - np.tensordot(a_v, ops, axes=(1, 0))
     w = kernel @ orbit.pinv_e1.T  # rows (P(a)|_{E_1})^{-1} u_j
-    return (P @ w.T).reshape(half.shape[0] * algebra.dim, kernel.shape[0])
+    return (P @ w.T).reshape(v_star.shape[0] * algebra.dim, kernel.shape[0])
 
 
 def nondegeneracy_order(orbit: TubeOrbit) -> NondegeneracyResult:

@@ -466,16 +466,20 @@ DESK_JSON_SHA256 = "5c3425d3549ea9c74188a117292616a647f56f934ff8432925a03a3e4046
 LARGE_RANK_JSON_SHA256 = "8fbcf7927442bd49a1cf432003e120428d4a6a535a8de2497df9f185280a68ec"
 
 
+def _family_args(A):
+    size = (["--n", str(A.peirce_constant)] if A.family == "spin" else
+            [] if A.family == "albert" else ["--rank", str(A.rank)])
+    return ["--family", A.family, *size]
+
+
 def _analyze_and_nondegen_digest(algebras, capsys):
     digest = hashlib.sha256()
     count = 0
     for A in algebras:
-        size = (["--n", str(A.peirce_constant)] if A.family == "spin" else
-                [] if A.family == "albert" else ["--rank", str(A.rank)])
         for p in range(A.rank + 1):
             for q in range(A.rank + 1 - p):
                 for command in ("analyze", "nondegen"):
-                    code, out, _ = run([command, "--family", A.family, *size,
+                    code, out, _ = run([command, *_family_args(A),
                                         "--p", str(p), "--q", str(q), "--json"], capsys)
                     digest.update(f"{code}\n{out}".encode())
                     count += 1
@@ -492,3 +496,21 @@ def test_large_rank_analyze_and_nondegen_json_bytes(capsys):
              for family, r in (("hermR", 6), ("hermR", 7), ("hermC", 6), ("hermH", 4))]
     assert _analyze_and_nondegen_digest(large, capsys) \
         == (2 * 107, LARGE_RANK_JSON_SHA256)
+
+
+def test_aut1_dim_on_every_degenerate_desk_orbit(capsys):
+    checked = 0
+    for A in al.desk_algebras():
+        for p in range(A.rank + 1):
+            for q in range(A.rank + 1 - p):
+                if not 0 < p + q < A.rank:
+                    continue
+                code, out, _ = run(["analyze", *_family_args(A), "--p", str(p),
+                                    "--q", str(q), "--json"], capsys)
+                assert code == 0
+                rep = json.loads(out)
+                orb = tb.make_orbit(A, p, q)
+                assert rep["aut1_dim"] == len(tb.aut1_basis(orb)) == rep["crcodim"] \
+                    == orb.basis_e0.shape[0] > 0, (A, p, q)
+                checked += 1
+    assert checked == 88  # of the 178 desk orbits

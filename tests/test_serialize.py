@@ -136,6 +136,50 @@ def test_matrix_from_json():
         sz.matrix_from_json([[1.0], [2.0, 3.0]])
 
 
+_ELEMENT_ENTRY_ERROR = "element entries must be numbers or [re, im] pairs, got "
+_HERM_R2 = ct.make_algebra("hermR", rank=2)
+
+
+@pytest.mark.parametrize("parse, data, want", [
+    # a number, or an [re, im] pair; anything else names the bad entry
+    ("element", [1, 2, -3], [1.0, 2.0, -3.0]),
+    ("element", [0.5, -1.25, 2e3], [0.5, -1.25, 2000.0]),
+    ("element", [[1, 2], 0.5, [0.0, -1]], [1 + 2j, 0.5, -1j]),
+    ("element", [1, [1, 2, 3], 0], _ELEMENT_ENTRY_ERROR + "[1, 2, 3]"),
+    ("element", [1, "2", 0], _ELEMENT_ENTRY_ERROR + "'2'"),
+    ("element", [1, None, 0], _ELEMENT_ENTRY_ERROR + "None"),
+    ("element", [1, [1, "2"], 0], _ELEMENT_ENTRY_ERROR + "[1, '2']"),
+    ("real matrix", [[1, 2], [-3, 4]], [[1.0, 2.0], [-3.0, 4.0]]),
+    ("real matrix", [[0.5, -1.25]], [[0.5, -1.25]]),
+    ("real matrix", [[[0, 1], 2]], "bad matrix entry [0, 1]"),
+    ("real matrix", [[[1.0, 0.0]]], "bad matrix entry [1.0, 0.0]"),
+    ("real matrix", [[1, "2"]], "bad matrix entry '2'"),
+    ("real matrix", [[None]], "bad matrix entry None"),
+    ("real matrix", [[1.0], [2.0, 3.0]], "matrix rows have unequal lengths"),
+    ("complex matrix", [[[0, 1], 2], [3, [4.5, -1]]], [[1j, 2], [3, 4.5 - 1j]]),
+    ("complex matrix", [[[1, 0], 2.5]], [[1.0, 2.5]]),
+    ("complex matrix", [[[1, 2, 3]]], "bad matrix entry [1, 2, 3]"),
+    ("complex matrix", [["x"]], "bad matrix entry 'x'"),
+    ("complex matrix", [[None, 1]], "bad matrix entry None"),
+    ("complex matrix", [[[0, 1]], [1, 2]], "matrix rows have unequal lengths"),
+])
+def test_json_entry_parsing(parse, data, want):
+    def call():
+        if parse == "element":
+            return sz.element_from_json(_HERM_R2, data)
+        return sz.matrix_from_json(data, allow_complex=parse == "complex matrix")
+
+    if isinstance(want, str):
+        with pytest.raises(ct.DimensionMismatch) as exc:
+            call()
+        assert str(exc.value) == want
+        return
+    got = call()
+    want = np.array(want)
+    assert got.dtype == (complex if np.iscomplexobj(want) else float)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_field_round_trip():
     A = ct.make_algebra("hermR", rank=2)
     rng = np.random.default_rng(503)

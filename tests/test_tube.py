@@ -7,6 +7,7 @@ second kernel step; both brackets are evaluated exactly (the sections are
 polynomial in z), so the comparisons run at 1e-9.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,11 +105,13 @@ def test_cached_standard_projections_are_read_only():
     assert np.bincount(row_pair, minlength=m).tolist() == list(joint.dims.values())
     for row, i in zip(rows, row_pair):
         np.testing.assert_allclose(stack[i] @ row, row, atol=1e-10)
-    # what make_orbit stores is its own
-    for arr in (orb.frame, orb.eigenvalues, orb.pi_e1, orb.pi_half, orb.pi_e0,
-                orb.linv_h, orb.pinv_e1, orb.basis_h, orb.basis_e1, orb.basis_half,
-                orb.basis_e0):
-        assert arr.flags.writeable
+    # what make_orbit stores is its own, and read-only
+    for arr in (orb.base_point, orb.frame, orb.eigenvalues, orb.pi_e1, orb.pi_half,
+                orb.pi_e0, orb.linv_h, orb.pinv_e1, orb.basis_h, orb.basis_e1,
+                orb.basis_half, orb.basis_e0):
+        assert not arr.flags.writeable
+        assert not any(np.shares_memory(arr, cached)
+                       for cached in (frame, stack, rows))
 
 
 def _condition_star_pair_loop(lam):
@@ -386,21 +389,29 @@ def test_batched_matrices_match_per_pair_oracles(spec, sig):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_orbits_refuse_assignment_and_in_place_writes():
+    # the Levi and β matrices trust the blocks make_orbit built, so no
+    # orbit may be edited after it: not a field, not an entry of an array
+    first_of_family = {}
+    for A in DESK:
+        first_of_family.setdefault(A.family, A)
+    assert len(first_of_family) == 5
+    for A in first_of_family.values():
+        orb = ct.make_orbit(A, *_degenerate_orbits(A)[0])
+        arrays = 0
+        for f in dataclasses.fields(orb):
+            value = getattr(orb, f.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(orb, f.name, value)
+            if isinstance(value, np.ndarray):
+                arrays += 1
+                with pytest.raises(ValueError):
+                    value[...] = 0
+        assert arrays == 12
+
+
 def test_batched_checks_reject_rows_outside_their_block():
     spec, (p, q) = BATCHED_ORBITS[1]
-    orb = _batched_orbit(*spec, p, q)
-    stray = orb.basis_e0[0]  # lies outside H_aM, E_1 and E_1/2
-    orb.basis_h = orb.basis_h.copy()
-    orb.basis_h[-1] += stray
-    with pytest.raises(ct.NotInHolomorphicTangent):
-        ct.levi_kernel(orb)
-
-    orb = _batched_orbit(*spec, p, q)
-    orb.basis_half = orb.basis_half.copy()
-    orb.basis_half[0] += stray
-    with pytest.raises(ct.BlockViolation):
-        ct.nondegeneracy_order(orb)
-
     orb = _batched_orbit(*spec, p, q)
     kernel = ct.levi_kernel(orb).copy()
     kernel[1] += orb.basis_half[0]
