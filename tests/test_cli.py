@@ -10,6 +10,7 @@ import pytest
 
 from conetube import algebra as al
 from conetube import cli
+from conetube import fields as fl
 from conetube import spectral as sp
 from conetube import tube as tb
 from conetube.cli import main
@@ -487,6 +488,17 @@ def _analyze_and_nondegen_digest(algebras, capsys):
 
 
 def test_desk_analyze_and_nondegen_json_bytes(capsys):
+    assert _analyze_and_nondegen_digest(al.desk_algebras(), capsys) \
+        == (2 * 178, DESK_JSON_SHA256)
+
+
+def test_desk_analyze_never_builds_gl_omega_rows(monkeypatch, capsys):
+    # dim_table needs only the two dimensions of gl(Omega), not its rows
+    def refuse(span):
+        raise AssertionError(f"GlOmegaSpan.rows read for {span.algebra}")
+
+    fl.gl_omega_span.cache_clear()
+    monkeypatch.setattr(fl.GlOmegaSpan, "rows", property(refuse))
     assert _analyze_and_nondegen_digest(al.desk_algebras(), capsys) \
         == (2 * 178, DESK_JSON_SHA256)
 

@@ -1,5 +1,6 @@
 """Graded polynomial field algebra: brackets, dimensions, flows, resonances."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -131,8 +132,11 @@ def test_gl_omega_span():
         span = fl.gl_omega_span(A)
         table = fl.expected_dim_table(A)
         assert span.dim_gl_omega == table["dim_sl_omega"] + 1
-        assert span.rows.shape[0] == span.dim_gl_omega
-        # L(x) and commutators of L's belong to gl(Omega)
+        assert span.rows.shape == (span.dim_gl_omega, A.dim ** 2)
+        np.testing.assert_allclose(span.rows @ span.rows.T,
+                                   np.eye(span.dim_gl_omega), atol=1e-12)
+        # every L(b_a), L(x) and commutators of L's belong to gl(Omega)
+        assert all(span.contains(ct.lmul(A, b)) for b in np.eye(A.dim)), A
         rng = np.random.default_rng(331)
         x = rng.standard_normal(A.dim)
         y = rng.standard_normal(A.dim)
@@ -214,11 +218,35 @@ def test_dim_table_matches_computed():
 
 
 @pytest.mark.parametrize("family, rank", [
-    ("hermR", 6), ("hermR", 7), ("hermR", 8), ("hermC", 6), ("hermC", 7),
-    ("hermH", 4), ("hermH", 5)])
+    ("hermR", 6), ("hermR", 7), ("hermR", 8), ("hermR", 12), ("hermC", 6),
+    ("hermC", 7), ("hermC", 9), ("hermH", 4), ("hermH", 5), ("hermH", 6)])
 def test_dim_table_above_the_desk(family, rank):
     A = ct.make_algebra(family, rank=rank)
     assert fl.dim_table(A) == fl.expected_dim_table(A)
+
+
+def test_commutator_values_match_dense_operators():
+    # reference: [L(x), L(y)] p from the dense multiplication operators
+    rng = np.random.default_rng(349)
+    for A in DESK + [ct.make_algebra("hermH", rank=4)]:
+        xs, ys, ps = rng.standard_normal((3, 5, A.dim))
+        lps = np.stack([ct.lmul(A, p).T for p in ps])
+        got = fl._commutators_at(A, xs, ys, lps).reshape(5, 5, A.dim)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            Lx, Ly = ct.lmul(A, x), ct.lmul(A, y)
+            want = ps @ (Lx @ Ly - Ly @ Lx).T
+            np.testing.assert_allclose(got[i], want, atol=1e-12 * A.dim ** 2,
+                                       err_msg=repr(A))
+
+
+def test_gl_omega_span_refuses_assignment_and_in_place_writes():
+    span = fl.gl_omega_span(ct.make_algebra("hermC", rank=3))
+    for name in ("algebra", "pairs", "dim_der", "dim_gl_omega", "rows"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(span, name, None)
+    for arr in (span.rows, span.pairs):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_aut_H_is_graded_sum():
