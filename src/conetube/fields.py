@@ -273,9 +273,15 @@ def dim_table(algebra: al.AlgebraDescriptor) -> dict:
 
 
 def expected_dim_table(algebra: al.AlgebraDescriptor) -> dict:
-    """Closed forms for the same dimensions, for cross-checking."""
+    """Closed forms for the same dimensions, for cross-checking.
+
+    At rank 1 every family is V = ℝ: no derivations, gl(Ω) = ℝ, and the
+    tube is the upper half-plane with aut = sl(2, ℝ).
+    """
     r, n = algebra.rank, algebra.peirce_constant
     family = algebra.family
+    if r == 1:
+        return {"dim_der": 0, "dim_sl_omega": 0, "dim_aut_H": 3, "dim_sl_D": 0}
     der = {
         "spin": n * (n + 1) // 2,
         "hermR": r * (r - 1) // 2,

@@ -20,24 +20,29 @@ and E_0 (both zero); then
 
 and the kernel chain H⁰ ⊃ H¹ ⊃ H² … decides the nondegeneracy order. All
 subspace bases returned are orthonormal with respect to the trace form.
-The standard frame's π_jk, and a basis of each V_jk, are stacked once per
-algebra, m = r(r+1)/2 of each; the three block projectors and both inverses
-are one contraction of five weight rows with the (m, dim, dim) table, and
-the block bases are picked from the rows (see ``make_orbit``).
+A basis of each of the m = r(r+1)/2 joint Peirce spaces V_jk of the
+standard frame is stacked once per algebra; the block bases are picked
+from these rows (see ``make_orbit``).
 
 Every rank here is decided by ``algebra.numeric_rank`` on dense matrices
-built by single contractions over those bases, not pair by pair.
-With T the structure tensor, B_H and B_0 the bases of H_aM and E_0 and G
-the trace Gram matrix, the Levi matrix is T contracted with the E_0
-coordinate rows B_0 G, then with conj B_H and L(a)|_H^{-1} B_H; the
-β matrix stacks P(a, v*) over the E_{1/2} basis and applies it to
-(P(a)|_{E_1})^{-1} of the kernel rows. ``levi_form`` and ``beta_map`` stay
-the validated single-pair functions and the tests' oracles for both.
+gathered from one structure tensor, not built pair by pair. The rows r_s
+(one trace-orthonormal basis of each V_jk) are also cached once per
+algebra as t[a, b, c] = (r_a ∘ r_b | r_c), symmetric in its three indices
+(see ``_peirce_structure``). On the rows L(a) and P(a) are diagonal, with
+μ_s = (λ_j + λ_k)/2 and κ_s = λ_j λ_k on a row of V_jk, and the r-th row
+coordinate of P(a, r_i) r_s is (μ_r + μ_s − μ_i) t[i, s, r]. So the Levi
+matrix is the gather t[H, E_0, H] over μ_H, and the β matrix is the gather
+t[E_1, E_{1/2}, E_{1/2}], weighted so, contracted with the kernel's E_1
+coordinates over κ and mapped back to V. ``levi_form`` and ``beta_map``
+stay the validated single-pair functions and the tests' oracles for both.
 
 A ``TubeOrbit`` is frozen and its arrays are read-only, so the batched
-matrices use the blocks ``make_orbit`` built unchecked. Membership checks
-remain on what comes from outside or from a rank decision: the arguments
-of ``levi_form`` and ``beta_map``, and the kernel rows of ``_beta_matrix``.
+matrices use the rows, μ and κ ``make_orbit`` stored unchecked. Membership
+checks remain on what comes from outside or from a rank decision: the
+arguments of ``levi_form`` and ``beta_map``, and the kernel rows of
+``_beta_matrix``. The dense d×d projectors that ``levi_form`` and
+``beta_map`` read are built on their first read; ``analyze`` never reads
+them.
 
 Minimality needs no bracket generation: the brackets of HM-sections have
 values gl(Ω)·a ⊕ i·𝒜a at a, with 𝒜 the associative algebra generated by
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,6 +73,10 @@ from .errors import (
 MEMBERSHIP_TOL = 1e-8
 
 
+def _dense_block(i: int, doc: str) -> property:
+    return property(lambda self: self._dense_blocks[i], doc=doc)
+
+
 @dataclass(frozen=True)
 class TubeOrbit:
     """Canonical base point of C_{p,q} with all Peirce machinery cached.
@@ -75,6 +84,14 @@ class TubeOrbit:
     Built only by :func:`make_orbit`. Frozen, and every array is the
     orbit's own read-only copy, so the Peirce blocks cannot drift from the
     base point; copy an array to change it.
+
+    ``row_index`` lists the algebra's Peirce rows (see
+    ``_standard_joint_peirce``) block by block, E_1 first, then E_{1/2}, then
+    E_0; ``mu`` and ``kappa`` are the eigenvalues of L(a) and P(a) on those
+    rows, and the four bases are the rows themselves, in that order. The
+    dense projectors ``pi_e1``, ``pi_half``, ``pi_e0`` and the inverses
+    ``linv_h`` = (L(a)|_H)^{-1}, ``pinv_e1`` = (P(a)|_{E_1})^{-1} are
+    read-only (dim, dim) arrays built on the first read of any of them.
     """
 
     algebra: al.AlgebraDescriptor
@@ -83,11 +100,9 @@ class TubeOrbit:
     base_point: np.ndarray
     eigenvalues: np.ndarray
     frame: np.ndarray
-    pi_e1: np.ndarray
-    pi_half: np.ndarray
-    pi_e0: np.ndarray
-    linv_h: np.ndarray
-    pinv_e1: np.ndarray
+    row_index: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+    kappa: np.ndarray = field(repr=False)
     basis_h: np.ndarray = field(repr=False)
     basis_e1: np.ndarray = field(repr=False)
     basis_half: np.ndarray = field(repr=False)
@@ -100,6 +115,36 @@ class TubeOrbit:
     @property
     def rho_prime(self) -> int:
         return self.algebra.rank - self.rho
+
+    @cached_property
+    def _dense_blocks(self) -> np.ndarray:
+        """π_E1, π_½, π_E0, (L(a)|_H)^{-1}, (P(a)|_{E_1})^{-1}, stacked.
+
+        V_jk lies in E_1, E_{1/2} or E_0 as two, one or none of λ_j, λ_k are
+        nonzero, and on it L(a) acts as (λ_j + λ_k)/2 and P(a) as λ_j λ_k: one
+        contraction of five weight rows with the stacked π_jk of a fresh
+        ``joint_peirce`` on the standard frame.
+        """
+        joint = sp.joint_peirce(self.algebra, al.standard_frame(self.algebra))
+        stack = np.stack(list(joint.projections.values()))
+        # the pairs {j, k} are unordered, so the standard frame's order serves
+        # as well as the sorted one; with one λ zero, λ_j + λ_k is the other
+        lam = _standard_eigenvalues(self.algebra.rank, self.p, self.q)
+        lam_jk = lam[np.array(list(joint.projections))]
+        nonzero = np.count_nonzero(lam_jk, axis=1)
+        weights = np.zeros((5, len(stack)))
+        weights[:3] = nonzero == np.array([[2], [1], [0]])
+        np.divide(2.0, lam_jk.sum(axis=1), out=weights[3], where=nonzero > 0)
+        np.divide(1.0, lam_jk.prod(axis=1), out=weights[4], where=nonzero == 2)
+        blocks = np.tensordot(weights, stack, axes=1)
+        blocks.flags.writeable = False
+        return blocks
+
+    pi_e1 = _dense_block(0, "Projector onto E_1, read-only.")
+    pi_half = _dense_block(1, "Projector onto E_{1/2}, read-only.")
+    pi_e0 = _dense_block(2, "Projector onto E_0, read-only.")
+    linv_h = _dense_block(3, "(L(a)|_H)^{-1}, zero on E_0, read-only.")
+    pinv_e1 = _dense_block(4, "(P(a)|_{E_1})^{-1}, zero off E_1, read-only.")
 
 
 @dataclass
@@ -155,74 +200,92 @@ def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _standard_joint_peirce(algebra: al.AlgebraDescriptor):
-    """Checked joint Peirce data of the standard frame, once per algebra.
+    """Checked joint Peirce rows of the standard frame, once per algebra.
 
-    Returns read-only ``(frame, pairs, stack, rows, row_pair)``, shared by all
+    Returns read-only ``(frame, pairs, rows, row_pair)``, shared by all
     callers: ``pairs`` is the (m, 2) array of the ``joint_peirce`` keys (j, k),
-    in their order, ``stack[i]`` is π_jk of ``pairs[i]``, and the ``rows`` with
-    ``row_pair == i`` are a trace-orthonormal basis of its V_jk (the V_jk are
-    mutually trace-orthogonal).
+    in their order, and the ``rows`` with ``row_pair == i`` are a
+    trace-orthonormal basis of V_jk for ``pairs[i]`` (the V_jk are mutually
+    trace-orthogonal). The π_jk themselves are not kept: nothing on the
+    ``analyze`` path reads them.
     """
     joint = sp.joint_peirce(algebra, al.standard_frame(algebra))
     pairs = np.array(list(joint.projections))
-    stack = np.stack(list(joint.projections.values()))
     dims = np.where(pairs[:, 0] == pairs[:, 1], 1, algebra.peirce_constant)
     try:
         chol = np.linalg.cholesky(al.trace_gram(algebra))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"trace Gram factorisation failed: {exc}") from exc
-    rows = np.vstack([_gram_orthonormal_rows(chol, pjk, d) for pjk, d in zip(stack, dims)])
+    rows = np.vstack([_gram_orthonormal_rows(chol, pjk, d)
+                      for pjk, d in zip(joint.projections.values(), dims)])
     row_pair = np.repeat(np.arange(len(pairs)), dims)
-    for arr in (joint.frame, pairs, stack, rows, row_pair):
+    for arr in (joint.frame, pairs, rows, row_pair):
         arr.flags.writeable = False
-    return joint.frame, pairs, stack, rows, row_pair
+    return joint.frame, pairs, rows, row_pair
+
+
+@lru_cache(maxsize=None)
+def _peirce_structure(algebra: al.AlgebraDescriptor) -> np.ndarray:
+    """t[a, b, c] = (r_a ∘ r_b | r_c) over the Peirce rows r, once per algebra.
+
+    Read-only and shared. The trace form is associative and the product
+    commutative, so t is symmetric in its three indices. Built as one
+    (dim, dim²) product with the multiplication table, then slab by slab in
+    place: no second dim³ array is made.
+    """
+    rows = _standard_joint_peirce(algebra)[2]
+    d = algebra.dim
+    coord = rows @ al.trace_gram(algebra)  # coord @ x: the row coordinates of x
+    t = (rows @ al.multiplication_table(algebra).reshape(d, d * d)).reshape(d, d, d)
+    for slab in t:
+        slab[...] = rows @ slab @ coord.T
+    t.flags.writeable = False
+    return t
+
+
+def _standard_eigenvalues(rank: int, p: int, q: int) -> np.ndarray:
+    """Eigenvalues of the canonical base point on the standard frame, unsorted."""
+    lam = np.zeros(rank)
+    lam[:p] = np.arange(1, p + 1, dtype=float)
+    lam[p:p + q] = -(p + 1.5 + np.arange(q, dtype=float))
+    return lam
 
 
 def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
-    """Build the canonical base point of C_{p,q} and cache its Peirce data.
+    """Build the canonical base point of C_{p,q} and its Peirce data.
 
-    The standard frame's joint Peirce projections and per-pair bases are
-    built and checked once per algebra. V_jk lies in E_1, E_{1/2} or E_0 as
-    two, one or none of λ_j, λ_k are nonzero; on it L(a) acts as
-    (λ_j + λ_k)/2 and P(a) as λ_j λ_k. So one contraction of five weight rows
-    over the pairs with the stacked π_jk gives π_E1, π_½, π_E0, (L(a)|_H)^{-1}
-    and (P(a)|_{E_1})^{-1}, and each block's basis is the rows of its pairs.
-    No factorisation or spectral check runs per call: the base point
-    satisfies condition * and has signature (p, q) by construction. Every
-    array stored is marked read-only in a frozen orbit.
+    A trace-orthonormal basis of each joint Peirce space V_jk of the standard
+    frame is built and checked once per algebra. A row of V_jk lies in E_1, E_{1/2}
+    or E_0 as two, one or none of λ_j, λ_k are nonzero, and L(a) and P(a)
+    act on it as μ = (λ_j + λ_k)/2 and κ = λ_j λ_k. So the orbit is the rows
+    sorted by block, with their μ and κ: no factorisation, spectral check
+    or dense operator is built per call. The base point satisfies condition
+    * and has signature (p, q) by construction. Every array stored is marked
+    read-only in a frozen orbit.
     """
     cr_dimensions(algebra, p, q)  # raises InvalidSignature for a bad (p, q)
-    standard, pairs, stack, rows, row_pair = _standard_joint_peirce(algebra)
-    lam = np.zeros(algebra.rank)  # eigenvalues on the standard frame
-    lam[:p] = np.arange(1, p + 1, dtype=float)
-    lam[p:p + q] = -(p + 1.5 + np.arange(q, dtype=float))
+    standard, pairs, rows, row_pair = _standard_joint_peirce(algebra)
+    lam = _standard_eigenvalues(algebra.rank, p, q)
     order = np.argsort(lam, kind="stable")[::-1]
     eigenvalues, frame = lam[order], standard[order]
     a = eigenvalues @ frame
 
-    # the pairs {j, k} are unordered, so the standard frame's order serves
-    # as well as the sorted one; with one λ zero, λ_j + λ_k is the other
-    lam_jk = lam[pairs]
-    nonzero = np.count_nonzero(lam_jk, axis=1)
-    weights = np.zeros((5, len(pairs)))
-    weights[:3] = nonzero == np.array([[2], [1], [0]])
-    np.divide(2.0, lam_jk.sum(axis=1), out=weights[3], where=nonzero > 0)
-    np.divide(1.0, lam_jk.prod(axis=1), out=weights[4], where=nonzero == 2)
-    pi_e1, pi_half, pi_e0, linv_h, pinv_e1 = np.tensordot(weights, stack, axes=1)
-
-    kind = nonzero[row_pair]  # boolean indexing copies: the bases are the orbit's own
-    basis_e1, basis_half, basis_e0 = rows[kind == 2], rows[kind == 1], rows[kind == 0]
-    basis_h = np.vstack([basis_e1, basis_half])
-    arrays = (a, eigenvalues, frame, pi_e1, pi_half, pi_e0, linv_h, pinv_e1,
-              basis_h, basis_e1, basis_half, basis_e0)
-    for arr in arrays:
+    lam_rows = lam[pairs[row_pair]]  # (dim, 2): the λ_j, λ_k of each row
+    nonzero = np.count_nonzero(lam_rows, axis=1)
+    row_index = np.argsort(-nonzero, kind="stable")  # E_1, E_{1/2}, E_0
+    lam_rows = lam_rows[row_index]
+    mu, kappa = lam_rows.sum(axis=1) / 2, lam_rows.prod(axis=1)
+    basis = rows[row_index]  # a copy: the bases are the orbit's own
+    for arr in (a, eigenvalues, frame, row_index, mu, kappa, basis):
         arr.flags.writeable = False
-    return TubeOrbit(algebra, p, q, *arrays)
+    m1, m = np.count_nonzero(nonzero == 2), np.count_nonzero(nonzero)
+    return TubeOrbit(algebra, p, q, a, eigenvalues, frame, row_index, mu, kappa,
+                     basis[:m], basis[:m1], basis[m1:m], basis[m:])
 
 
-def _check_rows_in_subspace(rows, projector, error, what):
-    """Raise ``error`` unless every row lies in the range of ``projector``."""
-    resid = np.linalg.norm(rows - rows @ projector.T, axis=1)
+def _check_rows_in_subspace(rows, projected, error, what):
+    """Raise ``error`` unless every row equals its projection ``projected``."""
+    resid = np.linalg.norm(rows - projected, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(rows, axis=1))
     bad = np.flatnonzero(resid > MEMBERSHIP_TOL * scale)
     if bad.size:
@@ -233,9 +296,9 @@ def _check_rows_in_subspace(rows, projector, error, what):
 
 
 def _check_in_subspace(orbit, v, projector, error, what):
-    """:func:`_check_rows_in_subspace` for one element, coerced first."""
-    v = al.as_element(orbit.algebra, v)
-    return _check_rows_in_subspace(v[None], projector, error, what)[0]
+    """Coerce one element and check it lies in the range of ``projector``."""
+    v = al.as_element(orbit.algebra, v)[None]
+    return _check_rows_in_subspace(v, v @ projector.T, error, what)[0]
 
 
 def levi_form(orbit: TubeOrbit, v, w) -> np.ndarray:
@@ -259,21 +322,21 @@ def _levi_matrix(orbit: TubeOrbit) -> np.ndarray:
     """Λ_a on every pair of H_aM basis rows, as one (m·m0, m) matrix.
 
     Entry [i·m0 + k, j] is the k-th E_0 coordinate of Λ_a(h_i, h_j), the
-    same number :func:`levi_form` gives for that pair.
+    same number :func:`levi_form` gives for that pair. The rows are real and
+    (L(a)|_H)^{-1} h_j = h_j/μ_j, so it is (h_i ∘ h_j | e0_k)/μ_j, read off
+    the symmetric structure tensor as t[h_i, e0_k, h_j]/μ_j.
     """
-    algebra, basis_h = orbit.algebra, orbit.basis_h
-    m, m0 = basis_h.shape[0], orbit.basis_e0.shape[0]
-    coord = orbit.basis_e0 @ al.trace_gram(algebra)
-    t_e0 = al.multiplication_table(algebra) @ coord.T  # (d, d, m0)
-    left = np.tensordot(np.conj(basis_h), t_e0, axes=(1, 0))  # (m, d, m0)
-    right = basis_h @ orbit.linv_h.T  # rows (L(a)|_H)^{-1} h_j
-    return (left.transpose(0, 2, 1) @ right.T).reshape(m * m0, m)
+    m, m0 = orbit.basis_h.shape[0], orbit.basis_e0.shape[0]
+    h_idx, e0_idx = orbit.row_index[:m], orbit.row_index[m:]
+    levi = _peirce_structure(orbit.algebra).take(h_idx, 0).take(e0_idx, 1).take(h_idx, 2)
+    levi /= orbit.mu[:m]
+    return levi.reshape(m * m0, m)
 
 
 def levi_kernel(orbit: TubeOrbit) -> np.ndarray:
     """Numeric nullspace of the Levi form on H_aM (no block shortcut).
 
-    The Levi form on all basis pairs is one contraction of the structure
+    The Levi form on all basis pairs is one gather from the rows' structure
     tensor (see :func:`_levi_matrix`); the kernel is its nullspace from
     ``algebra.numeric_rank``, returned as trace-orthonormal complex rows of
     shape (k, dim).
@@ -304,20 +367,26 @@ def _beta_matrix(orbit: TubeOrbit, kernel: np.ndarray) -> np.ndarray:
     """β on every pair (E_{1/2} basis row, kernel row), as one (h·d, k) matrix.
 
     Entry [i·d + c, j] is coordinate c of β(half_i, kernel_j), the same
-    number :func:`beta_map` gives for that pair.
+    number :func:`beta_map` gives for that pair. With u_j = Σ_s c_js e1_s,
+    (P(a)|_{E_1})^{-1} u_j = Σ_s c_js/κ_s e1_s, and the r-th row coordinate
+    of P(a, half_i) e1_s is (μ_r + μ_s − μ_i) t[half_i, e1_s, r]. β lies in
+    E_{1/2} by the Peirce rules, so r runs over the E_{1/2} rows, and the
+    result is mapped back to V through them.
     """
-    algebra = orbit.algebra
-    kernel = _check_rows_in_subspace(kernel, orbit.pi_e1, BlockViolation,
-                                     "beta second argument (E_1)")
-    ops = al._lmul_basis(algebra)
-    v_star = np.conj(orbit.basis_half)
-    l_a = al.lmul(algebra, orbit.base_point)
-    l_v = np.tensordot(v_star, ops, axes=(1, 0))  # (h, d, d): L(v_i*)
-    a_v = v_star @ l_a.T  # rows a∘v_i*
-    # P[i] = P(a, v_i*) = L(a)L(v_i*) + L(v_i*)L(a) - L(a∘v_i*)
-    P = l_a @ l_v + l_v @ l_a - np.tensordot(a_v, ops, axes=(1, 0))
-    w = kernel @ orbit.pinv_e1.T  # rows (P(a)|_{E_1})^{-1} u_j
-    return (P @ w.T).reshape(v_star.shape[0] * algebra.dim, kernel.shape[0])
+    m1, m = orbit.basis_e1.shape[0], orbit.basis_h.shape[0]
+    e1_idx, half_idx = orbit.row_index[:m1], orbit.row_index[m1:m]
+    basis_e1, basis_half = orbit.basis_e1, orbit.basis_half
+    coef = kernel @ (basis_e1 @ al.trace_gram(orbit.algebra)).T  # the c_js
+    _check_rows_in_subspace(kernel, coef @ basis_e1, BlockViolation,
+                            "beta second argument (E_1)")
+    mu_e1, mu_half = orbit.mu[:m1], orbit.mu[m1:m]
+    # [s, i, r]: the r-th row coordinate of P(a, half_i) e1_s
+    p_rows = _peirce_structure(orbit.algebra).take(e1_idx, 0).take(half_idx, 1) \
+        .take(half_idx, 2)
+    p_rows *= mu_e1[:, None, None] + mu_half - mu_half[:, None]
+    beta = (coef / orbit.kappa[:m1]) @ p_rows.reshape(m1, -1)  # [j, i·h + r]
+    h, k = len(half_idx), kernel.shape[0]
+    return (beta.reshape(k * h, h) @ basis_half).reshape(k, h * orbit.algebra.dim).T
 
 
 def nondegeneracy_order(orbit: TubeOrbit) -> NondegeneracyResult:
@@ -381,7 +450,11 @@ def minimality_check(orbit: TubeOrbit) -> bool:
 
 
 def aut_germ_dimension(algebra: al.AlgebraDescriptor, p: int, q: int) -> int:
-    """Dimension of the infinitesimal CR automorphisms of the orbit tube germ.
+    """Dimension of the isotropy at a of the infinitesimal CR automorphisms.
+
+    These are the infinitesimal CR automorphisms of the orbit tube's germ at
+    its base point a that vanish at a. For the light-cone tube, hol(M, a) =
+    so(2,3) has dimension 10 and M has dimension 5, so the isotropy has 5.
 
     Only defined for degenerate nonzero signatures 0 < p + q < rank.
     """

@@ -45,6 +45,17 @@ def test_table_albert_row(capsys):
     assert rows[0]["pass"] is True
 
 
+@pytest.mark.parametrize("family", ["hermR", "hermC", "hermH"])
+def test_table_at_rank_one(family, capsys):
+    # V = ℝ in every family; hermH r=1 once got the sp(1) closed form and FAIL
+    code, out, _ = run(["table", "--family", family, "--rank", "1", "--json"], capsys)
+    assert code == 0
+    row, = json.loads(out)
+    want = {"dim_der": 0, "dim_sl_omega": 0, "dim_aut_H": 3, "dim_sl_D": 0}
+    assert row["computed"] == row["expected"] == want
+    assert row["pass"] is True
+
+
 def test_table_rank_cap(capsys):
     code, _, err = run(["table", "--family", "hermR", "--rank", "7"], capsys)
     assert code == 2
@@ -503,10 +514,26 @@ def test_desk_analyze_never_builds_gl_omega_rows(monkeypatch, capsys):
         == (2 * 178, DESK_JSON_SHA256)
 
 
+def _large_rank():
+    return [al.make_algebra(family, rank=r)
+            for family, r in (("hermR", 6), ("hermR", 7), ("hermC", 6), ("hermH", 4))]
+
+
 def test_large_rank_analyze_and_nondegen_json_bytes(capsys):
-    large = [al.make_algebra(family, rank=r)
-             for family, r in (("hermR", 6), ("hermR", 7), ("hermC", 6), ("hermH", 4))]
-    assert _analyze_and_nondegen_digest(large, capsys) \
+    assert _analyze_and_nondegen_digest(_large_rank(), capsys) \
+        == (2 * 107, LARGE_RANK_JSON_SHA256)
+
+
+def test_analyze_never_builds_dense_projectors(monkeypatch, capsys):
+    # the Levi and β matrices come from the rows, μ and κ of each orbit
+    def refuse(orbit):
+        raise AssertionError(f"dense Peirce projector read for {orbit.algebra}")
+
+    for name in ("_dense_blocks", "pi_e1", "pi_half", "pi_e0", "linv_h", "pinv_e1"):
+        monkeypatch.setattr(tb.TubeOrbit, name, property(refuse))
+    assert _analyze_and_nondegen_digest(al.desk_algebras(), capsys) \
+        == (2 * 178, DESK_JSON_SHA256)
+    assert _analyze_and_nondegen_digest(_large_rank(), capsys) \
         == (2 * 107, LARGE_RANK_JSON_SHA256)
 
 

@@ -86,23 +86,22 @@ def test_orbit_blocks_match_per_call_peirce():
 def test_cached_standard_projections_are_read_only():
     A = ct.make_algebra("hermC", rank=3)
     orb = ct.make_orbit(A, 1, 1)
-    frame, pairs, stack, rows, row_pair = tb._standard_joint_peirce(A)
-    for arr in (frame, pairs, stack, rows, row_pair):
+    frame, pairs, rows, row_pair = tb._standard_joint_peirce(A)
+    for arr in (frame, pairs, rows, row_pair):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 1
     m = math.comb(A.rank + 1, 2)
-    assert pairs.shape == (m, 2) and stack.shape == (m, A.dim, A.dim)
+    assert pairs.shape == (m, 2)
     assert rows.shape == (A.dim, A.dim) and row_pair.shape == (A.dim,)
     joint = sp.joint_peirce(A, frame)
     assert [tuple(pair) for pair in pairs.tolist()] == list(joint.projections)
-    for pjk, want in zip(stack, joint.projections.values()):
-        np.testing.assert_array_equal(pjk, want)
     # the per-pair rows: trace-orthonormal, as many per pair as the block's
     # dimension, each in the range of its π_jk
     G = ct.trace_gram(A)
     np.testing.assert_allclose(rows @ G @ rows.T, np.eye(A.dim), atol=1e-10)
     assert np.bincount(row_pair, minlength=m).tolist() == list(joint.dims.values())
+    stack = list(joint.projections.values())
     for row, i in zip(rows, row_pair):
         np.testing.assert_allclose(stack[i] @ row, row, atol=1e-10)
     # what make_orbit stores is its own, and read-only
@@ -110,8 +109,7 @@ def test_cached_standard_projections_are_read_only():
                 orb.pi_e0, orb.linv_h, orb.pinv_e1, orb.basis_h, orb.basis_e1,
                 orb.basis_half, orb.basis_e0):
         assert not arr.flags.writeable
-        assert not any(np.shares_memory(arr, cached)
-                       for cached in (frame, stack, rows))
+        assert not any(np.shares_memory(arr, cached) for cached in (frame, rows))
 
 
 def _condition_star_pair_loop(lam):
@@ -355,25 +353,34 @@ def test_beta_map_rejects_blocks():
         ct.beta_map(orb, v_half, v_half)
 
 
-# one degenerate orbit per family; past spin (rank 2, so ρ = 1) each has a
-# Levi kernel of dimension > 1, which pins the column order of the β matrix
+# one degenerate orbit per family first; past spin (rank 2, so ρ = 1) each has
+# a Levi kernel of dimension > 1, which pins the column order of the β matrix.
+# Then the other 83 degenerate desk orbits and a seeded 10 of the 76 above it.
 BATCHED_ORBITS = [
-    (("spin", None, 4), (1, 0)),
-    (("hermR", 3, None), (1, 1)),
-    (("hermC", 3, None), (2, 0)),
-    (("hermH", 3, None), (1, 1)),
-    (("albert", None, None), (0, 2)),
+    (ct.make_algebra("spin", peirce_constant=4), (1, 0)),
+    (ct.make_algebra("hermR", rank=3), (1, 1)),
+    (ct.make_algebra("hermC", rank=3), (2, 0)),
+    (ct.make_algebra("hermH", rank=3), (1, 1)),
+    (ct.make_algebra("albert"), (0, 2)),
 ]
+BATCHED_ORBITS += [(A, sig) for A in DESK for sig in _degenerate_orbits(A)
+                   if (A, sig) not in BATCHED_ORBITS]
+_LARGE_DEGENERATE = [(A, sig) for A in LARGE_RANK for sig in _degenerate_orbits(A)]
+BATCHED_ORBITS += [_LARGE_DEGENERATE[i] for i in sorted(np.random.default_rng(401).choice(
+    len(_LARGE_DEGENERATE), size=10, replace=False))]
 
 
-def _batched_orbit(family, rank, n, p, q):
-    return ct.make_orbit(ct.make_algebra(family, rank=rank, peirce_constant=n),
-                         p, q)
+def _first_of_each_family():
+    first = {}
+    for A in DESK:
+        first.setdefault(A.family, A)
+    assert len(first) == 5
+    return list(first.values())
 
 
 @pytest.mark.parametrize("spec, sig", BATCHED_ORBITS)
 def test_batched_matrices_match_per_pair_oracles(spec, sig):
-    orb = _batched_orbit(*spec, *sig)
+    orb = ct.make_orbit(spec, *sig)
     basis_h, half = orb.basis_h, orb.basis_half
     coord = orb.basis_e0 @ ct.trace_gram(orb.algebra)
     levi_ref = np.array([
@@ -389,30 +396,60 @@ def test_batched_matrices_match_per_pair_oracles(spec, sig):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_peirce_structure_is_read_only_and_symmetric():
+    for A in DESK + LARGE_RANK:
+        t = tb._peirce_structure(A)
+        assert t.shape == (A.dim,) * 3
+        assert tb._peirce_structure(A) is t  # once per algebra
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t.flat[0] = 1
+        scale = np.max(np.abs(t))
+        for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
+            assert np.max(np.abs(t - t.transpose(axes))) <= 1e-13 * scale, (A, axes)
+
+
+def test_peirce_structure_matches_trace_form_of_products():
+    for A in _first_of_each_family():
+        rows = tb._standard_joint_peirce(A)[2]
+        t = tb._peirce_structure(A)
+        want = np.array([[[ct.trace_form(A, ct.jordan_product(A, ra, rb), rc)
+                           for rc in rows] for rb in rows] for ra in rows])
+        np.testing.assert_allclose(t, want, rtol=0, atol=1e-12, err_msg=repr(A))
+
+
 def test_orbits_refuse_assignment_and_in_place_writes():
-    # the Levi and β matrices trust the blocks make_orbit built, so no
+    # the Levi and β matrices trust the rows, μ and κ make_orbit stored, so no
     # orbit may be edited after it: not a field, not an entry of an array
-    first_of_family = {}
-    for A in DESK:
-        first_of_family.setdefault(A.family, A)
-    assert len(first_of_family) == 5
-    for A in first_of_family.values():
+    projectors = ("pi_e1", "pi_half", "pi_e0", "linv_h", "pinv_e1")
+    for A in _first_of_each_family():
         orb = ct.make_orbit(A, *_degenerate_orbits(A)[0])
-        arrays = 0
+        arrays = []
         for f in dataclasses.fields(orb):
             value = getattr(orb, f.name)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(orb, f.name, value)
             if isinstance(value, np.ndarray):
-                arrays += 1
+                arrays.append(f.name)
                 with pytest.raises(ValueError):
                     value[...] = 0
-        assert arrays == 12
+        assert arrays == ["base_point", "eigenvalues", "frame", "row_index", "mu",
+                          "kappa", "basis_h", "basis_e1", "basis_half", "basis_e0"]
+        # the dense projectors are not fields: built on first read, then read-only
+        assert "_dense_blocks" not in vars(orb)
+        for name in projectors:
+            value = getattr(orb, name)
+            assert value.shape == (A.dim, A.dim)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(orb, name, value)
+            with pytest.raises(ValueError):
+                value[...] = 0
+        assert "_dense_blocks" in vars(orb)
 
 
 def test_batched_checks_reject_rows_outside_their_block():
     spec, (p, q) = BATCHED_ORBITS[1]
-    orb = _batched_orbit(*spec, p, q)
+    orb = ct.make_orbit(spec, p, q)
     kernel = ct.levi_kernel(orb).copy()
     kernel[1] += orb.basis_half[0]
     with pytest.raises(ct.BlockViolation):
