@@ -15,41 +15,20 @@ and E_0 (both zero); then
 
 * T_aC = V_1 ⊕ V_{1/2} and H_aM = E_1 ⊕ E_{1/2},
 * Levi form Λ_a(v, w) = E_0-component of v* ∘ (L(a)|_H)^{-1} w,
-* Levi kernel = E_1, computed here as a numeric nullspace,
+* Levi kernel = E_1,
 * β(v, u) = P(a, v*) (P(a)|_{E_1})^{-1} u for v in E_{1/2}, u in E_1,
 
 and the kernel chain H⁰ ⊃ H¹ ⊃ H² … decides the nondegeneracy order. All
-subspace bases returned are orthonormal with respect to the trace form.
-A basis of each of the m = r(r+1)/2 joint Peirce spaces V_jk of the
-standard frame is stacked once per algebra; the block bases are picked
-from these rows (see ``make_orbit``).
+bases returned are trace-orthonormal rows, picked from one basis of each of
+the m = r(r+1)/2 joint Peirce spaces V_jk of the standard frame.
 
-Every rank here is decided by ``algebra.numeric_rank`` on dense matrices
-gathered from one structure tensor, not built pair by pair. The rows r_s
-(one trace-orthonormal basis of each V_jk) are also cached once per
-algebra as t[a, b, c] = (r_a ∘ r_b | r_c), symmetric in its three indices
-(see ``_peirce_structure``). On the rows L(a) and P(a) are diagonal, with
-μ_s = (λ_j + λ_k)/2 and κ_s = λ_j λ_k on a row of V_jk, and the r-th row
-coordinate of P(a, r_i) r_s is (μ_r + μ_s − μ_i) t[i, s, r]. So the Levi
-matrix is the gather t[H, E_0, H] over μ_H, and the β matrix is the gather
-t[E_1, E_{1/2}, E_{1/2}], weighted so, contracted with the kernel's E_1
-coordinates over κ and mapped back to V. ``levi_form`` and ``beta_map``
-stay the validated single-pair functions and the tests' oracles for both.
-
-A ``TubeOrbit`` is frozen and its arrays are read-only, so the batched
-matrices use the rows, μ and κ ``make_orbit`` stored unchecked. Membership
-checks remain on what comes from outside or from a rank decision: the
-arguments of ``levi_form`` and ``beta_map``, and the kernel rows of
-``_beta_matrix``. The dense d×d projectors that ``levi_form`` and
-``beta_map`` read are built on their first read; ``analyze`` never reads
-them.
-
-Minimality needs no bracket generation: the brackets of HM-sections have
-values gl(Ω)·a ⊕ i·𝒜a at a, with 𝒜 the associative algebra generated by
-L(V) (see ``minimality_check``). At the base point the first equals L(V)·a,
-the rank of the rows L(b_i)a; the second is the rank of the closure of
-span{a} under every L(b_i), grown until it stops, which takes at most dim
-passes.
+No rank is decided at the base point. L(a) and P(a) are diagonal on those
+rows, so the kernel chain and minimality's closure 𝒜a are sums of whole
+blocks, read off one boolean graph per algebra (see ``_block_graph``); the
+Peirce rules V_ij ∘ V_jk ⊆ V_ik (i, j, k distinct) and V_ij ∘ V_ij ⊆
+V_ii + V_jj say which of its entries can be true. ``levi_form`` and
+``beta_map`` stay the validated single-pair functions; ranked by
+``numeric_rank``, their matrices are the tests' oracle of the chain.
 """
 
 from __future__ import annotations
@@ -81,17 +60,12 @@ def _dense_block(i: int, doc: str) -> property:
 class TubeOrbit:
     """Canonical base point of C_{p,q} with all Peirce machinery cached.
 
-    Built only by :func:`make_orbit`. Frozen, and every array is the
-    orbit's own read-only copy, so the Peirce blocks cannot drift from the
-    base point; copy an array to change it.
-
-    ``row_index`` lists the algebra's Peirce rows (see
-    ``_standard_joint_peirce``) block by block, E_1 first, then E_{1/2}, then
-    E_0; ``mu`` and ``kappa`` are the eigenvalues of L(a) and P(a) on those
-    rows, and the four bases are the rows themselves, in that order. The
-    dense projectors ``pi_e1``, ``pi_half``, ``pi_e0`` and the inverses
-    ``linv_h`` = (L(a)|_H)^{-1}, ``pinv_e1`` = (P(a)|_{E_1})^{-1} are
-    read-only (dim, dim) arrays built on the first read of any of them.
+    Built only by :func:`make_orbit`. Frozen, and every array is the orbit's
+    own read-only copy; copy an array to change it. The bases are the Peirce
+    rows sorted E_1, E_{1/2}, E_0 (``basis_h`` is the first two). The dense
+    projectors ``pi_e1``, ``pi_half``, ``pi_e0`` and the inverses ``linv_h`` =
+    (L(a)|_H)^{-1}, ``pinv_e1`` = (P(a)|_{E_1})^{-1} are read-only (dim, dim)
+    arrays built on the first read of any of them.
     """
 
     algebra: al.AlgebraDescriptor
@@ -100,9 +74,6 @@ class TubeOrbit:
     base_point: np.ndarray
     eigenvalues: np.ndarray
     frame: np.ndarray
-    row_index: np.ndarray = field(repr=False)
-    mu: np.ndarray = field(repr=False)
-    kappa: np.ndarray = field(repr=False)
     basis_h: np.ndarray = field(repr=False)
     basis_e1: np.ndarray = field(repr=False)
     basis_half: np.ndarray = field(repr=False)
@@ -120,10 +91,9 @@ class TubeOrbit:
     def _dense_blocks(self) -> np.ndarray:
         """π_E1, π_½, π_E0, (L(a)|_H)^{-1}, (P(a)|_{E_1})^{-1}, stacked.
 
-        V_jk lies in E_1, E_{1/2} or E_0 as two, one or none of λ_j, λ_k are
-        nonzero, and on it L(a) acts as (λ_j + λ_k)/2 and P(a) as λ_j λ_k: one
-        contraction of five weight rows with the stacked π_jk of a fresh
-        ``joint_peirce`` on the standard frame.
+        On V_jk (its block from ``_pair_class``) L(a) acts as (λ_j + λ_k)/2
+        and P(a) as λ_j λ_k: one contraction of five weight rows with the
+        stacked π_jk of a fresh ``joint_peirce`` on the standard frame.
         """
         joint = sp.joint_peirce(self.algebra, al.standard_frame(self.algebra))
         stack = np.stack(list(joint.projections.values()))
@@ -131,7 +101,7 @@ class TubeOrbit:
         # as well as the sorted one; with one λ zero, λ_j + λ_k is the other
         lam = _standard_eigenvalues(self.algebra.rank, self.p, self.q)
         lam_jk = lam[np.array(list(joint.projections))]
-        nonzero = np.count_nonzero(lam_jk, axis=1)
+        nonzero = _pair_class(self.algebra, self.p, self.q)
         weights = np.zeros((5, len(stack)))
         weights[:3] = nonzero == np.array([[2], [1], [0]])
         np.divide(2.0, lam_jk.sum(axis=1), out=weights[3], where=nonzero > 0)
@@ -225,22 +195,30 @@ def _standard_joint_peirce(algebra: al.AlgebraDescriptor):
 
 
 @lru_cache(maxsize=None)
-def _peirce_structure(algebra: al.AlgebraDescriptor) -> np.ndarray:
-    """t[a, b, c] = (r_a ∘ r_b | r_c) over the Peirce rows r, once per algebra.
+def _block_graph(algebra: al.AlgebraDescriptor) -> np.ndarray:
+    """(m, m, m) bools over the ``pairs``: does V_x ∘ V_y meet V_z? Cached.
 
-    Read-only and shared. The trace form is associative and the product
-    commutative, so t is symmetric in its three indices. Built as one
-    (dim, dim²) product with the multiplication table, then slab by slab in
-    place: no second dim³ array is made.
+    Read-only, shared and symmetric in its three axes (the product commutes,
+    the trace form is associative). Entry [x, y, z] is the norm of block (x, y, z) of
+    t[a, b, c] = (r_a ∘ r_b | r_c) over the Peirce rows r, cut at
+    ``algebra.RANK_REL_CUT`` times the largest block norm, as ``numeric_rank``
+    cuts. t is one (dim, dim²) product with the multiplication table, squared
+    slab by slab and summed by blocks. Over the desk, hermR r=6, 7, 12, hermC
+    r=6, 10 and hermH r=4, 6 kept norms are ≥ 0.35 of the largest, dropped
+    ones ≤ 1.4e-16.
     """
-    rows = _standard_joint_peirce(algebra)[2]
+    _, pairs, rows, row_pair = _standard_joint_peirce(algebra)
     d = algebra.dim
     coord = rows @ al.trace_gram(algebra)  # coord @ x: the row coordinates of x
     t = (rows @ al.multiplication_table(algebra).reshape(d, d * d)).reshape(d, d, d)
     for slab in t:
-        slab[...] = rows @ slab @ coord.T
-    t.flags.writeable = False
-    return t
+        slab[...] = np.square(rows @ slab @ coord.T)
+    starts = np.searchsorted(row_pair, np.arange(len(pairs)))
+    for axis in range(3):
+        t = np.add.reduceat(t, starts, axis=axis)
+    graph = np.sqrt(t) > al.RANK_REL_CUT * np.sqrt(t.max())
+    graph.flags.writeable = False
+    return graph
 
 
 def _standard_eigenvalues(rank: int, p: int, q: int) -> np.ndarray:
@@ -251,54 +229,48 @@ def _standard_eigenvalues(rank: int, p: int, q: int) -> np.ndarray:
     return lam
 
 
+def _pair_class(algebra: al.AlgebraDescriptor, p: int, q: int) -> np.ndarray:
+    """Per pair (j, k), how many of λ_j, λ_k are nonzero: 2, 1 or 0 as V_jk
+    lies in E_1, E_{1/2} or E_0. λ_j ≠ 0 iff j < p + q on the standard frame.
+    """
+    pairs = _standard_joint_peirce(algebra)[1]
+    return np.count_nonzero(pairs < p + q, axis=1)
+
+
 def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     """Build the canonical base point of C_{p,q} and its Peirce data.
 
-    A trace-orthonormal basis of each joint Peirce space V_jk of the standard
-    frame is built and checked once per algebra. A row of V_jk lies in E_1, E_{1/2}
-    or E_0 as two, one or none of λ_j, λ_k are nonzero, and L(a) and P(a)
-    act on it as μ = (λ_j + λ_k)/2 and κ = λ_j λ_k. So the orbit is the rows
-    sorted by block, with their μ and κ: no factorisation, spectral check
-    or dense operator is built per call. The base point satisfies condition
-    * and has signature (p, q) by construction. Every array stored is marked
+    The orbit is the algebra's Peirce rows, built and checked once per
+    algebra, sorted by ``_pair_class``: no factorisation, spectral check or
+    dense operator is built per call. The base point satisfies condition *
+    and has signature (p, q) by construction. Every array stored is marked
     read-only in a frozen orbit.
     """
     cr_dimensions(algebra, p, q)  # raises InvalidSignature for a bad (p, q)
-    standard, pairs, rows, row_pair = _standard_joint_peirce(algebra)
+    standard, _, rows, row_pair = _standard_joint_peirce(algebra)
     lam = _standard_eigenvalues(algebra.rank, p, q)
     order = np.argsort(lam, kind="stable")[::-1]
     eigenvalues, frame = lam[order], standard[order]
     a = eigenvalues @ frame
 
-    lam_rows = lam[pairs[row_pair]]  # (dim, 2): the λ_j, λ_k of each row
-    nonzero = np.count_nonzero(lam_rows, axis=1)
-    row_index = np.argsort(-nonzero, kind="stable")  # E_1, E_{1/2}, E_0
-    lam_rows = lam_rows[row_index]
-    mu, kappa = lam_rows.sum(axis=1) / 2, lam_rows.prod(axis=1)
-    basis = rows[row_index]  # a copy: the bases are the orbit's own
-    for arr in (a, eigenvalues, frame, row_index, mu, kappa, basis):
+    row_class = _pair_class(algebra, p, q)[row_pair]
+    # E_1, E_{1/2}, E_0; a copy: the bases are the orbit's own
+    basis = rows[np.argsort(-row_class, kind="stable")]
+    for arr in (a, eigenvalues, frame, basis):
         arr.flags.writeable = False
-    m1, m = np.count_nonzero(nonzero == 2), np.count_nonzero(nonzero)
-    return TubeOrbit(algebra, p, q, a, eigenvalues, frame, row_index, mu, kappa,
+    m1, m = np.count_nonzero(row_class == 2), np.count_nonzero(row_class)
+    return TubeOrbit(algebra, p, q, a, eigenvalues, frame,
                      basis[:m], basis[:m1], basis[m1:m], basis[m:])
 
 
-def _check_rows_in_subspace(rows, projected, error, what):
-    """Raise ``error`` unless every row equals its projection ``projected``."""
-    resid = np.linalg.norm(rows - projected, axis=1)
-    scale = np.maximum(1.0, np.linalg.norm(rows, axis=1))
-    bad = np.flatnonzero(resid > MEMBERSHIP_TOL * scale)
-    if bad.size:
-        i = bad[0]
-        raise error(f"{what}, row {i}: residual {resid[i]:.2e} "
-                    f"outside tolerance {MEMBERSHIP_TOL:.1e}")
-    return rows
-
-
 def _check_in_subspace(orbit, v, projector, error, what):
-    """Coerce one element and check it lies in the range of ``projector``."""
-    v = al.as_element(orbit.algebra, v)[None]
-    return _check_rows_in_subspace(v, v @ projector.T, error, what)[0]
+    """Coerce one element; raise ``error`` unless ``projector`` fixes it."""
+    v = al.as_element(orbit.algebra, v)
+    resid = np.linalg.norm(v - projector @ v)
+    if resid > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(v)):
+        raise error(f"{what}: residual {resid:.2e} "
+                    f"outside tolerance {MEMBERSHIP_TOL:.1e}")
+    return v
 
 
 def levi_form(orbit: TubeOrbit, v, w) -> np.ndarray:
@@ -318,36 +290,33 @@ def levi_form(orbit: TubeOrbit, v, w) -> np.ndarray:
     return orbit.pi_e0 @ val
 
 
-def _levi_matrix(orbit: TubeOrbit) -> np.ndarray:
-    """Λ_a on every pair of H_aM basis rows, as one (m·m0, m) matrix.
+def _levi_kernel_pairs(orbit: TubeOrbit) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit's ``_pair_class`` and the mask of the Levi kernel's blocks.
 
-    Entry [i·m0 + k, j] is the k-th E_0 coordinate of Λ_a(h_i, h_j), the
-    same number :func:`levi_form` gives for that pair. The rows are real and
-    (L(a)|_H)^{-1} h_j = h_j/μ_j, so it is (h_i ∘ h_j | e0_k)/μ_j, read off
-    the symmetric structure tensor as t[h_i, e0_k, h_j]/μ_j.
+    On Peirce rows with L(a)h_j = μ_j h_j, Λ_a(h_i, h_j) is the E_0 part of
+    h_i ∘ h_j/μ_j. So the kernel is the H blocks y with no g[x, z, y], x in
+    H, z in E_0: by the Peirce rules the E_1 blocks; an E_{1/2} one raises.
     """
-    m, m0 = orbit.basis_h.shape[0], orbit.basis_e0.shape[0]
-    h_idx, e0_idx = orbit.row_index[:m], orbit.row_index[m:]
-    levi = _peirce_structure(orbit.algebra).take(h_idx, 0).take(e0_idx, 1).take(h_idx, 2)
-    levi /= orbit.mu[:m]
-    return levi.reshape(m * m0, m)
+    cls = _pair_class(orbit.algebra, orbit.p, orbit.q)
+    h = cls > 0
+    kernel = h & ~_block_graph(orbit.algebra)[np.ix_(h, cls == 0)].any(axis=(0, 1))
+    stray = np.flatnonzero(kernel & (cls == 1))
+    if stray.size:
+        j, k = _standard_joint_peirce(orbit.algebra)[1][stray[0]]
+        raise NumericalFailure(
+            f"E_1/2 block V_{j}{k} has no Levi link to E_0, against the Peirce rules")
+    return cls, kernel
 
 
 def levi_kernel(orbit: TubeOrbit) -> np.ndarray:
-    """Numeric nullspace of the Levi form on H_aM (no block shortcut).
+    """Levi kernel on H_aM as trace-orthonormal complex rows, shape (k, dim).
 
-    The Levi form on all basis pairs is one gather from the rows' structure
-    tensor (see :func:`_levi_matrix`); the kernel is its nullspace from
-    ``algebra.numeric_rank``, returned as trace-orthonormal complex rows of
-    shape (k, dim).
+    The Peirce rows of the E_1 blocks, as the block graph finds them (see
+    :func:`_levi_kernel_pairs`; the cut's margin is in :func:`_block_graph`):
+    empty when ρ = 0, all of H_aM on the open orbit, where E_0 = 0.
     """
-    basis_h = orbit.basis_h
-    if basis_h.shape[0] == 0:
-        return np.zeros((0, orbit.algebra.dim), dtype=complex)
-    if orbit.basis_e0.shape[0] == 0:
-        return basis_h.astype(complex)
-    rank, vh = al.numeric_rank(_levi_matrix(orbit))
-    return (vh.conj()[rank:] @ basis_h).astype(complex)
+    _, _, rows, row_pair = _standard_joint_peirce(orbit.algebra)
+    return rows[_levi_kernel_pairs(orbit)[1][row_pair]].astype(complex)
 
 
 def beta_map(orbit: TubeOrbit, v, u) -> np.ndarray:
@@ -363,58 +332,33 @@ def beta_map(orbit: TubeOrbit, v, u) -> np.ndarray:
     return al.pquad(orbit.algebra, orbit.base_point, np.conj(v)) @ w
 
 
-def _beta_matrix(orbit: TubeOrbit, kernel: np.ndarray) -> np.ndarray:
-    """β on every pair (E_{1/2} basis row, kernel row), as one (h·d, k) matrix.
-
-    Entry [i·d + c, j] is coordinate c of β(half_i, kernel_j), the same
-    number :func:`beta_map` gives for that pair. With u_j = Σ_s c_js e1_s,
-    (P(a)|_{E_1})^{-1} u_j = Σ_s c_js/κ_s e1_s, and the r-th row coordinate
-    of P(a, half_i) e1_s is (μ_r + μ_s − μ_i) t[half_i, e1_s, r]. β lies in
-    E_{1/2} by the Peirce rules, so r runs over the E_{1/2} rows, and the
-    result is mapped back to V through them.
-    """
-    m1, m = orbit.basis_e1.shape[0], orbit.basis_h.shape[0]
-    e1_idx, half_idx = orbit.row_index[:m1], orbit.row_index[m1:m]
-    basis_e1, basis_half = orbit.basis_e1, orbit.basis_half
-    coef = kernel @ (basis_e1 @ al.trace_gram(orbit.algebra)).T  # the c_js
-    _check_rows_in_subspace(kernel, coef @ basis_e1, BlockViolation,
-                            "beta second argument (E_1)")
-    mu_e1, mu_half = orbit.mu[:m1], orbit.mu[m1:m]
-    # [s, i, r]: the r-th row coordinate of P(a, half_i) e1_s
-    p_rows = _peirce_structure(orbit.algebra).take(e1_idx, 0).take(half_idx, 1) \
-        .take(half_idx, 2)
-    p_rows *= mu_e1[:, None, None] + mu_half - mu_half[:, None]
-    beta = (coef / orbit.kappa[:m1]) @ p_rows.reshape(m1, -1)  # [j, i·h + r]
-    h, k = len(half_idx), kernel.shape[0]
-    return (beta.reshape(k * h, h) @ basis_half).reshape(k, h * orbit.algebra.dim).T
-
-
 def nondegeneracy_order(orbit: TubeOrbit) -> NondegeneracyResult:
     """Kernel chain H⁰ = H_aM ⊃ H¹ = Levi kernel ⊃ H² = right β-kernel ⊃ …
 
-    Each step past the Levi kernel builds β on all pairs of E_{1/2} basis
-    rows and current kernel rows as one contraction (see :func:`_beta_matrix`)
-    and keeps its nullspace from ``algebra.numeric_rank``. Returns the first
-    k with H^k = 0. By convention the totally real orbit (ρ = 0) has order
-    0; when the chain stabilises at a nonzero dimension (the open orbit)
-    the result carries ``order = None``.
+    Each H^k is a sum of whole blocks read off :func:`_block_graph`, with no
+    rank. On Peirce rows coordinate r of β(half_i, e1_s) is (μ_s + μ_r − μ_i)
+    t[i, s, r]/κ_s, so each step drops the kernel blocks s with g[s, i, r]
+    for some E_{1/2} blocks i, r: there the Peirce rules make the weight λ_j
+    or λ_k of s = V_jk, never 0. Returns the first k with H^k = 0. The
+    totally real orbit (ρ = 0) has order 0 by convention; a chain that
+    stabilises at a nonzero dimension (the open orbit) gives ``order = None``.
     """
     if orbit.rho == 0:
         return NondegeneracyResult(0, True, [0],
                                    "totally real: order 0 by convention")
-    chain = [orbit.basis_h.shape[0]]
-    kernel = levi_kernel(orbit)
-    chain.append(kernel.shape[0])
+    cls, kernel = _levi_kernel_pairs(orbit)
+    half = cls == 1
+    beta_linked = _block_graph(orbit.algebra)[:, half][:, :, half].any(axis=(1, 2))
+    row_pair = _standard_joint_peirce(orbit.algebra)[3]
+    chain = [orbit.basis_h.shape[0], int(np.count_nonzero(kernel[row_pair]))]
     while chain[-1] > 0:
         if chain[-1] == chain[-2]:
             note = ("open orbit: NotFinitelyNondegenerate by convention"
                     if orbit.rho_prime == 0 else
                     "kernel chain stabilised at nonzero dimension")
             return NondegeneracyResult(None, False, chain, note)
-        if orbit.basis_half.shape[0]:
-            rank, vh = al.numeric_rank(_beta_matrix(orbit, kernel))
-            kernel = vh.conj()[rank:] @ kernel
-        chain.append(kernel.shape[0])
+        kernel &= ~beta_linked
+        chain.append(int(np.count_nonzero(kernel[row_pair])))
     return NondegeneracyResult(len(chain) - 1, True, chain)
 
 
@@ -428,25 +372,24 @@ def minimality_check(orbit: TubeOrbit) -> bool:
     (gl(Ω), 0) ⊕ (0, 𝒜), with gl(Ω) = L(V) + [L(V), L(V)] and 𝒜 the
     associative algebra generated by L(V) (it contains L(e) = I). Its values
     at a span gl(Ω)·a ⊕ i·𝒜a, where 𝒜a is the smallest L(V)-invariant
-    subspace containing a: one rank for the first, a rank closure for the
-    second.
+    subspace containing a.
 
-    The first needs no commutators: L(V)·a = gl(Ω)·a at the canonical base
-    point. Condition * makes L(a) invertible on T_aC = V₁ ⊕ V_{1/2}, and
-    L(x)a = L(a)x, so L(V)·a = L(a)V = T_aC. And L(V)·a ⊆ gl(Ω)·a ⊆ T_aC,
-    the tangent space of the orbit at a.
+    At the canonical base point condition * makes L(a) invertible on T_aC =
+    V₁ ⊕ V_{1/2}, and L(x)a = L(a)x, so L(V)·a = L(a)V = T_aC ⊇ gl(Ω)·a:
+    the orbit is minimal iff 𝒜a = V. 𝒜 holds every L(e_j), hence every joint
+    Peirce projection, so 𝒜a is the sum of its parts in the blocks. It holds
+    the H blocks, and is grown through the graph (with x, every z with
+    g[x, y, z] for some y) until it stops, at most m passes. On every orbit
+    the tests run it reaches all of V iff ρ > 0. The cut's margin is in
+    :func:`_block_graph`.
     """
-    dim = orbit.algebra.dim
-    table = al.multiplication_table(orbit.algebra)  # (x @ table)[i] = b_i ∘ x
-    # rows L(b_i) a; their span is gl(Ω)·a, and also span{a} grown once
-    real_rank, vh = al.numeric_rank(orbit.base_point @ table)
-    closure_rank = real_rank
-    while closure_rank < dim:  # the rank grows on every pass: at most dim passes
-        grown, vh = al.numeric_rank((vh[:closure_rank] @ table).reshape(-1, dim))
-        if grown <= closure_rank:
-            break
-        closure_rank = grown
-    return real_rank + closure_rank >= dim + orbit.basis_h.shape[0]
+    graph = _block_graph(orbit.algebra)
+    closure = _pair_class(orbit.algebra, orbit.p, orbit.q) > 0
+    while True:
+        grown = closure | graph[closure].any(axis=(0, 1))
+        if np.array_equal(grown, closure):
+            return bool(closure.all())
+        closure = grown
 
 
 def aut_germ_dimension(algebra: al.AlgebraDescriptor, p: int, q: int) -> int:
@@ -477,8 +420,5 @@ def aut1_basis(orbit: TubeOrbit) -> list:
         raise InvalidSignature("weight-one stabiliser basis needs 0 < rho < rank")
     from .fields import GradedField
     dim = orbit.algebra.dim
-    out = []
-    for row in orbit.basis_e0:
-        out.append(GradedField(u=np.zeros(dim), A=np.zeros((dim, dim)),
-                               w=row.real.copy()))
-    return out
+    return [GradedField(u=np.zeros(dim), A=np.zeros((dim, dim)), w=row.copy())
+            for row in orbit.basis_e0]

@@ -525,7 +525,7 @@ def test_large_rank_analyze_and_nondegen_json_bytes(capsys):
 
 
 def test_analyze_never_builds_dense_projectors(monkeypatch, capsys):
-    # the Levi and β matrices come from the rows, μ and κ of each orbit
+    # the kernel chain and minimality are read off each algebra's block graph
     def refuse(orbit):
         raise AssertionError(f"dense Peirce projector read for {orbit.algebra}")
 
@@ -535,6 +535,17 @@ def test_analyze_never_builds_dense_projectors(monkeypatch, capsys):
         == (2 * 178, DESK_JSON_SHA256)
     assert _analyze_and_nondegen_digest(_large_rank(), capsys) \
         == (2 * 107, LARGE_RANK_JSON_SHA256)
+
+
+def test_warm_desk_analyze_runs_no_svd(break_linalg, capsys):
+    # once each algebra's caches are built, no verdict of analyze or nondegen
+    # takes a rank: every SVD raising leaves the bytes as they are
+    for A in al.desk_algebras():
+        assert run(["analyze", *_family_args(A), "--p", "1", "--q", "0", "--json"],
+                   capsys)[0] == 0
+    break_linalg("svd")
+    assert _analyze_and_nondegen_digest(al.desk_algebras(), capsys) \
+        == (2 * 178, DESK_JSON_SHA256)
 
 
 def test_aut1_dim_on_every_degenerate_desk_orbit(capsys):

@@ -354,7 +354,7 @@ def test_beta_map_rejects_blocks():
 
 
 # one degenerate orbit per family first; past spin (rank 2, so ρ = 1) each has
-# a Levi kernel of dimension > 1, which pins the column order of the β matrix.
+# a Levi kernel of dimension > 1, so the β matrix has more than one column.
 # Then the other 83 degenerate desk orbits and a seeded 10 of the 76 above it.
 BATCHED_ORBITS = [
     (ct.make_algebra("spin", peirce_constant=4), (1, 0)),
@@ -380,47 +380,59 @@ def _first_of_each_family():
 
 @pytest.mark.parametrize("spec, sig", BATCHED_ORBITS)
 def test_batched_matrices_match_per_pair_oracles(spec, sig):
+    # the chain read off the block graph against the nullities of the Levi
+    # and β matrices built pair by pair from levi_form and beta_map
     orb = ct.make_orbit(spec, *sig)
     basis_h, half = orb.basis_h, orb.basis_half
     coord = orb.basis_e0 @ ct.trace_gram(orb.algebra)
     levi_ref = np.array([
         np.concatenate([coord @ ct.levi_form(orb, vi, wj) for vi in basis_h])
         for wj in basis_h]).T
-    kernel = ct.levi_kernel(orb)
+    rank, vh = al.numeric_rank(levi_ref)
+    kernel = vh.conj()[rank:] @ basis_h
     beta_ref = np.array([
         np.concatenate([ct.beta_map(orb, vi, uj) for vi in half])
         for uj in kernel]).T
-    for got, ref in ((tb._levi_matrix(orb), levi_ref),
-                     (tb._beta_matrix(orb, kernel), beta_ref)):
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    beta_nullity = kernel.shape[0] - al.numeric_rank(beta_ref)[0]
+    assert ct.nondegeneracy_order(orb).chain_dims \
+        == [basis_h.shape[0], kernel.shape[0], beta_nullity]
+    # levi_kernel's rows span the same space as the numeric nullspace
+    rows = ct.levi_kernel(orb)
+    assert rows.shape[0] == kernel.shape[0] == al.numeric_rank(np.vstack([kernel, rows]))[0]
 
 
 def test_peirce_structure_is_read_only_and_symmetric():
     for A in DESK + LARGE_RANK:
-        t = tb._peirce_structure(A)
-        assert t.shape == (A.dim,) * 3
-        assert tb._peirce_structure(A) is t  # once per algebra
-        assert not t.flags.writeable
+        g = tb._block_graph(A)
+        m = math.comb(A.rank + 1, 2)
+        assert g.shape == (m, m, m) and g.dtype == bool
+        assert tb._block_graph(A) is g  # once per algebra
+        assert not g.flags.writeable
         with pytest.raises(ValueError):
-            t.flat[0] = 1
-        scale = np.max(np.abs(t))
+            g.flat[0] = True
         for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
-            assert np.max(np.abs(t - t.transpose(axes))) <= 1e-13 * scale, (A, axes)
+            assert np.array_equal(g, g.transpose(axes)), (A, axes)
 
 
 def test_peirce_structure_matches_trace_form_of_products():
+    # the graph is the block norms of (r_a ∘ r_b | r_c), cut at RANK_REL_CUT
+    # times the largest, with kept norms >= 0.35 and dropped <= 1.4e-16 of it
     for A in _first_of_each_family():
-        rows = tb._standard_joint_peirce(A)[2]
-        t = tb._peirce_structure(A)
-        want = np.array([[[ct.trace_form(A, ct.jordan_product(A, ra, rb), rc)
-                           for rc in rows] for rb in rows] for ra in rows])
-        np.testing.assert_allclose(t, want, rtol=0, atol=1e-12, err_msg=repr(A))
+        _, pairs, rows, row_pair = tb._standard_joint_peirce(A)
+        t = np.array([[[ct.trace_form(A, ct.jordan_product(A, ra, rb), rc)
+                        for rc in rows] for rb in rows] for ra in rows])
+        blocks = [row_pair == i for i in range(len(pairs))]
+        norm = np.array([[[np.linalg.norm(t[np.ix_(x, y, z)]) for z in blocks]
+                          for y in blocks] for x in blocks])
+        norm /= norm.max()
+        g = tb._block_graph(A)
+        np.testing.assert_array_equal(g, norm > al.RANK_REL_CUT, err_msg=repr(A))
+        assert norm[g].min() >= 0.35 and norm[~g].max(initial=0.0) <= 1.4e-16, A
 
 
 def test_orbits_refuse_assignment_and_in_place_writes():
-    # the Levi and β matrices trust the rows, μ and κ make_orbit stored, so no
-    # orbit may be edited after it: not a field, not an entry of an array
+    # the orbit's bases are the Peirce rows its blocks are read from, so no
+    # orbit may be edited after make_orbit: not a field, not an array entry
     projectors = ("pi_e1", "pi_half", "pi_e0", "linv_h", "pinv_e1")
     for A in _first_of_each_family():
         orb = ct.make_orbit(A, *_degenerate_orbits(A)[0])
@@ -433,8 +445,8 @@ def test_orbits_refuse_assignment_and_in_place_writes():
                 arrays.append(f.name)
                 with pytest.raises(ValueError):
                     value[...] = 0
-        assert arrays == ["base_point", "eigenvalues", "frame", "row_index", "mu",
-                          "kappa", "basis_h", "basis_e1", "basis_half", "basis_e0"]
+        assert arrays == ["base_point", "eigenvalues", "frame", "basis_h", "basis_e1",
+                          "basis_half", "basis_e0"]
         # the dense projectors are not fields: built on first read, then read-only
         assert "_dense_blocks" not in vars(orb)
         for name in projectors:
@@ -447,13 +459,20 @@ def test_orbits_refuse_assignment_and_in_place_writes():
         assert "_dense_blocks" in vars(orb)
 
 
-def test_batched_checks_reject_rows_outside_their_block():
+def test_batched_checks_reject_rows_outside_their_block(monkeypatch):
+    # a graph that cuts every link of one E_1/2 block leaves it in the Levi
+    # kernel, which the Peirce rules forbid
     spec, (p, q) = BATCHED_ORBITS[1]
     orb = ct.make_orbit(spec, p, q)
-    kernel = ct.levi_kernel(orb).copy()
-    kernel[1] += orb.basis_half[0]
-    with pytest.raises(ct.BlockViolation):
-        tb._beta_matrix(orb, kernel)
+    pairs = tb._standard_joint_peirce(spec)[1]
+    y = int(np.flatnonzero(tb._pair_class(spec, p, q) == 1)[0])
+    g = tb._block_graph(spec).copy()
+    g[y], g[:, y], g[:, :, y] = False, False, False
+    monkeypatch.setattr(tb, "_block_graph", lambda algebra: g)
+    j, k = pairs[y]
+    for verdict in (ct.levi_kernel, ct.nondegeneracy_order):
+        with pytest.raises(ct.NumericalFailure, match=f"V_{j}{k} has no Levi link"):
+            verdict(orb)
 
 
 def test_nondegeneracy_order_two_everywhere():
