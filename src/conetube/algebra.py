@@ -413,22 +413,44 @@ def matrix_to_element(algebra: AlgebraDescriptor, M: np.ndarray) -> np.ndarray:
     return x
 
 
-def numeric_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
-    """Numeric rank of M and its right singular vectors, from one thin SVD.
+def above_rank_cut(values: np.ndarray, largest) -> np.ndarray:
+    """values > RANK_REL_CUT · largest: the one cut behind every rank decision."""
+    return values > RANK_REL_CUT * largest
 
-    The rank counts singular values above RANK_REL_CUT times the largest.
-    ``vh[:rank]`` spans the row space; with at least as many rows as
-    columns, ``vh.conj()[rank:]`` spans the nullspace. A tall M is reduced
-    to its QR factor R first: same singular values and right vectors.
+
+def _ranked_svd(M: np.ndarray, svd) -> tuple[int, np.ndarray | None]:
+    """Rank of M and the ``vh`` that ``svd`` returns beside its singular values.
+
+    ``svd`` maps a matrix to (s, vh) or (s, None). A tall M is reduced to
+    its QR factor R first: same singular values and right vectors. The rank
+    counts the s above RANK_REL_CUT times the largest; a failed or
+    non-finite SVD raises NumericalFailure.
     """
     M = np.asarray(M)
     try:
         if M.shape[0] > M.shape[1]:
             M = np.linalg.qr(M, mode="r")
-        _, s, vh = np.linalg.svd(M, full_matrices=False)
+        s, vh = svd(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"rank decision failed: {exc}") from exc
     if s.size and not np.isfinite(s[0]):
         raise NumericalFailure(f"rank decision on a matrix with singular value {s[0]}")
-    rank = int(np.count_nonzero(s > RANK_REL_CUT * s[0])) if s.size else 0
+    rank = int(np.count_nonzero(above_rank_cut(s, s[0]))) if s.size else 0
     return rank, vh
+
+
+def numeric_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numeric rank of M and its right singular vectors, from one thin SVD.
+
+    The rank counts singular values above RANK_REL_CUT times the largest.
+    ``vh[:rank]`` spans the row space; with at least as many rows as
+    columns, ``vh.conj()[rank:]`` spans the nullspace. Only callers that
+    read ``vh`` use this: :func:`numeric_rank_only` makes the same decision
+    from the singular values alone, at less than half the cost.
+    """
+    return _ranked_svd(M, lambda R: np.linalg.svd(R, full_matrices=False)[1:])
+
+
+def numeric_rank_only(M: np.ndarray) -> int:
+    """``numeric_rank(M)[0]`` from the singular values alone."""
+    return _ranked_svd(M, lambda R: (np.linalg.svd(R, compute_uv=False), None))[0]

@@ -213,5 +213,5 @@ def isotropy_dimension(s) -> int:
     alpha, beta, gamma = basis[:, :r, :r], basis[:, :r, r:], basis[:, r:, :r]
     c1 = alpha @ s + s @ alpha.transpose(0, 2, 1)
     c2 = beta + s @ gamma @ s
-    rank, _ = al.numeric_rank(np.concatenate([c1.reshape(m, -1), c2.reshape(m, -1)], axis=1))
-    return m - rank
+    return m - al.numeric_rank_only(
+        np.concatenate([c1.reshape(m, -1), c2.reshape(m, -1)], axis=1))

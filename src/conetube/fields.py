@@ -16,6 +16,7 @@ stays inside gl(Ω).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -86,7 +87,7 @@ def field_derivative(algebra: al.AlgebraDescriptor, field: GradedField, z):
 class GlOmegaSpan:
     """gl(Ω) = L(V) ⊕ Der(V) inside gl(V): two dimensions, and rows on request.
 
-    ``pairs`` stacks the seeded (x_i, y_i), shape (2, N, dim), whose
+    ``pairs`` stacks the seeded uniform (x_i, y_i), shape (2, N, dim), whose
     commutators [L(x_i), L(y_i)] span Der(V). :func:`gl_omega_span` caches
     one span per algebra, so the span is frozen and its arrays read-only.
     """
@@ -103,8 +104,8 @@ class GlOmegaSpan:
         Built on the first read from one ``numeric_rank`` of the flattened
         L(b_a) and [L(x_i), L(y_i)]; a rank other than ``dim_gl_omega``
         raises NumericalFailure. On the desk and the four benchmark
-        large-rank algebras the kept singular values are ≥ 1.8e-2·s₀ and the
-        dropped ones ≤ 7.9e-16·s₀.
+        large-rank algebras the kept singular values are ≥ 5.3e-2·s₀ and the
+        dropped ones ≤ 9.7e-16·s₀.
         """
         ops = al._lmul_basis(self.algebra)
         d = self.algebra.dim
@@ -159,13 +160,25 @@ def _commutators_at(algebra: al.AlgebraDescriptor, xs: np.ndarray,
     return out.reshape(len(xs), -1)
 
 
+def _uniform(rng: random.Random, shape: tuple) -> np.ndarray:
+    """Entries uniform in [−1, 1) from one ``rng.randbytes`` call.
+
+    Each entry is the top 53 bits of one little-endian 64-bit word, so a
+    seeded ``random.Random`` gives the same array on every platform.
+    """
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return ((words >> 11) * 2.0 ** -52 - 1.0).reshape(shape)
+
+
 @lru_cache(maxsize=None)
 def gl_omega_span(algebra: al.AlgebraDescriptor) -> GlOmegaSpan:
     """dim Der(V) and dim gl(Ω), ranked on X ↦ (X e, X p_1, …, X p_s).
 
     x ∧ y ↦ [L(x), L(y)] maps Λ²V onto Der(V), so commutators of seeded
-    Gaussian pairs span it. The commutators are ranked by their values at
-    seeded Gaussian probes p_i, never as dim² matrices.
+    pairs span it. The commutators are ranked by their values at seeded
+    probes p_i, never as dim² matrices, and every rank is decided on
+    singular values alone. Pairs and probes have entries uniform in
+    [−1, 1), drawn from ``random.Random(0)`` and ``random.Random(1)``.
     - After a batch raises the rank, probes are added one at a time until
       one adds no rank: then every X in the span that the values miss
       kills a generic element, so X = 0, and the values are faithful. A
@@ -181,24 +194,24 @@ def gl_omega_span(algebra: al.AlgebraDescriptor) -> GlOmegaSpan:
       anything else raises NumericalFailure.
     On the desk, the four benchmark large-rank algebras, hermR r=8, 12,
     hermC r=7, 9, 10 and hermH r=5, 6, every kept singular value is
-    ≥ 5.6e-4·s₀ and every dropped one ≤ 8.1e-16·s₀. The fixed seeds make
+    ≥ 1.5e-3·s₀ and every dropped one ≤ 4.3e-16·s₀. The fixed seeds make
     the result deterministic.
     """
     d = algebra.dim
     ops = al._lmul_basis(algebra).reshape(d, -1)
-    rng, probe_rng = np.random.default_rng(0), np.random.default_rng(1)
+    rng, probe_rng = random.Random(0), random.Random(1)
 
     def probe():
         # L(p)ᵀ for one more probe p, shape (1, dim, dim)
-        return (probe_rng.standard_normal(d) @ ops).reshape(1, d, d).transpose(0, 2, 1)
+        return (_uniform(probe_rng, (d,)) @ ops).reshape(1, d, d).transpose(0, 2, 1)
 
     xs = ys = np.zeros((0, d))
     lps, values, rank = probe(), np.zeros((0, d)), 0
     while True:
-        bx, by = rng.standard_normal((2, d, d))
+        bx, by = _uniform(rng, (2, d, d))
         values = np.concatenate([values, _commutators_at(algebra, bx, by, lps)])
         xs, ys = np.concatenate([xs, bx]), np.concatenate([ys, by])
-        new_rank, vh = al.numeric_rank(values)
+        new_rank = al.numeric_rank_only(values)
         if new_rank <= rank:
             break
         rank = new_rank
@@ -207,13 +220,13 @@ def gl_omega_span(algebra: al.AlgebraDescriptor) -> GlOmegaSpan:
             values = np.hstack([values, _commutators_at(algebra, xs, ys, lps[-1:])])
             if rank == len(values):
                 break  # one row per pair: this probe cannot add rank
-            new_rank, vh = al.numeric_rank(values)
+            new_rank = al.numeric_rank_only(values)
             if new_rank <= rank:
                 break
             rank = new_rank
     lmul_values = np.hstack([np.eye(d), *lps])
-    der_values = np.hstack([np.zeros((rank, d)), vh[:rank]])
-    dim_gl, _ = al.numeric_rank(np.concatenate([lmul_values, der_values]))
+    der_values = np.hstack([np.zeros((len(values), d)), values])
+    dim_gl = al.numeric_rank_only(np.concatenate([lmul_values, der_values]))
     if dim_gl != d + rank:
         raise NumericalFailure(
             f"span of L(V) and derivations has rank {dim_gl}, "

@@ -200,12 +200,12 @@ def _block_graph(algebra: al.AlgebraDescriptor) -> np.ndarray:
 
     Read-only, shared and symmetric in its three axes (the product commutes,
     the trace form is associative). Entry [x, y, z] is the norm of block (x, y, z) of
-    t[a, b, c] = (r_a ∘ r_b | r_c) over the Peirce rows r, cut at
-    ``algebra.RANK_REL_CUT`` times the largest block norm, as ``numeric_rank``
-    cuts. t is one (dim, dim²) product with the multiplication table, squared
-    slab by slab and summed by blocks. Over the desk, hermR r=6, 7, 12, hermC
-    r=6, 10 and hermH r=4, 6 kept norms are ≥ 0.35 of the largest, dropped
-    ones ≤ 1.4e-16.
+    t[a, b, c] = (r_a ∘ r_b | r_c) over the Peirce rows r, cut against the
+    largest block norm by ``algebra.above_rank_cut``, the cut of every rank
+    decision. t is one (dim, dim²) product with the multiplication table,
+    squared slab by slab and summed by blocks. Over the desk, hermR r=6, 7,
+    12, hermC r=6, 10 and hermH r=4, 6 kept norms are ≥ 0.35 of the
+    largest, dropped ones ≤ 1.4e-16.
     """
     _, pairs, rows, row_pair = _standard_joint_peirce(algebra)
     d = algebra.dim
@@ -216,7 +216,7 @@ def _block_graph(algebra: al.AlgebraDescriptor) -> np.ndarray:
     starts = np.searchsorted(row_pair, np.arange(len(pairs)))
     for axis in range(3):
         t = np.add.reduceat(t, starts, axis=axis)
-    graph = np.sqrt(t) > al.RANK_REL_CUT * np.sqrt(t.max())
+    graph = al.above_rank_cut(np.sqrt(t), np.sqrt(t.max()))
     graph.flags.writeable = False
     return graph
 

@@ -423,6 +423,7 @@ def test_numeric_rank(rows, cols, rank, dtype):
     M = factor((rows, rank)) @ factor((rank, cols))
     got, vh = al.numeric_rank(M)
     assert got == rank
+    assert al.numeric_rank_only(M) == got
     span = vh[:rank]
     np.testing.assert_allclose(span @ span.conj().T, np.eye(rank), atol=1e-12)
     np.testing.assert_allclose(M @ span.conj().T @ span, M, atol=1e-10)
@@ -443,5 +444,6 @@ def test_numeric_rank(rows, cols, rank, dtype):
 def test_numeric_rank_rejects_nan():
     M = np.ones((4, 3))
     M[1, 2] = np.nan
-    with pytest.raises(ct.NumericalFailure):
-        al.numeric_rank(M)
+    for rank_of in (al.numeric_rank, al.numeric_rank_only):
+        with pytest.raises(ct.NumericalFailure):
+            rank_of(M)

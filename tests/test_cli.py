@@ -372,6 +372,21 @@ def test_json_byte_determinism_subprocess():
     json.loads(first)
 
 
+def test_dim_table_and_analyze_leave_numpy_random_unimported():
+    code = """if True:
+        import sys
+        import conetube as ct
+        from conetube import cli
+        for A in ct.desk_algebras():
+            assert ct.dim_table(A) == ct.expected_dim_table(A), A
+        assert cli.main(["analyze", "--family", "hermH", "--rank", "3",
+                         "--p", "1", "--q", "1", "--json"]) == 0
+        assert "numpy.random" not in sys.modules, "numpy.random imported"
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_one_parser_serves_every_call_like_a_fresh_interpreter(capsys):
     sequence = [
         ANALYZE_ARGV,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -171,6 +172,29 @@ def test_gl_omega_span_is_deterministic():
     first = fl.gl_omega_span(A).rows.tobytes()
     fl.gl_omega_span.cache_clear()
     assert fl.gl_omega_span(A).rows.tobytes() == first
+
+
+def test_seeded_draws_are_pinned():
+    # the pairs and probes of gl_omega_span: the same on every platform and Python
+    want = {0: [-0.22950938397812592, 0.7804878366915295, -0.9190312379875354],
+            1: [0.1384077417358589, 0.604530118800436, -0.8737863517535038]}
+    for seed, values in want.items():
+        assert fl._uniform(random.Random(seed), (3,)).tolist() == values
+    draws = fl._uniform(random.Random(0), (2, 50, 50))
+    assert draws.min() >= -1.0 and draws.max() < 1.0
+
+
+def test_dim_table_ranks_on_singular_values_alone(monkeypatch):
+    svd = np.linalg.svd
+
+    def values_only(M, *args, **kwargs):
+        assert kwargs.get("compute_uv") is False, "singular vectors requested"
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", values_only)
+    fl.gl_omega_span.cache_clear()
+    for A in DESK:
+        assert fl.dim_table(A) == fl.expected_dim_table(A), A
 
 
 def test_derivation_span_rank_identity():
