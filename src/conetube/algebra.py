@@ -151,6 +151,10 @@ def _herm_basis_matrices(rank: int, n: int) -> np.ndarray:
 def multiplication_table(algebra: AlgebraDescriptor) -> np.ndarray:
     """Structure tensor T with (x∘y)_c = Σ T[a, b, c] x_a y_b. Cached.
 
+    T is the only d³ array kept per algebra. x contracted with T on its
+    first axis is L(x)ᵀ, which :func:`_lmul_stack` turns into L(x), and
+    ``einsum("cii->c", T)`` is the trace vector, tr L(b_c) at c.
+
     Hermitian families take the K_n-matrix product of every basis pair in
     one contraction and read coordinate c off entry (I[c], J[c], D[c]) of
     the symmetrised product. Every summand is 0 or ±1, so the table is
@@ -176,19 +180,20 @@ def multiplication_table(algebra: AlgebraDescriptor) -> np.ndarray:
     D = np.concatenate([np.zeros(r, dtype=int), np.tile(np.arange(n), len(pairs))])
     prod = np.einsum("aijm,bjln,mnp->abilp", basis, basis, tk, optimize=True)
     prod = prod[:, :, I, J, D]
-    T = 0.5 * (prod + prod.transpose(1, 0, 2))
+    # written in C order: the gather leaves prod's c axis outermost, and
+    # T.reshape(d, d * d) must be a view, not a copy of T per L(x)
+    T = np.add(prod, prod.transpose(1, 0, 2), out=np.empty(prod.shape))
+    T *= 0.5
     T.setflags(write=False)
     return T
 
 
-@lru_cache(maxsize=None)
-def _lmul_basis(algebra: AlgebraDescriptor) -> np.ndarray:
-    """Stack of L(b_a) operators, shape (dim, dim, dim)."""
-    T = multiplication_table(algebra)
-    # L(b_a)[k, j] = T[a, j, k]
-    ops = T.transpose(0, 2, 1).copy()
-    ops.setflags(write=False)
-    return ops
+def _lmul_stack(algebra: AlgebraDescriptor, xs, transposed=False) -> np.ndarray:
+    """C-contiguous L(x) for each x in xs of shape (..., dim); L(x)ᵀ if ``transposed``."""
+    d = algebra.dim
+    lt = xs @ multiplication_table(algebra).reshape(d, d * d)
+    lt = lt.reshape(lt.shape[:-1] + (d, d))
+    return lt if transposed else np.ascontiguousarray(lt.swapaxes(-1, -2))
 
 
 @lru_cache(maxsize=None)
@@ -201,9 +206,7 @@ def trace_gram(algebra: AlgebraDescriptor) -> np.ndarray:
     tr(L(x)L(y)) differs by a tr(x)tr(y) term and fails both properties.
     """
     T = multiplication_table(algebra)
-    ops = _lmul_basis(algebra)
-    ltr = np.einsum("cii->c", ops)
-    G = np.einsum("abc,c->ab", T, ltr)
+    G = np.einsum("abc,c->ab", T, np.einsum("cii->c", T))
     G = 0.5 * (G + G.T)
     G.setflags(write=False)
     return G
@@ -263,15 +266,14 @@ def jordan_product(algebra: AlgebraDescriptor, x, y) -> np.ndarray:
     """x∘y, complex-bilinear on E = V ⊕ iV."""
     x = as_element(algebra, x)
     y = as_element(algebra, y)
-    T = multiplication_table(algebra)
-    return np.einsum("abc,a,b->c", T, x, y)
+    # order="C" sums over a and b inside each c; einsum's default loops over
+    # c innermost on T's C layout, which is slower at the benchmark's sizes
+    return np.einsum("abc,a,b->c", multiplication_table(algebra), x, y, order="C")
 
 
 def lmul(algebra: AlgebraDescriptor, x) -> np.ndarray:
     """Multiplication operator L(x) with L(x) y = x∘y."""
-    x = as_element(algebra, x)
-    ops = _lmul_basis(algebra)
-    return np.tensordot(x, ops, axes=(0, 0))
+    return _lmul_stack(algebra, as_element(algebra, x))
 
 
 def pquad(algebra: AlgebraDescriptor, x, y=None) -> np.ndarray:

@@ -88,24 +88,18 @@ def _parse_s_matrix(text: str) -> np.ndarray:
 
 
 def _table_rows(args):
-    if args.family is None:
-        return list(al.desk_algebras())
-    if args.family == "spin":
-        if args.n is not None:
-            if args.n > _TABLE_SPIN_CAP:
-                raise DimensionMismatch(
-                    f"table covers spin n <= {_TABLE_SPIN_CAP}")
-            return [al.make_algebra("spin", peirce_constant=args.n)]
-        return [al.make_algebra("spin", peirce_constant=n)
-                for n in range(1, _TABLE_SPIN_CAP + 1)]
-    if args.family == "albert":
-        return [al.make_algebra("albert")]
-    if args.rank is not None:
-        if args.rank > _TABLE_RANK_CAP:
-            raise DimensionMismatch(
-                f"table covers Hermitian ranks r <= {_TABLE_RANK_CAP}")
-        return [al.make_algebra(args.family, rank=args.rank)]
-    return [a for a in al.desk_algebras() if a.family == args.family]
+    """The desk rows of --family, with any --rank or --n put in and checked."""
+    if args.family is None and (args.rank, args.n) != (None, None):
+        raise DimensionMismatch("table takes --rank and --n only with --family")
+    rows = dict.fromkeys(al.make_algebra(
+        a.family, args.rank if args.rank is not None else a.rank,
+        args.n if args.n is not None else a.peirce_constant)
+        for a in al.desk_algebras() if args.family in (None, a.family))
+    if any(a.family == "spin" and a.peirce_constant > _TABLE_SPIN_CAP for a in rows):
+        raise DimensionMismatch(f"table covers spin n <= {_TABLE_SPIN_CAP}")
+    if any(a.rank > _TABLE_RANK_CAP for a in rows):
+        raise DimensionMismatch(f"table covers Hermitian ranks r <= {_TABLE_RANK_CAP}")
+    return list(rows)
 
 
 def cmd_table(args):
@@ -288,8 +282,8 @@ def cmd_flow(args):
 
 def cmd_siegel(args):
     if args.isotropy:
-        if args.s is None:
-            raise DimensionMismatch("--isotropy requires --s")
+        if args.s is None or args.matrix is not None or args.z is not None:
+            raise DimensionMismatch("--isotropy takes --s, not --matrix or --z")
         s = _parse_s_matrix(args.s)
         dim = dm.isotropy_dimension(s)
         r = s.shape[0]
@@ -300,9 +294,9 @@ def cmd_siegel(args):
         }
         return 0, report, [f"isotropy dimension  {dim}",
                            f"dim sp({r},R)        {r * (2 * r + 1)}"]
-    if args.matrix is None or args.z is None:
+    if args.matrix is None or args.z is None or args.s is not None:
         raise DimensionMismatch(
-            "siegel needs either --isotropy --s or --matrix with --z")
+            "siegel needs either --isotropy --s or --matrix with --z, not both")
     A = sz.matrix_from_json(_load_json_arg(args.matrix)).astype(float)
     z = sz.matrix_from_json(_load_json_arg(args.z), allow_complex=True)
     w = dm.siegel_action(A, z)

@@ -107,9 +107,8 @@ class GlOmegaSpan:
         large-rank algebras the kept singular values are ≥ 5.3e-2·s₀ and the
         dropped ones ≤ 9.7e-16·s₀.
         """
-        ops = al._lmul_basis(self.algebra)
         d = self.algebra.dim
-        lx, ly = (np.tensordot(v, ops, axes=(1, 0)) for v in self.pairs)
+        ops, lx, ly = (al._lmul_stack(self.algebra, v) for v in (np.eye(d), *self.pairs))
         rank, vh = al.numeric_rank(np.concatenate(
             [ops.reshape(d, -1), (lx @ ly - ly @ lx).reshape(len(lx), -1)]))
         if rank != self.dim_gl_omega:
@@ -198,12 +197,11 @@ def gl_omega_span(algebra: al.AlgebraDescriptor) -> GlOmegaSpan:
     the result deterministic.
     """
     d = algebra.dim
-    ops = al._lmul_basis(algebra).reshape(d, -1)
     rng, probe_rng = random.Random(0), random.Random(1)
 
     def probe():
         # L(p)ᵀ for one more probe p, shape (1, dim, dim)
-        return (_uniform(probe_rng, (d,)) @ ops).reshape(1, d, d).transpose(0, 2, 1)
+        return al._lmul_stack(algebra, _uniform(probe_rng, (1, d)), transposed=True)
 
     xs = ys = np.zeros((0, d))
     lps, values, rank = probe(), np.zeros((0, d)), 0

@@ -203,7 +203,8 @@ def _split_idempotent(algebra, c, m):
         return [c]
     pc = al.pquad(algebra, c)
     # generic traces of every column of P(c) in one product
-    traces = np.trace(al._lmul_basis(algebra), axis1=1, axis2=2) * (algebra.rank / algebra.dim)
+    T = al.multiplication_table(algebra)
+    traces = np.einsum("cii->c", T) * (algebra.rank / algebra.dim)
     free = pc - np.outer(c, traces @ pc / m)
     u = free[:, np.argmax(np.linalg.norm(free, axis=0))]
     f = u / math.sqrt(traces @ al.jordan_product(algebra, u, u) / m)
@@ -479,7 +480,7 @@ def joint_peirce(algebra: al.AlgebraDescriptor, frame) -> JointPeirceData:
     matmul over the pairs of ``np.triu_indices(r)``, which is the key order.
     """
     frame = _check_frame(algebra, frame)
-    ls = np.tensordot(frame, al._lmul_basis(algebra), axes=(1, 0))  # (r, dim, dim)
+    ls = al._lmul_stack(algebra, frame)  # (r, dim, dim)
     j, k = np.triu_indices(algebra.rank)
     stack = ls[j] @ ls[k]
     diag = j == k

@@ -157,7 +157,9 @@ def _gram_orthonormal_rows(chol, projector, expected_dim):
 def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
     """Closed-form CR dimension, codimension and Levi kernel dimension."""
     r, n = algebra.rank, algebra.peirce_constant
-    if p < 0 or q < 0 or p + q > r:
+    if min(p, q) < 0:
+        raise InvalidSignature(f"(p, q) = ({p}, {q}): {'p' if p < 0 else 'q'} is negative")
+    if p + q > r:
         raise InvalidSignature(f"(p, q) = ({p}, {q}) exceeds rank {r}")
     rho = p + q
     rho_p = r - rho

@@ -256,6 +256,25 @@ def test_pquad_definition():
                                    atol=PQUAD_TOL)
 
 
+def test_lmul_comes_from_the_multiplication_table():
+    # L(b_a) is T[a] transposed, C-contiguous; a stack of L(x) and of L(x)ᵀ
+    # holds the same bits as lmul on each x. T is in C order, so building
+    # L(x) never copies it
+    rng = np.random.default_rng(41)
+    for A in DESK:
+        T = ct.multiplication_table(A)
+        assert T.flags.c_contiguous
+        for a in range(A.dim):
+            La = ct.lmul(A, np.eye(A.dim)[a])
+            assert La.flags.c_contiguous
+            np.testing.assert_array_equal(La, T[a].T)
+        xs = rng.standard_normal((3, A.dim))
+        stack = al._lmul_stack(A, xs)
+        stack_t = al._lmul_stack(A, xs, transposed=True)
+        for x, L, Lt in zip(xs, stack, stack_t):
+            assert ct.lmul(A, x).tobytes() == L.tobytes() == Lt.T.copy().tobytes()
+
+
 def test_fundamental_formula():
     # P(P(x)y) = P(x) P(y) P(x) on a few samples per algebra
     rng = np.random.default_rng(47)

@@ -62,6 +62,20 @@ def test_table_rank_cap(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "albert", "--rank", "2"],
+    ["table", "--family", "spin", "--rank", "5"],
+    ["table", "--family", "hermR", "--rank", "3", "--n", "2"],
+    ["table", "--family", "hermC", "--n", "7"],
+    ["table", "--rank", "3"],
+], ids=["albert-rank", "spin-rank", "hermR-n", "hermC-n", "rank-without-family"])
+def test_table_refuses_values_off_the_classification(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert "input error" in err
+    assert out == ""
+
+
 def test_analyze_light_cone(capsys):
     code, out, _ = run(["analyze", "--family", "hermR", "--rank", "2",
                         "--p", "1", "--q", "0", "--json"], capsys)
@@ -312,6 +326,28 @@ def test_siegel_requires_arguments(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["siegel", "--isotropy", "--s", "diag(1,0)", "--matrix", "[[1]]"],
+    ["siegel", "--isotropy", "--s", "diag(1,0)", "--z", "[[[0,1]]]"],
+    ["siegel", "--s", "diag(1,0)", "--matrix", json.dumps(np.eye(2).tolist()),
+     "--z", "[[[0,1]]]"],
+], ids=["isotropy-matrix", "isotropy-z", "action-s"])
+def test_siegel_refuses_flags_of_the_other_mode(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("input error") and ", not " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("p, q, name", [(-1, 0, "p"), (0, -2, "q"), (-1, -1, "p")])
+def test_negative_signature_entry_is_named(p, q, name, capsys):
+    code, _, err = run(["analyze", "--family", "hermR", "--rank", "3",
+                        "--p", str(p), "--q", str(q)], capsys)
+    assert code == 2
+    assert f"(p, q) = ({p}, {q}): {name} is negative" in err
+    assert "exceeds" not in err
+
+
 ANALYZE_ARGV = ["analyze", "--family", "hermR", "--rank", "2", "--p", "1",
                 "--q", "0", "--json"]
 
@@ -385,6 +421,32 @@ def test_dim_table_and_analyze_leave_numpy_random_unimported():
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_multiplication_table_is_the_only_cached_cube():
+    # after a cold analyze, spectral --projections and one lmul, everything
+    # the package still holds is T and arrays far smaller than it
+    code = """if True:
+        import gc, json, os, tracemalloc
+        import numpy as np
+        import conetube as ct
+        from conetube import cli
+        tracemalloc.start(64)
+        A = ct.make_algebra("hermC", rank=8)
+        argv = ["--family", "hermC", "--rank", "8", "--json"]
+        assert cli.main(["analyze", *argv, "--p", "3", "--q", "2"]) == 0
+        x = json.dumps([float(v) for v in range(1, 9)] + [0.5] * (A.dim - 8))
+        assert cli.main(["spectral", *argv, "--element", x, "--projections"]) == 0
+        ct.lmul(A, np.linspace(-1.0, 1.0, A.dim))
+        gc.collect()
+        package = os.path.join(os.path.dirname(ct.__file__), "*")
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, package, all_frames=True)])
+        print(sum(t.size for t in snap.traces) / ct.multiplication_table(A).nbytes)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) < 1.5
 
 
 def test_one_parser_serves_every_call_like_a_fresh_interpreter(capsys):
