@@ -121,13 +121,6 @@ def _herm_pairs(r: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(r) for k in range(j + 1, r)]
 
 
-def off_diagonal_index(algebra: AlgebraDescriptor, j: int, k: int, d: int) -> int:
-    """Coordinate index of the (j, k, d) off-diagonal unit, j < k."""
-    r, n = algebra.rank, algebra.peirce_constant
-    pos = _herm_pairs(r).index((j, k))
-    return r + pos * n + d
-
-
 @lru_cache(maxsize=None)
 def _herm_basis_matrices(rank: int, n: int) -> np.ndarray:
     """All basis elements as K_n-valued matrices, shape (dim, r, r, n)."""

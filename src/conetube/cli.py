@@ -386,6 +386,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"input error: too large for memory: {exc}", file=sys.stderr)
+        return 2
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -101,12 +101,17 @@ def element_to_json(x) -> list:
     return [float(v) for v in x]
 
 
+def _is_number(entry) -> bool:
+    # JSON true and false load as bool, a subclass of int: not numbers here
+    return isinstance(entry, (int, float)) and not isinstance(entry, bool)
+
+
 def _entry(entry, allow_pair: bool, refusal: str) -> complex:
     """A JSON number, or an [re, im] pair if ``allow_pair``; else ``refusal`` + repr."""
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
     if (allow_pair and isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(t, (int, float)) for t in entry)):
+            and all(map(_is_number, entry))):
         return complex(entry[0], entry[1])
     raise DimensionMismatch(f"{refusal}{entry!r}")
 

@@ -27,15 +27,16 @@ rows, so the kernel chain and minimality's closure 𝒜a are sums of whole
 blocks, read off one boolean graph per algebra (see ``_block_graph``); the
 Peirce rules V_ij ∘ V_jk ⊆ V_ik (i, j, k distinct) and V_ij ∘ V_ij ⊆
 V_ii + V_jj say which of its entries can be true. ``levi_form`` and
-``beta_map`` stay the validated single-pair functions; ranked by
-``numeric_rank``, their matrices are the tests' oracle of the chain.
+``beta_map`` stay the validated single-pair functions, in coordinates on
+the orbit's rows; ranked by ``numeric_rank``, their matrices are the tests'
+oracle of the chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,20 +53,13 @@ from .errors import (
 MEMBERSHIP_TOL = 1e-8
 
 
-def _dense_block(i: int, doc: str) -> property:
-    return property(lambda self: self._dense_blocks[i], doc=doc)
-
-
 @dataclass(frozen=True)
 class TubeOrbit:
-    """Canonical base point of C_{p,q} with all Peirce machinery cached.
+    """Canonical base point of C_{p,q} and its Peirce rows.
 
     Built only by :func:`make_orbit`. Frozen, and every array is the orbit's
     own read-only copy; copy an array to change it. The bases are the Peirce
-    rows sorted E_1, E_{1/2}, E_0 (``basis_h`` is the first two). The dense
-    projectors ``pi_e1``, ``pi_half``, ``pi_e0`` and the inverses ``linv_h`` =
-    (L(a)|_H)^{-1}, ``pinv_e1`` = (P(a)|_{E_1})^{-1} are read-only (dim, dim)
-    arrays built on the first read of any of them.
+    rows sorted E_1, E_{1/2}, E_0 (``basis_h`` is the first two).
     """
 
     algebra: al.AlgebraDescriptor
@@ -86,35 +80,6 @@ class TubeOrbit:
     @property
     def rho_prime(self) -> int:
         return self.algebra.rank - self.rho
-
-    @cached_property
-    def _dense_blocks(self) -> np.ndarray:
-        """π_E1, π_½, π_E0, (L(a)|_H)^{-1}, (P(a)|_{E_1})^{-1}, stacked.
-
-        On V_jk (its block from ``_pair_class``) L(a) acts as (λ_j + λ_k)/2
-        and P(a) as λ_j λ_k: one contraction of five weight rows with the
-        stacked π_jk of a fresh ``joint_peirce`` on the standard frame.
-        """
-        joint = sp.joint_peirce(self.algebra, al.standard_frame(self.algebra))
-        stack = np.stack(list(joint.projections.values()))
-        # the pairs {j, k} are unordered, so the standard frame's order serves
-        # as well as the sorted one; with one λ zero, λ_j + λ_k is the other
-        lam = _standard_eigenvalues(self.algebra.rank, self.p, self.q)
-        lam_jk = lam[np.array(list(joint.projections))]
-        nonzero = _pair_class(self.algebra, self.p, self.q)
-        weights = np.zeros((5, len(stack)))
-        weights[:3] = nonzero == np.array([[2], [1], [0]])
-        np.divide(2.0, lam_jk.sum(axis=1), out=weights[3], where=nonzero > 0)
-        np.divide(1.0, lam_jk.prod(axis=1), out=weights[4], where=nonzero == 2)
-        blocks = np.tensordot(weights, stack, axes=1)
-        blocks.flags.writeable = False
-        return blocks
-
-    pi_e1 = _dense_block(0, "Projector onto E_1, read-only.")
-    pi_half = _dense_block(1, "Projector onto E_{1/2}, read-only.")
-    pi_e0 = _dense_block(2, "Projector onto E_0, read-only.")
-    linv_h = _dense_block(3, "(L(a)|_H)^{-1}, zero on E_0, read-only.")
-    pinv_e1 = _dense_block(4, "(P(a)|_{E_1})^{-1}, zero off E_1, read-only.")
 
 
 @dataclass
@@ -239,25 +204,38 @@ def _pair_class(algebra: al.AlgebraDescriptor, p: int, q: int) -> np.ndarray:
     return np.count_nonzero(pairs < p + q, axis=1)
 
 
+def _row_order(algebra: al.AlgebraDescriptor, p: int, q: int):
+    """Each Peirce row's ``_pair_class``, and the stable order that sorts the
+    rows E_1, E_{1/2}, E_0: the order of every orbit basis."""
+    row_class = _pair_class(algebra, p, q)[_standard_joint_peirce(algebra)[3]]
+    return row_class, np.argsort(-row_class, kind="stable")
+
+
+def _row_eigenvalues(orbit: TubeOrbit) -> np.ndarray:
+    """(λ_j, λ_k) for each row of the orbit's bases, V_jk its block, in order."""
+    _, pairs, _, row_pair = _standard_joint_peirce(orbit.algebra)
+    lam = _standard_eigenvalues(orbit.algebra.rank, orbit.p, orbit.q)
+    return lam[pairs[row_pair[_row_order(orbit.algebra, orbit.p, orbit.q)[1]]]]
+
+
 def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     """Build the canonical base point of C_{p,q} and its Peirce data.
 
     The orbit is the algebra's Peirce rows, built and checked once per
-    algebra, sorted by ``_pair_class``: no factorisation, spectral check or
+    algebra, sorted by ``_row_order``: no factorisation, spectral check or
     dense operator is built per call. The base point satisfies condition *
     and has signature (p, q) by construction. Every array stored is marked
     read-only in a frozen orbit.
     """
     cr_dimensions(algebra, p, q)  # raises InvalidSignature for a bad (p, q)
-    standard, _, rows, row_pair = _standard_joint_peirce(algebra)
+    standard, _, rows, _ = _standard_joint_peirce(algebra)
     lam = _standard_eigenvalues(algebra.rank, p, q)
     order = np.argsort(lam, kind="stable")[::-1]
     eigenvalues, frame = lam[order], standard[order]
     a = eigenvalues @ frame
 
-    row_class = _pair_class(algebra, p, q)[row_pair]
-    # E_1, E_{1/2}, E_0; a copy: the bases are the orbit's own
-    basis = rows[np.argsort(-row_class, kind="stable")]
+    row_class, row_order = _row_order(algebra, p, q)
+    basis = rows[row_order]  # a copy: the bases are the orbit's own
     for arr in (a, eigenvalues, frame, basis):
         arr.flags.writeable = False
     m1, m = np.count_nonzero(row_class == 2), np.count_nonzero(row_class)
@@ -265,14 +243,16 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
                      basis[:m], basis[:m1], basis[m1:m], basis[m:])
 
 
-def _check_in_subspace(orbit, v, projector, error, what):
-    """Coerce one element; raise ``error`` unless ``projector`` fixes it."""
+def _check_in_subspace(orbit, v, rows, error, what):
+    """Coerce one element; raise ``error`` unless it lies in the span of the
+    trace-orthonormal ``rows``. Returns it and its coordinates on them."""
     v = al.as_element(orbit.algebra, v)
-    resid = np.linalg.norm(v - projector @ v)
+    coord = rows @ (al.trace_gram(orbit.algebra) @ v)
+    resid = np.linalg.norm(v - coord @ rows)
     if resid > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(v)):
         raise error(f"{what}: residual {resid:.2e} "
                     f"outside tolerance {MEMBERSHIP_TOL:.1e}")
-    return v
+    return v, coord
 
 
 def levi_form(orbit: TubeOrbit, v, w) -> np.ndarray:
@@ -280,16 +260,17 @@ def levi_form(orbit: TubeOrbit, v, w) -> np.ndarray:
 
     Conjugate linear in v, complex linear in w; both arguments must lie in
     H_aM = E_1 ⊕ E_{1/2}. The value represents the class mod H_aM through
-    the identification E/H_aM ≅ E_0.
+    the identification E/H_aM ≅ E_0. On the row of V_jk, L(a) acts as
+    (λ_j + λ_k)/2.
     """
-    pi_h = orbit.pi_e1 + orbit.pi_half
-    v = _check_in_subspace(orbit, v, pi_h, NotInHolomorphicTangent,
-                           "first Levi argument")
-    w = _check_in_subspace(orbit, w, pi_h, NotInHolomorphicTangent,
-                           "second Levi argument")
-    u = orbit.linv_h @ w
-    val = al.jordan_product(orbit.algebra, np.conj(v), u)
-    return orbit.pi_e0 @ val
+    h, e0 = orbit.basis_h, orbit.basis_e0
+    v, _ = _check_in_subspace(orbit, v, h, NotInHolomorphicTangent,
+                              "first Levi argument")
+    w, coord = _check_in_subspace(orbit, w, h, NotInHolomorphicTangent,
+                                  "second Levi argument")
+    mu = _row_eigenvalues(orbit)[:len(h)].sum(axis=1) / 2
+    val = al.jordan_product(orbit.algebra, np.conj(v), (coord / mu) @ h)
+    return (e0 @ (al.trace_gram(orbit.algebra) @ val)) @ e0
 
 
 def _levi_kernel_pairs(orbit: TubeOrbit) -> tuple[np.ndarray, np.ndarray]:
@@ -324,13 +305,15 @@ def levi_kernel(orbit: TubeOrbit) -> np.ndarray:
 def beta_map(orbit: TubeOrbit, v, u) -> np.ndarray:
     """β(v, u) = P(a, v*) (P(a)|_{E_1})^{-1} u, antilinear in v.
 
-    v must lie in E_{1/2} and u in E_1; the value lies in E_{1/2} again.
+    v must lie in E_{1/2} and u in E_1; the value lies in E_{1/2} again. On
+    the row of V_jk in E_1, P(a) acts as λ_j λ_k.
     """
-    v = _check_in_subspace(orbit, v, orbit.pi_half, BlockViolation,
-                           "beta first argument (E_1/2)")
-    u = _check_in_subspace(orbit, u, orbit.pi_e1, BlockViolation,
-                           "beta second argument (E_1)")
-    w = orbit.pinv_e1 @ u
+    v, _ = _check_in_subspace(orbit, v, orbit.basis_half, BlockViolation,
+                              "beta first argument (E_1/2)")
+    u, coord = _check_in_subspace(orbit, u, orbit.basis_e1, BlockViolation,
+                                  "beta second argument (E_1)")
+    kappa = _row_eigenvalues(orbit)[:len(coord)].prod(axis=1)
+    w = (coord / kappa) @ orbit.basis_e1
     return al.pquad(orbit.algebra, orbit.base_point, np.conj(v)) @ w
 
 

@@ -411,18 +411,6 @@ def test_complex_bilinearity():
                                atol=1e-13)
 
 
-def test_off_diagonal_index():
-    A = ct.make_algebra("hermC", rank=3)
-    seen = set()
-    for j in range(3):
-        for k in range(j + 1, 3):
-            for d in range(2):
-                idx = al.off_diagonal_index(A, j, k, d)
-                assert 3 <= idx < A.dim
-                seen.add(idx)
-    assert len(seen) == A.dim - 3
-
-
 @pytest.mark.parametrize("rows, cols, rank", [
     (12, 5, 3),   # tall: reduced to its QR factor first
     (4, 9, 2),    # wide

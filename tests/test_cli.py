@@ -339,6 +339,40 @@ def test_siegel_refuses_flags_of_the_other_mode(argv, capsys):
     assert out == ""
 
 
+_SIEGEL_Z = json.dumps([[[0, 1], [0, 0]], [[0, 0], [0, 1]]])
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["spectral", "--family", "hermR", "--rank", "2", "--element", "[true,2,3]"], "True"),
+    (["orbit", "--family", "hermR", "--rank", "2", "--element", "[1,[2,false],3]"],
+     "[2, False]"),
+    (["siegel", "--isotropy", "--s", "[[1,0],[0,false]]"], "False"),
+    (["siegel", "--matrix", json.dumps(np.eye(4).tolist()).replace("1.0", "true", 1),
+      "--z", _SIEGEL_Z], "True"),
+    (["siegel", "--matrix", json.dumps(np.eye(4).tolist()),
+      "--z", _SIEGEL_Z.replace("1", "true", 1)], "[0, True]"),
+], ids=["spectral-element", "orbit-pair", "siegel-s", "siegel-matrix", "siegel-z"])
+def test_json_booleans_are_not_numbers(argv, bad, capsys):
+    # JSON true and false are refused where a number is due; with 1 and 0 in
+    # their place the same command runs
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error") and err.rstrip().endswith(bad)
+    numeric = [arg.replace("true", "1").replace("false", "0") for arg in argv]
+    assert run(numeric, capsys)[0] == 0
+
+
+def test_out_of_memory_input_is_an_input_error():
+    # spin n = 100000 asks for a (d, d, d) table of about 7 PiB, beyond the
+    # address space: the allocation is refused at once and touches no memory
+    proc = subprocess.run([sys.executable, "-m", "conetube", "analyze", "--family", "spin",
+                           "--n", "100000", "--p", "1", "--q", "0"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("input error: too large for memory")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("p, q, name", [(-1, 0, "p"), (0, -2, "q"), (-1, -1, "p")])
 def test_negative_signature_entry_is_named(p, q, name, capsys):
     code, _, err = run(["analyze", "--family", "hermR", "--rank", "3",
@@ -602,12 +636,16 @@ def test_large_rank_analyze_and_nondegen_json_bytes(capsys):
 
 
 def test_analyze_never_builds_dense_projectors(monkeypatch, capsys):
-    # the kernel chain and minimality are read off each algebra's block graph
-    def refuse(orbit):
-        raise AssertionError(f"dense Peirce projector read for {orbit.algebra}")
+    # the kernel chain and minimality are read off each algebra's block graph,
+    # from Peirce rows built once per algebra: once those are cached, no
+    # joint_peirce (the only builder of dense π_jk) runs for any verdict
+    for A in al.desk_algebras() + _large_rank():
+        tb._standard_joint_peirce(A), tb._block_graph(A)
 
-    for name in ("_dense_blocks", "pi_e1", "pi_half", "pi_e0", "linv_h", "pinv_e1"):
-        monkeypatch.setattr(tb.TubeOrbit, name, property(refuse))
+    def refuse(algebra, frame):
+        raise AssertionError(f"dense Peirce projectors built for {algebra}")
+
+    monkeypatch.setattr(sp, "joint_peirce", refuse)
     assert _analyze_and_nondegen_digest(al.desk_algebras(), capsys) \
         == (2 * 178, DESK_JSON_SHA256)
     assert _analyze_and_nondegen_digest(_large_rank(), capsys) \

@@ -293,7 +293,7 @@ def test_vanishing_conditions():
     assert rep.value_zero
     assert not rep.one_jet_zero
     # w in the Peirce-0 part with A = 0: vanishing one-jet
-    w0 = orb.pi_e0 @ rng.standard_normal(d)
+    w0 = rng.standard_normal(orb.basis_e0.shape[0]) @ orb.basis_e0
     g = ct.GradedField(-(ct.pquad(A, a) @ w0), np.zeros((d, d)), w0)
     rep = fl.vanishing_conditions(A, g, a)
     assert rep.value_zero

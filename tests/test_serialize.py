@@ -162,6 +162,11 @@ _HERM_R2 = ct.make_algebra("hermR", rank=2)
     ("complex matrix", [["x"]], "bad matrix entry 'x'"),
     ("complex matrix", [[None, 1]], "bad matrix entry None"),
     ("complex matrix", [[[0, 1]], [1, 2]], "matrix rows have unequal lengths"),
+    # JSON true and false load as bool, a subclass of int: refused, not 1 and 0
+    ("element", [True, 2, 3], _ELEMENT_ENTRY_ERROR + "True"),
+    ("element", [1, [0.5, False], 0], _ELEMENT_ENTRY_ERROR + "[0.5, False]"),
+    ("real matrix", [[1, 0], [0, True]], "bad matrix entry True"),
+    ("complex matrix", [[[False, 1]]], "bad matrix entry [False, 1]"),
 ])
 def test_json_entry_parsing(parse, data, want):
     def call():
@@ -195,6 +200,13 @@ def test_field_round_trip():
     assert np.max(np.abs(partial.A)) == 0
     with pytest.raises(ct.DimensionMismatch):
         sz.field_from_json(A, {"u": [1.0, 0.0, 0.0], "typo": []})
+
+
+def test_field_from_json_refuses_booleans():
+    for data in ({"u": [1.0, False, 0.0]}, {"w": [True, 0, 0]},
+                 {"A": [[True, 0, 0], [0, 0, 0], [0, 0, 0]]}):
+        with pytest.raises(ct.DimensionMismatch):
+            sz.field_from_json(_HERM_R2, data)
 
 
 def test_spectral_to_json():

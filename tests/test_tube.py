@@ -53,34 +53,40 @@ def test_condition_star_rejects_non_finite(bad):
         tb.condition_star_holds([bad, 1.0])
 
 
-def _per_call_blocks(A, orb):
-    """π_E1, π_½, π_E0, L(a)|_H⁻¹ and P(a)|_E1⁻¹ from a fresh joint_peirce
-    on the orbit's sorted frame: the make_orbit reference without a cache."""
-    joint = sp.joint_peirce(A, orb.frame)
-    lam = orb.eigenvalues
-    nonzero = lam != 0.0
-    pi_e1, pi_half, pi_e0, linv_h, pinv_e1 = (np.zeros((A.dim, A.dim)) for _ in range(5))
-    for (j, k), pjk in joint.projections.items():
-        if nonzero[j] and nonzero[k]:
-            pi_e1 += pjk
-            linv_h += 2.0 / (lam[j] + lam[k]) * pjk
-            pinv_e1 += 1.0 / (lam[j] * lam[k]) * pjk
-        elif nonzero[j] or nonzero[k]:
-            pi_half += pjk
-            nz = lam[j] if nonzero[j] else lam[k]
-            linv_h += 2.0 / nz * pjk
-        else:
-            pi_e0 += pjk
-    return pi_e1, pi_half, pi_e0, linv_h, pinv_e1
-
-
-def test_orbit_blocks_match_per_call_peirce():
+def test_levi_form_and_beta_map_match_dense_reference(dense_blocks):
+    # coordinates on the orbit's rows against the dense formulas of a fresh
+    # joint_peirce, on every degenerate desk and large-rank orbit; an input
+    # is refused iff the dense projector of its block moves it
+    rng = np.random.default_rng(233)
     for A in DESK + LARGE_RANK:
-        for (p, q) in _all_orbits(A):
+        for (p, q) in _degenerate_orbits(A):
             orb = ct.make_orbit(A, p, q)
-            got = (orb.pi_e1, orb.pi_half, orb.pi_e0, orb.linv_h, orb.pinv_e1)
-            for mine, want in zip(got, _per_call_blocks(A, orb)):
-                np.testing.assert_array_equal(mine, want)
+            pi_e1, pi_half, pi_e0, linv_h, pinv_e1 = dense_blocks(A, orb)
+            for _ in range(3):
+                v, w = (_rand_section(orb, rng, orb.basis_h) for _ in range(2))
+                want = pi_e0 @ ct.jordan_product(A, np.conj(v), linv_h @ w)
+                np.testing.assert_allclose(ct.levi_form(orb, v, w), want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
+                v = _rand_section(orb, rng, orb.basis_half)
+                u = _rand_section(orb, rng, orb.basis_e1)
+                want = ct.pquad(A, orb.base_point, np.conj(v)) @ (pinv_e1 @ u)
+                np.testing.assert_allclose(ct.beta_map(orb, v, u), want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
+            h, half, e1 = orb.basis_h[0], orb.basis_half[0], orb.basis_e1[0]
+            checks = ((pi_e1 + pi_half, lambda x: ct.levi_form(orb, x, h),
+                       ct.NotInHolomorphicTangent),
+                      (pi_e1 + pi_half, lambda x: ct.levi_form(orb, h, x),
+                       ct.NotInHolomorphicTangent),
+                      (pi_half, lambda x: ct.beta_map(orb, x, e1), ct.BlockViolation),
+                      (pi_e1, lambda x: ct.beta_map(orb, half, x), ct.BlockViolation))
+            for x in (e1, half, orb.basis_e0[0], rng.standard_normal(A.dim)):
+                for proj, call, error in checks:
+                    if np.linalg.norm(x - proj @ x) \
+                            > tb.MEMBERSHIP_TOL * max(1.0, np.linalg.norm(x)):
+                        with pytest.raises(error):
+                            call(x)
+                    else:
+                        call(x)
 
 
 def test_cached_standard_projections_are_read_only():
@@ -105,8 +111,7 @@ def test_cached_standard_projections_are_read_only():
     for row, i in zip(rows, row_pair):
         np.testing.assert_allclose(stack[i] @ row, row, atol=1e-10)
     # what make_orbit stores is its own, and read-only
-    for arr in (orb.base_point, orb.frame, orb.eigenvalues, orb.pi_e1, orb.pi_half,
-                orb.pi_e0, orb.linv_h, orb.pinv_e1, orb.basis_h, orb.basis_e1,
+    for arr in (orb.base_point, orb.frame, orb.eigenvalues, orb.basis_h, orb.basis_e1,
                 orb.basis_half, orb.basis_e0):
         assert not arr.flags.writeable
         assert not any(np.shares_memory(arr, cached) for cached in (frame, rows))
@@ -178,15 +183,16 @@ def test_orbit_subspace_dims():
             assert total == A.dim
 
 
-def test_orbit_basis_orthonormal():
+def test_orbit_basis_orthonormal(dense_blocks):
     # rows are orthonormal for the trace form and lie in their blocks
     for A in DESK + LARGE_RANK:
         G = ct.trace_gram(A)
         for (p, q) in _all_orbits(A):
             orb = ct.make_orbit(A, p, q)
-            for basis, proj in ((orb.basis_e1, orb.pi_e1),
-                                (orb.basis_half, orb.pi_half),
-                                (orb.basis_e0, orb.pi_e0)):
+            pi_e1, pi_half, pi_e0 = dense_blocks(A, orb)[:3]
+            for basis, proj in ((orb.basis_e1, pi_e1),
+                                (orb.basis_half, pi_half),
+                                (orb.basis_e0, pi_e0)):
                 if basis.shape[0] == 0:
                     continue
                 gram = basis @ G @ basis.T
@@ -216,23 +222,24 @@ def test_invalid_signature():
         ct.aut_germ_dimension(A, 0, 0)
 
 
-def test_levi_form_bracket_oracle():
+def test_levi_form_bracket_oracle(dense_blocks):
     # Levi form == transverse part of the section bracket at the base point
     rng = np.random.default_rng(211)
     for A in DESK:
         for (p, q) in _degenerate_orbits(A)[:3]:
             orb = ct.make_orbit(A, p, q)
             a = orb.base_point
+            _, _, pi_e0, linv_h, _ = dense_blocks(A, orb)
             pairs = N_PAIRS // 10 if A.dim > 15 else N_PAIRS
             for _ in range(pairs):
                 v = _rand_section(orb, rng, orb.basis_h)
                 w = _rand_section(orb, rng, orb.basis_h)
-                lv, lw = orb.linv_h @ v, orb.linv_h @ w
+                lv, lw = linv_h @ v, linv_h @ w
                 b1 = ct.jordan_product(A, ct.jordan_product(A, a, lv.real), lw) \
                     - ct.jordan_product(A, ct.jordan_product(A, a, lw.real), lv)
                 b2 = ct.jordan_product(A, ct.jordan_product(A, a, (1j * lv).real), lw) \
                     - ct.jordan_product(A, ct.jordan_product(A, a, lw.real), 1j * lv)
-                bracket_val = orb.pi_e0 @ (b1 + 1j * b2)
+                bracket_val = pi_e0 @ (b1 + 1j * b2)
                 assert np.max(np.abs(bracket_val - ct.levi_form(orb, v, w))) \
                     < ORACLE_TOL
 
@@ -265,27 +272,29 @@ def test_levi_form_vanishes_on_e1():
                                        atol=1e-10)
 
 
-def test_levi_form_rejects_bad_input():
+def test_levi_form_rejects_bad_input(dense_blocks):
     A = ct.make_algebra("hermR", rank=2)
     orb = ct.make_orbit(A, 1, 0)
-    outside = ct.unit(A) - orb.pi_e1 @ ct.unit(A) - orb.pi_half @ ct.unit(A)
+    pi_e1, pi_half = dense_blocks(A, orb)[:2]
+    outside = ct.unit(A) - pi_e1 @ ct.unit(A) - pi_half @ ct.unit(A)
     if np.max(np.abs(outside)) > 1e-9:
         with pytest.raises(ct.NotInHolomorphicTangent):
             ct.levi_form(orb, outside.astype(complex), orb.basis_h[0])
 
 
-def test_gram_orthonormal_rows_checks_projector_rank():
+def test_gram_orthonormal_rows_checks_projector_rank(dense_blocks):
     A = ct.make_algebra("hermC", rank=3)
     orb = ct.make_orbit(A, 2, 0)
+    pi_e1 = dense_blocks(A, orb)[0]
     k = orb.basis_e1.shape[0]
     chol = np.linalg.cholesky(ct.trace_gram(A))
-    rows = tb._gram_orthonormal_rows(chol, orb.pi_e1, k)
+    rows = tb._gram_orthonormal_rows(chol, pi_e1, k)
     np.testing.assert_allclose(rows @ ct.trace_gram(A) @ rows.T, np.eye(k),
                                atol=1e-12)
     with pytest.raises(ct.NumericalFailure):
-        tb._gram_orthonormal_rows(chol, orb.pi_e1, k + 1)   # rank below
+        tb._gram_orthonormal_rows(chol, pi_e1, k + 1)   # rank below
     with pytest.raises(ct.NumericalFailure):
-        tb._gram_orthonormal_rows(chol, orb.pi_e1, k - 1)   # rank above
+        tb._gram_orthonormal_rows(chol, pi_e1, k - 1)   # rank above
 
 
 @pytest.mark.parametrize("name", ["cholesky", "solve"])
@@ -433,7 +442,6 @@ def test_peirce_structure_matches_trace_form_of_products():
 def test_orbits_refuse_assignment_and_in_place_writes():
     # the orbit's bases are the Peirce rows its blocks are read from, so no
     # orbit may be edited after make_orbit: not a field, not an array entry
-    projectors = ("pi_e1", "pi_half", "pi_e0", "linv_h", "pinv_e1")
     for A in _first_of_each_family():
         orb = ct.make_orbit(A, *_degenerate_orbits(A)[0])
         arrays = []
@@ -447,16 +455,9 @@ def test_orbits_refuse_assignment_and_in_place_writes():
                     value[...] = 0
         assert arrays == ["base_point", "eigenvalues", "frame", "basis_h", "basis_e1",
                           "basis_half", "basis_e0"]
-        # the dense projectors are not fields: built on first read, then read-only
-        assert "_dense_blocks" not in vars(orb)
-        for name in projectors:
-            value = getattr(orb, name)
-            assert value.shape == (A.dim, A.dim)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(orb, name, value)
-            with pytest.raises(ValueError):
-                value[...] = 0
-        assert "_dense_blocks" in vars(orb)
+        # no dense operator is held on an orbit, as a field or otherwise
+        for name in ("_dense_blocks", "pi_e1", "pi_half", "pi_e0", "linv_h", "pinv_e1"):
+            assert not hasattr(orb, name), name
 
 
 def test_batched_checks_reject_rows_outside_their_block(monkeypatch):
