@@ -122,6 +122,20 @@ def _herm_pairs(r: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
+def _herm_index(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index table (j, k, d) of rank r, built on first use.
+
+    j and k are the rows and columns of the pairs of :func:`_herm_pairs`,
+    in that order, and d is ``arange(r)``, the diagonal.
+    """
+    pairs = np.array(_herm_pairs(r), dtype=int).reshape(-1, 2)
+    table = (pairs[:, 0].copy(), pairs[:, 1].copy(), np.arange(r))
+    for index in table:
+        index.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
 def _herm_basis_matrices(rank: int, n: int) -> np.ndarray:
     """All basis elements as K_n-valued matrices, shape (dim, r, r, n)."""
     r = rank
@@ -167,10 +181,10 @@ def multiplication_table(algebra: AlgebraDescriptor) -> np.ndarray:
     r, n = algebra.rank, algebra.peirce_constant
     basis = _herm_basis_matrices(r, n)
     tk = multiplication_tensor(n)
-    pairs = np.array(_herm_pairs(r), dtype=int).reshape(-1, 2)
-    I = np.concatenate([np.arange(r), np.repeat(pairs[:, 0], n)])
-    J = np.concatenate([np.arange(r), np.repeat(pairs[:, 1], n)])
-    D = np.concatenate([np.zeros(r, dtype=int), np.tile(np.arange(n), len(pairs))])
+    j, k, d = _herm_index(r)
+    I = np.concatenate([d, np.repeat(j, n)])
+    J = np.concatenate([d, np.repeat(k, n)])
+    D = np.concatenate([np.zeros(r, dtype=int), np.tile(np.arange(n), len(j))])
     prod = np.einsum("aijm,bjln,mnp->abilp", basis, basis, tk, optimize=True)
     prod = prod[:, :, I, J, D]
     # written in C order: the gather leaves prod's c axis outermost, and
@@ -344,25 +358,32 @@ def element_to_matrix(algebra: AlgebraDescriptor, x) -> np.ndarray:
     hermR gives a real symmetric r x r matrix, hermC a complex Hermitian
     r x r matrix, hermH a complex Hermitian 2r x 2r matrix whose 2 x 2
     blocks are the images [[a, b], [-b̄, ā]] of the quaternions a + bj.
-    The pairs (j, k) of :func:`_herm_pairs` are written with one index
-    scatter, the mirror of :func:`matrix_to_element`. Spin and albert have
-    no complex matrix model here and raise ClassificationError.
+    The indices come from the read-only table of :func:`_herm_index`,
+    built once per rank: the diagonal d and the pairs (j, k) of
+    :func:`_herm_pairs` are written with one index scatter each, the
+    mirror of :func:`matrix_to_element`. A hermH diagonal block is x·I,
+    so x·0 (a signed zero) sits beside x. Spin and albert have no complex
+    matrix model here and raise ClassificationError.
     """
     x = as_real_element(algebra, x)
     fam = algebra.family
     if fam not in ("hermR", "hermC", "hermH"):
         raise ClassificationError(f"no complex matrix realisation for family {fam!r}")
     r = algebra.rank
-    j, k = np.array(_herm_pairs(r), dtype=int).reshape(-1, 2).T
-    d = np.arange(r)
+    j, k, d = _herm_index(r)
     off = x[r:]
     if fam == "hermH":
         M = np.zeros((2 * r, 2 * r), dtype=complex)
+        flat = M.reshape(-1)  # diagonal, then the two entries beside it per block
+        flat[::2 * r + 1].reshape(r, 2)[:] = x[:r, None]
+        flat[1::4 * r + 2] = flat[2 * r::4 * r + 2] = x[:r] * 0.0
+        block = np.empty((len(j), 2, 2), dtype=complex)
+        a, b = block[:, 0, 0], block[:, 0, 1]
+        np.add(off[0::4], 1j * off[1::4], out=a)
+        np.add(off[2::4], 1j * off[3::4], out=b)
+        np.conjugate(a, out=block[:, 1, 1])
+        np.negative(np.conjugate(b, out=block[:, 1, 0]), out=block[:, 1, 0])
         B = M.reshape(r, 2, r, 2).swapaxes(1, 2)  # view of the 2 x 2 blocks
-        a = off[0::4] + 1j * off[1::4]
-        b = off[2::4] + 1j * off[3::4]
-        block = np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(-1, 2, 2)
-        B[d, d] = x[:r, None, None] * np.eye(2)
         B[j, k] = block
         B[k, j] = block.conj().swapaxes(-1, -2)
         return M
@@ -377,34 +398,43 @@ def element_to_matrix(algebra: AlgebraDescriptor, x) -> np.ndarray:
 def matrix_to_element(algebra: AlgebraDescriptor, M: np.ndarray) -> np.ndarray:
     """Inverse of :func:`element_to_matrix` (Hermitian part is implied).
 
-    M may be a stack of shape (..., s, s), giving (..., dim). The pairs
-    (j, k) of :func:`_herm_pairs` are read with one index gather, each as
-    the mean of entry (j, k) and the conjugate transpose of entry (k, j).
-    For hermH the entries are the 2 x 2 blocks [[a, b], [-b̄, ā]] of the
-    quaternions a + bj, and a, b are each the mean of their two copies.
+    M may be a stack of shape (..., s, s), giving (..., dim), with s = r,
+    or 2r for hermH; another trailing shape raises DimensionMismatch. The
+    pairs (j, k) of the per-rank table of :func:`_herm_index` are read
+    with one index gather, each as the mean of entry (j, k) and the
+    conjugate transpose of entry (k, j). For hermH the entries are the
+    2 x 2 blocks [[a, b], [-b̄, ā]] of the quaternions a + bj, and a, b are
+    each the mean of their two copies.
     """
     fam = algebra.family
     if fam not in ("hermR", "hermC", "hermH"):
         raise ClassificationError(f"no complex matrix realisation for family {fam!r}")
     M = np.asarray(M)
     r = algebra.rank
-    j, k = np.array(_herm_pairs(r), dtype=int).reshape(-1, 2).T
+    s = 2 * r if fam == "hermH" else r
+    if M.shape[-2:] != (s, s):
+        raise DimensionMismatch(
+            f"expected {s} x {s} matrices for {algebra}, got shape {M.shape}")
+    j, k, _ = _herm_index(r)
+    x = np.empty(M.shape[:-2] + (algebra.dim,))
     if fam == "hermH":
         B = M.reshape(M.shape[:-2] + (r, 2, r, 2)).swapaxes(-3, -2)  # 2 x 2 blocks
-        d = np.arange(r)
-        diag = 0.5 * (B[..., d, d, 0, 0] + B[..., d, d, 1, 1]).real
+        D = np.diagonal(M, axis1=-2, axis2=-1)  # block (d, d) holds D[2d], D[2d + 1]
+        x[..., :r] = (0.5 * (D[..., 0::2] + D[..., 1::2])).real
         block = 0.5 * (B[..., j, k, :, :] + B[..., k, j, :, :].conj().swapaxes(-1, -2))
-        a = 0.5 * (block[..., 0, 0] + np.conj(block[..., 1, 1]))
-        b = 0.5 * (block[..., 0, 1] - np.conj(block[..., 1, 0]))
-        parts = (a.real, a.imag, b.real, b.imag)
+        ab = np.empty(block.shape[:-1], dtype=complex)  # (a, b) of each pair
+        np.add(block[..., 0, 0], np.conjugate(block[..., 1, 1]), out=ab[..., 0])
+        np.subtract(block[..., 0, 1], np.conjugate(block[..., 1, 0]), out=ab[..., 1])
+        ab *= 0.5
+        x[..., r:] = ab.reshape(x.shape[:-1] + (-1,)).view(float)
+        return x
+    x[..., :r] = np.diagonal(M, axis1=-2, axis2=-1).real
+    entry = 0.5 * (M[..., j, k] + np.conj(M[..., k, j]))
+    if fam == "hermR":
+        x[..., r:] = entry.real
     else:
-        diag = np.diagonal(M, axis1=-2, axis2=-1).real
-        entry = 0.5 * (M[..., j, k] + np.conj(M[..., k, j]))
-        parts = (entry.real,) if fam == "hermR" else (entry.real, entry.imag)
-    x = np.empty(M.shape[:-2] + (algebra.dim,))
-    x[..., :r] = diag
-    for i, part in enumerate(parts):
-        x[..., r + i::len(parts)] = part
+        x[..., r::2] = entry.real
+        x[..., r + 1::2] = entry.imag
     return x
 
 

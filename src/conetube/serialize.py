@@ -107,13 +107,16 @@ def _is_number(entry) -> bool:
 
 
 def _entry(entry, allow_pair: bool, refusal: str) -> complex:
-    """A JSON number, or an [re, im] pair if ``allow_pair``; else ``refusal`` + repr."""
+    """A JSON number, or an [re, im] pair if ``allow_pair``.
+
+    Anything else raises DimensionMismatch: ``refusal``, then the entry as JSON.
+    """
     if _is_number(entry):
         return complex(entry)
     if (allow_pair and isinstance(entry, list) and len(entry) == 2
             and all(map(_is_number, entry))):
         return complex(entry[0], entry[1])
-    raise DimensionMismatch(f"{refusal}{entry!r}")
+    raise DimensionMismatch(refusal + json.dumps(entry, default=repr))
 
 
 def element_from_json(algebra: al.AlgebraDescriptor, data) -> np.ndarray:

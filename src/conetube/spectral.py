@@ -57,6 +57,9 @@ SPECTRAL_TOL = 1e-8
 # rank-3 route merges roots closer than this, relative to the largest
 _ROOT_CLUSTER_REL_GAP = 2e-4
 
+# J(v1, v2) = (-v̄2, v̄1) is conj((v2, v1) * _J_SIGNS) on each 2-block
+_J_SIGNS = np.array([-1, 1])
+
 
 class Signature(NamedTuple):
     p: int
@@ -276,17 +279,23 @@ def _quaternionic_lines(w, U):
 
     Each pick is the eigenvector with the largest remainder outside the
     lines (v, Jv) picked so far, J(v1, v2) = (-v̄2, v̄1) on every 2-block;
-    the remainder is the next v, and w[i] its eigenvalue.
+    the remainder is the next v, and w[i] its eigenvalue. v and Jv are
+    written into one preallocated basis; nothing is picked before the
+    first pick, so its remainder is U itself.
     """
-    picked = np.zeros((U.shape[0], 0), dtype=U.dtype)  # columns v, Jv, v, Jv, ...
+    n = U.shape[0]
+    picked = np.empty((n, n), dtype=U.dtype)  # columns v, Jv, v, Jv, ...
     chosen = []
-    for _ in range(U.shape[0] // 2):
-        rest = U - picked @ (picked.conj().T @ U)
+    rest = U
+    for m in range(0, n, 2):
+        if m:
+            P = picked[:, :m]
+            rest = U - P @ (P.conj().T @ U)
         norms = np.linalg.norm(rest, axis=0)
-        i = int(np.argmax(norms))
-        v = rest[:, i] / norms[i]
-        jv = np.conj(v.reshape(-1, 2)[:, ::-1] * [-1, 1]).reshape(-1)
-        picked = np.column_stack([picked, v, jv])
+        i = int(norms.argmax())
+        v = np.divide(rest[:, i], norms[i], out=picked[:, m])
+        jv = picked[:, m + 1].reshape(-1, 2)
+        np.conjugate(np.multiply(v.reshape(-1, 2)[:, ::-1], _J_SIGNS, out=jv), out=jv)
         chosen.append(i)
     return w[chosen], picked[:, 0::2]
 

@@ -185,7 +185,8 @@ def _matrix_to_element_loop(A, M):
 def test_matrix_to_element_matches_loop_on_stacks():
     # bit for bit against the pair loop, on stacks of non-Hermitian matrices
     rng = np.random.default_rng(47)
-    for fam, r in (("hermR", 1), ("hermR", 4), ("hermC", 3), ("hermH", 3)):
+    for fam, r in (("hermR", 1), ("hermR", 4), ("hermC", 1), ("hermC", 3),
+                   ("hermH", 1), ("hermH", 3)):
         A = ct.make_algebra(fam, rank=r)
         mats = np.stack([ct.element_to_matrix(A, _rand(A, rng)) for _ in range(6)])
         mats = mats + 1e-3 * rng.standard_normal(mats.shape)
@@ -197,6 +198,32 @@ def test_matrix_to_element_matches_loop_on_stacks():
     with pytest.raises(ct.ClassificationError):
         ct.matrix_to_element(ct.make_algebra("spin", peirce_constant=2),
                              np.eye(2))
+
+
+@pytest.mark.parametrize("family, rank, shape, want", [
+    ("hermC", 3, (2, 2), "3 x 3"),
+    ("hermR", 2, (3, 3), "2 x 2"),
+    ("hermH", 2, (3, 3), "4 x 4"),
+    ("hermH", 2, (5, 2, 2), "4 x 4"),
+    ("hermR", 2, (4,), "2 x 2"),
+])
+def test_matrix_to_element_refuses_misshapen_stacks(family, rank, shape, want):
+    A = ct.make_algebra(family, rank=rank)
+    with pytest.raises(ct.DimensionMismatch) as info:
+        ct.matrix_to_element(A, np.zeros(shape))
+    assert str(info.value) == f"expected {want} matrices for {A}, got shape {shape}"
+
+
+def test_herm_index_tables_are_shared_and_read_only():
+    for r in (1, 2, 5):
+        table = al._herm_index(r)
+        assert al._herm_index(r) is table
+        j, k, d = table
+        assert list(zip(j.tolist(), k.tolist())) == al._herm_pairs(r)
+        assert d.tolist() == list(range(r))
+        for index in table:
+            with pytest.raises(ValueError):
+                index[...] = 0
 
 
 def _element_to_matrix_loop(A, x):

@@ -343,18 +343,18 @@ _SIEGEL_Z = json.dumps([[[0, 1], [0, 0]], [[0, 0], [0, 1]]])
 
 
 @pytest.mark.parametrize("argv, bad", [
-    (["spectral", "--family", "hermR", "--rank", "2", "--element", "[true,2,3]"], "True"),
+    (["spectral", "--family", "hermR", "--rank", "2", "--element", "[true,2,3]"], "true"),
     (["orbit", "--family", "hermR", "--rank", "2", "--element", "[1,[2,false],3]"],
-     "[2, False]"),
-    (["siegel", "--isotropy", "--s", "[[1,0],[0,false]]"], "False"),
+     "[2, false]"),
+    (["siegel", "--isotropy", "--s", "[[1,0],[0,false]]"], "false"),
     (["siegel", "--matrix", json.dumps(np.eye(4).tolist()).replace("1.0", "true", 1),
-      "--z", _SIEGEL_Z], "True"),
+      "--z", _SIEGEL_Z], "true"),
     (["siegel", "--matrix", json.dumps(np.eye(4).tolist()),
-      "--z", _SIEGEL_Z.replace("1", "true", 1)], "[0, True]"),
+      "--z", _SIEGEL_Z.replace("1", "true", 1)], "[0, true]"),
 ], ids=["spectral-element", "orbit-pair", "siegel-s", "siegel-matrix", "siegel-z"])
 def test_json_booleans_are_not_numbers(argv, bad, capsys):
-    # JSON true and false are refused where a number is due; with 1 and 0 in
-    # their place the same command runs
+    # JSON true and false are refused where a number is due, and named as
+    # typed; with 1 and 0 in their place the same command runs
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("input error") and err.rstrip().endswith(bad)

@@ -406,6 +406,46 @@ def test_hermH_takes_no_albert_path(monkeypatch):
             sp.spectral_decompose(A, x)
 
 
+def _quaternionic_lines_reference(w, U):
+    """The line pick with one np.column_stack per line, the oracle below."""
+    picked = np.zeros((U.shape[0], 0), dtype=U.dtype)  # columns v, Jv, v, Jv, ...
+    chosen = []
+    for _ in range(U.shape[0] // 2):
+        rest = U - picked @ (picked.conj().T @ U)
+        norms = np.linalg.norm(rest, axis=0)
+        i = int(np.argmax(norms))
+        v = rest[:, i] / norms[i]
+        jv = np.conj(v.reshape(-1, 2)[:, ::-1] * [-1, 1]).reshape(-1)
+        picked = np.column_stack([picked, v, jv])
+        chosen.append(i)
+    return w[chosen], picked[:, 0::2]
+
+
+def test_quaternionic_line_pick_matches_its_reference(monkeypatch):
+    # same eigenvalue and frame bits as the re-stacking pick, clustered
+    # spectra included: 0, 3e, a frame member, transported rank one and two
+    rng = np.random.default_rng(229)
+    cases = []
+    for r in (1, 2, 3, 4):
+        A = ct.make_algebra("hermH", rank=r)
+        xs = [np.zeros(A.dim), 3.0 * ct.unit(A), ct.standard_frame(A)[-1]]
+        for lam in ([1.5], [1.5, -0.5], [0.75, 2.0]):
+            if len(lam) <= r:
+                xs += [_transported(A, rng.permutation(lam + [0.0] * (r - len(lam))), rng)
+                       for _ in range(3)]
+        xs += [_rand(A, rng) for _ in range(6)]
+        cases += [(A, t * x) for x in xs for t in (1.0, 1e-9, 1e12)]
+    got = [sp.spectral_decompose(A, x) for A, x in cases]
+    calls = []
+    monkeypatch.setattr(sp, "_quaternionic_lines",
+                        lambda w, U: calls.append(1) or _quaternionic_lines_reference(w, U))
+    want = [sp.spectral_decompose(A, x) for A, x in cases]
+    assert len(calls) == len(cases)
+    for (A, x), g, w in zip(cases, got, want):
+        assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes(), (A, x)
+        assert g.frame.tobytes() == w.frame.tobytes(), (A, x)
+
+
 @pytest.mark.parametrize("lam, want", [([1, 0, 0], (1, 0)), ([1, 1, 0], (2, 0))])
 def test_small_albert_element_keeps_its_signature(lam, want):
     # a trace-free part of size 1e-14 is not a multiple of the unit
