@@ -241,17 +241,30 @@ def _purify_frame(algebra, frame):
 
 
 def _frame_products(algebra, frame):
-    """All products frame[j] ∘ frame[k], shape (r, r, dim), in one contraction."""
-    return np.tensordot(frame, frame @ al.multiplication_table(algebra), axes=(1, 0))
+    """All products frame[j] ∘ frame[k], shape (r, r, dim), in two matmuls.
+
+    The first contracts e_j with the first axis of T: row j of
+    ``y = frame @ T.reshape(d, d * d)`` is L(e_j)ᵀ flattened, as in
+    ``algebra._lmul_stack``. T is stored in C order, so the reshape is a view
+    and no copy of the d³ table is made per call. The second contracts e_k
+    with the middle axis: ``frame @ y.reshape(r, d, d)`` has entry [j, k] =
+    e_k L(e_j)ᵀ = e_j ∘ e_k.
+    """
+    d = algebra.dim
+    y = frame @ al.multiplication_table(algebra).reshape(d, d * d)
+    return frame @ y.reshape(len(frame), d, d)
 
 
 def _validate_spectral(algebra, eigenvalues, frame, x):
     scale = float(np.max(np.abs(eigenvalues)))
     e = al.unit(algebra)
-    r = len(frame)
+    r, d = frame.shape
     resid = _frame_products(algebra, frame)
-    # idempotency residuals on the diagonal, orthogonality off it
-    resid[range(r), range(r)] -= frame
+    # idempotency residuals on the diagonal, orthogonality off it. The rows
+    # [j, j] are every (r + 1)-th row of resid seen as (r * r, d); the matmul
+    # result is C-contiguous, so that reshape and the strided slice are views
+    # and the subtraction lands in resid. On a copy it would be lost.
+    resid.reshape(r * r, d)[::r + 1] -= frame
     worst = max(float(np.max(np.abs(resid))),
                 float(np.max(np.abs(frame.sum(axis=0) - e))))
     recon = float(np.max(np.abs(eigenvalues @ frame - x)))
@@ -466,14 +479,17 @@ def _check_frame(algebra, frame):
         raise InvalidFrame(
             f"frame must be {algebra.rank} x {algebra.dim}, got {frame.shape}")
     e = al.unit(algebra)
-    prods = _frame_products(algebra, frame)
-    for j in range(algebra.rank):
-        if np.max(np.abs(prods[j, j] - frame[j])) > SPECTRAL_TOL:
+    r, d = frame.shape
+    resid = _frame_products(algebra, frame)
+    resid.reshape(r * r, d)[::r + 1] -= frame  # a view, as in _validate_spectral
+    worst = np.abs(resid).max(axis=2)
+    for j in range(r):
+        if worst[j, j] > SPECTRAL_TOL:
             raise InvalidFrame(f"frame member {j} is not idempotent")
         if abs(al.generic_trace(algebra, frame[j]) - 1.0) > 1e-6:
             raise InvalidFrame(f"frame member {j} is not minimal")
-        for k in range(j + 1, algebra.rank):
-            if np.max(np.abs(prods[j, k])) > SPECTRAL_TOL:
+        for k in range(j + 1, r):
+            if worst[j, k] > SPECTRAL_TOL:
                 raise InvalidFrame(f"frame members {j}, {k} are not orthogonal")
     if np.max(np.abs(frame.sum(axis=0) - e)) > SPECTRAL_TOL:
         raise InvalidFrame("frame does not sum to the unit")

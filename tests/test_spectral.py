@@ -1,6 +1,7 @@
 """Spectral decompositions, minors, orbit signatures, Peirce projections."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -464,6 +465,69 @@ def test_validate_spectral_is_relative_to_the_element():
     sp._validate_spectral(A, lam, frame, x)
     with pytest.raises(ct.NumericalFailure, match="reconstruction residual 2.00e-10"):
         sp._validate_spectral(A, lam, frame[::-1], x)
+
+
+@pytest.mark.parametrize("A", list({A.family: A for A in DESK}.values()), ids=str)
+def test_frame_products_match_per_pair_jordan_products(A):
+    rng = np.random.default_rng(263)
+    for _ in range(3):
+        frame = ct.spectral_decompose(A, _rand(A, rng)).frame
+        prods = sp._frame_products(A, frame)
+        assert prods.shape == (A.rank, A.rank, A.dim)
+        for j in range(A.rank):
+            for k in range(A.rank):
+                want = ct.jordan_product(A, frame[j], frame[k])
+                assert np.max(np.abs(prods[j, k] - want)) <= 1e-14
+
+
+def _validation_residuals(A, lam, frame, x):
+    """(frame residual, reconstruction residual) from the NumericalFailure raised."""
+    with pytest.raises(ct.NumericalFailure) as info:
+        sp._validate_spectral(A, lam, frame, x)
+    found = re.fullmatch(r"frame residual (\S+), reconstruction residual (\S+) exceed .*",
+                         str(info.value))
+    return float(found[1]), float(found[2])
+
+
+@pytest.mark.parametrize("fault", ["scaled", "sum-kept"])
+def test_validate_spectral_catches_an_idempotency_fault(fault):
+    # scaled: (1 + ε) e_1 with λ_1 / (1 + ε) keeps x = Σ λ_j e_j, but its
+    # square misses it by about ε |e_1|. sum-kept: moving ε e_0 from e_1 to
+    # e_0 keeps the sum at the unit, so only the frame products see it
+    A = ct.make_algebra("hermR", rank=3)
+    eps = 1e-6
+    x = _rand(A, np.random.default_rng(271))
+    sd = ct.spectral_decompose(A, x)
+    lam, frame = sd.eigenvalues.copy(), sd.frame.copy()
+    if fault == "scaled":
+        frame[1] *= 1.0 + eps
+        lam[1] /= 1.0 + eps
+    else:
+        shift = eps * frame[0]
+        frame[0] += shift
+        frame[1] -= shift
+        x = lam @ frame
+        assert np.max(np.abs(frame.sum(axis=0) - ct.unit(A))) < 1e-12
+    worst, recon = _validation_residuals(A, lam, frame, x)
+    assert 0.1 * eps < worst < 10 * eps
+    assert recon < sp.SPECTRAL_TOL * np.max(np.abs(lam))
+
+
+def test_validate_spectral_catches_an_orthogonality_fault():
+    # e_1 turned by δ stays an exact minimal idempotent, so only its products
+    # with e_0 (and the frame's sum) are off; x is built on the turned frame
+    A = ct.make_algebra("hermR", rank=3)
+    delta = 1e-6
+    v = np.array([math.sin(delta), math.cos(delta), 0.0])
+    frame = ct.standard_frame(A)
+    frame[1] = al.matrix_to_element(A, np.outer(v, v))
+    lam = np.array([3.0, 2.0, 1.0])
+    x = lam @ frame
+    np.testing.assert_allclose(ct.jordan_product(A, frame[1], frame[1]), frame[1], atol=1e-15)
+    assert np.max(np.abs(ct.jordan_product(A, frame[0], frame[1]))) > 1e-7
+    worst, recon = _validation_residuals(A, lam, frame, x)
+    assert 1e-7 < worst < 1e-5
+    assert recon == 0.0
 
 
 @pytest.mark.parametrize("A", DESK, ids=str)
