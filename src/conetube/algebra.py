@@ -26,6 +26,12 @@ R ⊕ R^{n+1} with product
 This is H_2(K_n) in disguise: [[α, u], [ū, β]] ↦ (s, u_0, u) with
 s = (α+β)/2 and u_0 = (α-β)/2 is an isomorphism of algebras.
 
+The joint Peirce spaces V_jk of :func:`standard_frame` are coordinate
+blocks: V_jj = ℝe_j, and V_jk for j < k is spanned by the n units of the
+pair, (j, k, ·) in a Hermitian family and u_1..u_n in the spin factor,
+whose e_0, e_1 = (1, ±1, 0)/2 are not coordinate axes. ``tube`` reads
+its Peirce rows from this layout, with no projector.
+
 Elements are plain numpy vectors of coordinates; real vectors live in V and
 complex vectors in its complexification E = V ⊕ iV. All operators returned
 here are dense matrices acting on coordinates.

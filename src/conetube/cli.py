@@ -31,7 +31,6 @@ from . import spectral as sp
 from . import tube as tb
 from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, DimensionMismatch, NonFiniteInput
 
-_HERM_FAMILIES = ("hermR", "hermC", "hermH")
 _TABLE_RANK_CAP = 5
 _TABLE_SPIN_CAP = 8
 

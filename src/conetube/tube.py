@@ -19,8 +19,9 @@ and E_0 (both zero); then
 * β(v, u) = P(a, v*) (P(a)|_{E_1})^{-1} u for v in E_{1/2}, u in E_1,
 
 and the kernel chain H⁰ ⊃ H¹ ⊃ H² … decides the nondegeneracy order. All
-bases returned are trace-orthonormal rows, picked from one basis of each of
-the m = r(r+1)/2 joint Peirce spaces V_jk of the standard frame.
+bases returned are trace-orthonormal rows of the m = r(r+1)/2 joint Peirce
+spaces V_jk of the standard frame, read off the coordinate layout of
+``algebra``: V_jj = ℝe_j, and V_jk (j < k) is spanned by n coordinate units.
 
 No rank is decided at the base point. L(a) and P(a) are diagonal on those
 rows, so the kernel chain and minimality's closure 𝒜a are sums of whole
@@ -41,7 +42,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import algebra as al
-from . import spectral as sp
 from .errors import (
     BlockViolation,
     InvalidSignature,
@@ -104,21 +104,6 @@ def condition_star_holds(eigenvalues) -> bool:
     return not np.any(cancels & (nonzero[:, None] | nonzero))
 
 
-def _gram_orthonormal_rows(chol, projector, expected_dim):
-    """Trace-form-orthonormal rows spanning the range of a real projector.
-
-    ``chol`` is the Cholesky factor of the trace Gram matrix.
-    """
-    rank, vh = al.numeric_rank((chol.T @ projector).T)
-    if rank != expected_dim:
-        raise NumericalFailure(
-            f"projector rank {rank} differs from the block dimension {expected_dim}")
-    try:
-        return np.linalg.solve(chol.T, vh[:rank].T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"trace-orthonormal solve failed: {exc}") from exc
-
-
 def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
     """Closed-form CR dimension, codimension and Levi kernel dimension."""
     r, n = algebra.rank, algebra.peirce_constant
@@ -137,28 +122,29 @@ def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _standard_joint_peirce(algebra: al.AlgebraDescriptor):
-    """Checked joint Peirce rows of the standard frame, once per algebra.
+    """Joint Peirce rows of the standard frame, read off the coordinates.
 
     Returns read-only ``(frame, pairs, rows, row_pair)``, shared by all
     callers: ``pairs`` is the (m, 2) array of the ``joint_peirce`` keys (j, k),
     in their order, and the ``rows`` with ``row_pair == i`` are a
-    trace-orthonormal basis of V_jk for ``pairs[i]`` (the V_jk are mutually
-    trace-orthogonal). The π_jk themselves are not kept: nothing on the
-    ``analyze`` path reads them.
+    trace-orthonormal basis of V_jk for ``pairs[i]``. The coordinate layout
+    of ``algebra`` makes V_jj = ℝe_j, and the V_jk with j < k, in order, span
+    the last n·C(r, 2) = dim − r coordinate units, n each: the (j, k, ·)
+    units of a Hermitian family, u_1..u_n of a spin factor. Each row is
+    scaled to trace norm 1; no projector, factorisation or rank is computed.
     """
-    joint = sp.joint_peirce(algebra, al.standard_frame(algebra))
-    pairs = np.array(list(joint.projections))
-    dims = np.where(pairs[:, 0] == pairs[:, 1], 1, algebra.peirce_constant)
-    try:
-        chol = np.linalg.cholesky(al.trace_gram(algebra))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"trace Gram factorisation failed: {exc}") from exc
-    rows = np.vstack([_gram_orthonormal_rows(chol, pjk, d)
-                      for pjk, d in zip(joint.projections.values(), dims)])
-    row_pair = np.repeat(np.arange(len(pairs)), dims)
-    for arr in (joint.frame, pairs, rows, row_pair):
+    r, n, d = algebra.rank, algebra.peirce_constant, algebra.dim
+    frame = al.standard_frame(algebra)
+    pairs = np.transpose(np.triu_indices(r))
+    on_diag = pairs[:, 0] == pairs[:, 1]
+    row_pair = np.repeat(np.arange(len(pairs)), np.where(on_diag, 1, n))
+    rows = np.zeros((d, d))
+    rows[on_diag[row_pair]] = frame
+    rows[~on_diag[row_pair], r:] = np.eye(d - r)
+    rows /= np.sqrt(np.einsum("ab,bc,ac->a", rows, al.trace_gram(algebra), rows))[:, None]
+    for arr in (frame, pairs, rows, row_pair):
         arr.flags.writeable = False
-    return joint.frame, pairs, rows, row_pair
+    return frame, pairs, rows, row_pair
 
 
 @lru_cache(maxsize=None)

@@ -387,21 +387,19 @@ ANALYZE_ARGV = ["analyze", "--family", "hermR", "--rank", "2", "--p", "1",
 
 
 @pytest.mark.parametrize("name, argv, message", [
-    ("cholesky", ANALYZE_ARGV, "trace Gram factorisation failed"),
-    ("solve", ANALYZE_ARGV, "trace-orthonormal solve failed"),
+    ("svd", ANALYZE_ARGV, "rank decision failed"),
     ("eigh", ["spectral", "--family", "hermR", "--rank", "2",
               "--element", "[3,1,0]"], "eigensolver failed"),
     ("eigh", ["orbit", "--family", "hermH", "--rank", "2",
               "--element", "[1,2,0,0,0,0]"], "eigensolver failed"),
     ("solve", ["siegel", "--matrix", json.dumps(np.eye(4).tolist()),
                "--z", "[[[0,1],[0,0]],[[0,0],[0,1]]]"], "Möbius action solve failed"),
-], ids=["analyze-cholesky", "analyze-solve", "spectral-eigh", "orbit-eigh",
-        "siegel-solve"])
+], ids=["analyze-svd", "spectral-eigh", "orbit-eigh", "siegel-solve"])
 def test_linalg_failure_exits_three(name, argv, message, break_linalg, capsys):
     break_linalg(name)
-    # the trace Gram factorisation and solves run once per algebra, when the
-    # standard frame's Peirce data is cached; clearing it reaches that site
-    tb._standard_joint_peirce.cache_clear()
+    # a cold analyze ranks only in gl_omega_span, cached once per algebra;
+    # clearing that cache reaches its SVDs
+    fl.gl_omega_span.cache_clear()
     code, out, err = run(argv, capsys)
     assert code == 3
     assert err.startswith("numerical failure: ") and message in err
@@ -637,10 +635,10 @@ def test_large_rank_analyze_and_nondegen_json_bytes(capsys):
 
 def test_analyze_never_builds_dense_projectors(monkeypatch, capsys):
     # the kernel chain and minimality are read off each algebra's block graph,
-    # from Peirce rows built once per algebra: once those are cached, no
+    # on Peirce rows read off the coordinate layout: even from cold caches, no
     # joint_peirce (the only builder of dense π_jk) runs for any verdict
-    for A in al.desk_algebras() + _large_rank():
-        tb._standard_joint_peirce(A), tb._block_graph(A)
+    tb._standard_joint_peirce.cache_clear()
+    tb._block_graph.cache_clear()
 
     def refuse(algebra, frame):
         raise AssertionError(f"dense Peirce projectors built for {algebra}")

@@ -90,31 +90,35 @@ def test_levi_form_and_beta_map_match_dense_reference(dense_blocks):
 
 
 def test_cached_standard_projections_are_read_only():
-    A = ct.make_algebra("hermC", rank=3)
-    orb = ct.make_orbit(A, 1, 1)
-    frame, pairs, rows, row_pair = tb._standard_joint_peirce(A)
-    for arr in (frame, pairs, rows, row_pair):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr.flat[0] = 1
-    m = math.comb(A.rank + 1, 2)
-    assert pairs.shape == (m, 2)
-    assert rows.shape == (A.dim, A.dim) and row_pair.shape == (A.dim,)
-    joint = sp.joint_peirce(A, frame)
-    assert [tuple(pair) for pair in pairs.tolist()] == list(joint.projections)
-    # the per-pair rows: trace-orthonormal, as many per pair as the block's
-    # dimension, each in the range of its π_jk
-    G = ct.trace_gram(A)
-    np.testing.assert_allclose(rows @ G @ rows.T, np.eye(A.dim), atol=1e-10)
-    assert np.bincount(row_pair, minlength=m).tolist() == list(joint.dims.values())
-    stack = list(joint.projections.values())
-    for row, i in zip(rows, row_pair):
-        np.testing.assert_allclose(stack[i] @ row, row, atol=1e-10)
-    # what make_orbit stores is its own, and read-only
-    for arr in (orb.base_point, orb.frame, orb.eigenvalues, orb.basis_h, orb.basis_e1,
-                orb.basis_half, orb.basis_e0):
-        assert not arr.flags.writeable
-        assert not any(np.shares_memory(arr, cached) for cached in (frame, rows))
+    # the rows are read off the coordinate layout of algebra.py; the dense
+    # joint_peirce stays their reference, so a change to that layout fails here
+    for A in DESK + LARGE_RANK + [ct.make_algebra(f, rank=1)
+                                  for f in ("hermR", "hermC", "hermH")]:
+        frame, pairs, rows, row_pair = tb._standard_joint_peirce(A)
+        for arr in (frame, pairs, rows, row_pair):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+        m = math.comb(A.rank + 1, 2)
+        assert pairs.shape == (m, 2)
+        assert rows.shape == (A.dim, A.dim) and row_pair.shape == (A.dim,)
+        joint = sp.joint_peirce(A, frame)
+        assert [tuple(pair) for pair in pairs.tolist()] == list(joint.projections), A
+        # the per-pair rows: trace-orthonormal, as many per pair as the
+        # block's dimension, each in the range of its π_jk
+        G = ct.trace_gram(A)
+        np.testing.assert_allclose(rows @ G @ rows.T, np.eye(A.dim), atol=1e-12,
+                                   err_msg=repr(A))
+        assert np.bincount(row_pair, minlength=m).tolist() == list(joint.dims.values())
+        stack = np.array(list(joint.projections.values()))
+        np.testing.assert_allclose(np.einsum("aij,aj->ai", stack[row_pair], rows), rows,
+                                   atol=1e-12, err_msg=repr(A))
+        # what make_orbit stores is its own, and read-only
+        orb = ct.make_orbit(A, *_all_orbits(A)[1])
+        for arr in (orb.base_point, orb.frame, orb.eigenvalues, orb.basis_h,
+                    orb.basis_e1, orb.basis_half, orb.basis_e0):
+            assert not arr.flags.writeable
+            assert not any(np.shares_memory(arr, cached) for cached in (frame, rows))
 
 
 def _condition_star_pair_loop(lam):
@@ -280,32 +284,6 @@ def test_levi_form_rejects_bad_input(dense_blocks):
     if np.max(np.abs(outside)) > 1e-9:
         with pytest.raises(ct.NotInHolomorphicTangent):
             ct.levi_form(orb, outside.astype(complex), orb.basis_h[0])
-
-
-def test_gram_orthonormal_rows_checks_projector_rank(dense_blocks):
-    A = ct.make_algebra("hermC", rank=3)
-    orb = ct.make_orbit(A, 2, 0)
-    pi_e1 = dense_blocks(A, orb)[0]
-    k = orb.basis_e1.shape[0]
-    chol = np.linalg.cholesky(ct.trace_gram(A))
-    rows = tb._gram_orthonormal_rows(chol, pi_e1, k)
-    np.testing.assert_allclose(rows @ ct.trace_gram(A) @ rows.T, np.eye(k),
-                               atol=1e-12)
-    with pytest.raises(ct.NumericalFailure):
-        tb._gram_orthonormal_rows(chol, pi_e1, k + 1)   # rank below
-    with pytest.raises(ct.NumericalFailure):
-        tb._gram_orthonormal_rows(chol, pi_e1, k - 1)   # rank above
-
-
-@pytest.mark.parametrize("name", ["cholesky", "solve"])
-def test_gram_orthonormal_rows_linalg_failure(name, break_linalg):
-    # the trace Gram matrix is factored once per algebra, for the per-pair
-    # bases that make_orbit picks its three bases from
-    A = ct.make_algebra("hermC", rank=3)
-    break_linalg(name)
-    tb._standard_joint_peirce.cache_clear()
-    with pytest.raises(ct.NumericalFailure, match="trace"):
-        ct.make_orbit(A, 2, 0)
 
 
 def test_levi_kernel_dimension():
