@@ -46,7 +46,7 @@ import numpy as np
 
 from .composition import conjugation_signs, multiplication_tensor
 from .errors import (ClassificationError, DimensionMismatch, NumericalFailure,
-                     SingularElement)
+                     SingularElement, require_finite)
 
 FAMILIES = ("spin", "hermR", "hermC", "hermH", "albert")
 
@@ -335,14 +335,14 @@ def jordan_inverse(algebra: AlgebraDescriptor, z) -> np.ndarray:
     fragile: |det P(t·e)| = t^(2 dim) crosses any fixed cutoff for healthy
     invertible elements once the algebra is large.
     """
-    z = as_element(algebra, z)
+    z = require_finite(as_element(algebra, z), "element")
     P = pquad(algebra, z)
-    sv = np.linalg.svd(P, compute_uv=False)
-    if sv[0] <= 0.0 or sv[-1] <= INVERSE_DET_TOL * sv[0]:
-        raise SingularElement(
-            f"quadratic representation has relative smallest singular value "
-            f"{0.0 if sv[0] <= 0 else sv[-1] / sv[0]:.2e} for {algebra}")
     try:
+        sv = np.linalg.svd(P, compute_uv=False)
+        if sv[0] <= 0.0 or sv[-1] <= INVERSE_DET_TOL * sv[0]:
+            raise SingularElement(
+                f"quadratic representation has relative smallest singular value "
+                f"{0.0 if sv[0] <= 0 else sv[-1] / sv[0]:.2e} for {algebra}")
         return np.linalg.solve(P, z)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Jordan inverse solve failed: {exc}") from exc

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: table, analyze, spectral, orbit, nondegen, flow, siegel.
-Exit codes: 0 on success (for ``table``: all rows PASS), 2 on input or
-parse errors, 3 on numerical failures. Each ``cmd_*`` function returns
+Exit codes: 0 on success (for ``table``: all rows PASS), 2 on a parse
+error, an ``InputError``, an ``OSError`` or a ``MemoryError``, 3 on a
+``NumericalError``. Each ``cmd_*`` function returns
 (exit code, report, text lines) and prints nothing; ``main`` alone chooses
 between the canonical JSON of the report (``--json``) and the text lines.
 JSON output renders floats with 12 significant digits and is byte-identical
@@ -29,7 +30,7 @@ from . import fields as fl
 from . import serialize as sz
 from . import spectral as sp
 from . import tube as tb
-from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, DimensionMismatch, NonFiniteInput
+from .errors import DimensionMismatch, InputError, NumericalError, require_finite
 
 _TABLE_RANK_CAP = 5
 _TABLE_SPIN_CAP = 8
@@ -63,11 +64,20 @@ def _parse_complex_list(text: str) -> np.ndarray:
 
 
 def _load_json_arg(text: str):
+    """Inline JSON, or the path of a UTF-8 JSON file; unreadable JSON is refused."""
     stripped = text.strip()
-    if stripped.startswith("[") or stripped.startswith("{"):
-        return json.loads(stripped)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.loads(fh.read())
+    try:
+        if stripped.startswith("[") or stripped.startswith("{"):
+            return json.loads(stripped)
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except json.JSONDecodeError as exc:
+        raise DimensionMismatch(f"invalid JSON at line {exc.lineno} "
+                                f"column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise DimensionMismatch(f"{text} is not UTF-8 text: {exc.reason}") from exc
+    except RecursionError as exc:
+        raise DimensionMismatch("JSON nested too deeply") from exc
 
 
 def _algebra_from_args(args) -> al.AlgebraDescriptor:
@@ -254,8 +264,7 @@ def cmd_flow(args):
     except ValueError as exc:
         raise DimensionMismatch(f"cannot parse --v {args.v!r}") from exc
     c = _parse_complex_list(args.c)
-    if not np.all(np.isfinite(np.concatenate([v, c, [args.t]]))):
-        raise NonFiniteInput("--v, --c and --t must be finite")
+    require_finite(np.concatenate([v, c, [args.t]]), "--v, --c or --t")
     if v.shape != c.shape:
         raise DimensionMismatch(
             f"--v has {v.size} entries but --c has {c.size}")
@@ -375,20 +384,13 @@ def main(argv=None) -> int:
             for line in lines:
                 print(line)
         return code
-    except json.JSONDecodeError as exc:
-        print(f"input error: invalid JSON at line {exc.lineno} "
-              f"column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
-    except INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"input error: too large for memory: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -22,11 +22,11 @@ import numpy as np
 from . import algebra as al
 from .errors import (
     DimensionMismatch,
-    NonFiniteInput,
     NotInLightCone,
     NotSymplectic,
     NumericalFailure,
     SingularDenominator,
+    require_finite,
 )
 
 INTERIOR = "Interior"
@@ -81,8 +81,7 @@ class LieBallPoint:
         self.coords = np.atleast_1d(np.asarray(self.coords, dtype=complex))
         if self.coords.ndim != 1 or self.coords.size == 0:
             raise DimensionMismatch("Lie ball point must be a nonempty vector")
-        if not np.all(np.isfinite(self.coords)):
-            raise NonFiniteInput("Lie ball point has a NaN or infinite coordinate")
+        require_finite(self.coords, "Lie ball point")
         self.hermitian = float(np.real(np.vdot(self.coords, self.coords)))
         self.bilinear = complex(np.sum(self.coords ** 2))
 
@@ -136,8 +135,8 @@ def symplectic_lie_algebra_basis(r: int) -> np.ndarray:
 
 def _check_symplectic(A: np.ndarray) -> int:
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-        raise NotSymplectic(f"matrix shape {A.shape} is not 2r x 2r")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2 or not A.size:
+        raise NotSymplectic(f"matrix shape {A.shape} is not 2r x 2r with r >= 1")
     r = A.shape[0] // 2
     J = symplectic_form(r)
     resid = np.linalg.norm(A.T @ J @ A - J)
@@ -154,9 +153,9 @@ def siegel_action(A, z):
     positive definite the image stays in the half space and that is
     verified on the result.
     """
-    A = np.asarray(A, dtype=float)
+    A = require_finite(np.asarray(A, dtype=float), "symplectic matrix")
+    z = require_finite(np.asarray(z, dtype=complex), "Siegel point")
     r = _check_symplectic(A)
-    z = np.asarray(z, dtype=complex)
     if z.shape != (r, r):
         raise DimensionMismatch(f"point shape {z.shape}, expected {(r, r)}")
     if np.linalg.norm(z - z.T) > 1e-8 * max(1.0, np.linalg.norm(z)):
@@ -164,11 +163,12 @@ def siegel_action(A, z):
     a, b = A[:r, :r], A[:r, r:]
     c, d = A[r:, :r], A[r:, r:]
     denom = c @ z + d
-    sv = np.linalg.svd(denom, compute_uv=False)
-    if sv[-1] < 1e-12 * max(1.0, sv[0]):
-        raise SingularDenominator(
-            f"cz + d has smallest singular value {sv[-1]:.2e}")
     try:
+        sv = np.linalg.svd(denom, compute_uv=False)
+        # relative to sv[0] alone: at A = J, cz + d = -z is fine at any scale
+        if sv[-1] <= 1e-12 * sv[0]:
+            raise SingularDenominator(
+                f"cz + d has smallest singular value {sv[-1]:.2e}")
         w = np.linalg.solve(denom.T, (a @ z + b).T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Möbius action solve failed: {exc}") from exc
@@ -194,8 +194,7 @@ def isotropy_dimension(s) -> int:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise NotInLightCone(f"expected a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise NonFiniteInput("cone boundary point has a NaN or infinite entry")
+    require_finite(s, "cone boundary point")
     r = s.shape[0]
     scale = np.max(np.abs(s), initial=0.0)
     if scale == 0:

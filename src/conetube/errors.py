@@ -1,109 +1,103 @@
 """Typed exceptions shared by all conetube modules.
 
-Two broad groups matter for the command line wrapper: input errors (bad
-descriptors, wrong shapes, invalid signatures) and numerical failures
-(singular operators, residuals above tolerance). ``INPUT_ERRORS`` and
-``NUMERICAL_ERRORS`` collect them so the CLI can map exceptions to exit
-codes without enumerating classes twice.
+Every error belongs to one of two groups, and the group is its type: an
+``InputError`` (bad descriptors, wrong shapes, invalid signatures, NaN or
+infinite input) or a ``NumericalError`` (singular operators, residuals
+above tolerance). The command line maps the group to its exit code.
 """
+
+import numpy as np
 
 
 class ConetubeError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ClassificationError(ConetubeError):
+class InputError(ConetubeError):
+    """The input is refused; the command line exits 2."""
+
+
+class NumericalError(ConetubeError):
+    """A numerical step failed on a valid input; the command line exits 3."""
+
+
+class ClassificationError(InputError):
     """Family/rank/Peirce-constant triple is not on the classification list."""
 
 
-class DimensionMismatch(ConetubeError):
+class DimensionMismatch(InputError):
     """An element's coordinate vector does not match the algebra dimension."""
 
 
-class NonFiniteInput(ConetubeError):
+class NonFiniteInput(InputError):
     """An input coordinate is NaN or infinite."""
 
 
-class SingularElement(ConetubeError):
+class SingularElement(NumericalError):
     """Quadratic representation is singular; the element has no inverse."""
 
 
-class NumericalFailure(ConetubeError):
+class NumericalFailure(NumericalError):
     """A residual exceeded tolerance after the documented procedure."""
 
 
-class BorderlineSpectrum(ConetubeError):
+class BorderlineSpectrum(NumericalError):
     """An eigenvalue sits inside the undecidable band around zero."""
 
 
-class NotIdempotent(ConetubeError):
+class NotIdempotent(InputError):
     """Peirce decomposition requested for an element with c∘c ≠ c."""
 
 
-class InvalidFrame(ConetubeError):
+class InvalidFrame(InputError):
     """A claimed frame fails idempotency/orthogonality/completeness checks."""
 
 
-class InvalidSignature(ConetubeError):
+class InvalidSignature(InputError):
     """Signature (p, q) is out of range for the algebra's rank."""
 
 
-class NotInHolomorphicTangent(ConetubeError):
+class NotInHolomorphicTangent(InputError):
     """Levi form argument lies outside E_1 ⊕ E_{1/2} beyond tolerance."""
 
 
-class BlockViolation(ConetubeError):
+class BlockViolation(InputError):
     """beta map argument lies outside its required Peirce block."""
 
 
-class ConditionStarViolated(ConetubeError):
+class ConditionStarViolated(InputError):
     """Base point has eigenvalues with λ_j + λ_k = 0 but λ_j, λ_k ≠ 0."""
 
 
-class InvalidBound(ConetubeError):
+class InvalidBound(InputError):
     """Resonance search requested with a degree bound below 2."""
 
 
-class IndexOutOfRange(ConetubeError):
+class IndexOutOfRange(InputError):
     """Weight index j outside 1..len(spectrum) or multi-index length wrong."""
 
 
-class FlowSingularity(ConetubeError):
+class FlowSingularity(NumericalError):
     """A diagonal flow denominator 1 - i v c t vanished."""
 
 
-class NotSymplectic(ConetubeError):
+class NotSymplectic(InputError):
     """Matrix fails Aᵀ J A = J beyond tolerance."""
 
 
-class SingularDenominator(ConetubeError):
+class SingularDenominator(NumericalError):
     """cz + d is not invertible at the requested point."""
 
 
-class NotInLightCone(ConetubeError):
+class NotInLightCone(InputError):
     """Isotropy requested at a matrix that is not a cone boundary point."""
 
 
-INPUT_ERRORS = (
-    ClassificationError,
-    DimensionMismatch,
-    NonFiniteInput,
-    NotIdempotent,
-    InvalidFrame,
-    InvalidSignature,
-    NotInHolomorphicTangent,
-    BlockViolation,
-    ConditionStarViolated,
-    InvalidBound,
-    IndexOutOfRange,
-    NotSymplectic,
-    NotInLightCone,
-)
+def require_finite(arr, what: str):
+    """Return ``arr``; raise NonFiniteInput if any entry is NaN or infinite.
 
-NUMERICAL_ERRORS = (
-    SingularElement,
-    NumericalFailure,
-    BorderlineSpectrum,
-    FlowSingularity,
-    SingularDenominator,
-)
+    NaN fails every comparison, so a check that reads it would pass it on.
+    """
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteInput(f"{what} has a NaN or infinite entry")
+    return arr

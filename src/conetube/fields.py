@@ -30,8 +30,8 @@ from .errors import (
     FlowSingularity,
     IndexOutOfRange,
     InvalidBound,
-    NonFiniteInput,
     NumericalFailure,
+    require_finite,
 )
 from .tube import condition_star_holds
 
@@ -398,8 +398,7 @@ def nonresonant(eigenvalues, bound: int) -> NonresonanceResult:
     lam = np.asarray(eigenvalues, dtype=complex)
     if lam.ndim != 1 or lam.size == 0:
         raise DimensionMismatch("eigenvalue list must be a nonempty vector")
-    if not np.all(np.isfinite(lam)):
-        raise NonFiniteInput("eigenvalue list has a NaN or infinite entry")
+    require_finite(lam, "eigenvalue list")
     if bound < 2:
         raise InvalidBound(f"resonance search needs bound >= 2, got {bound}")
     scale = max(1.0, float(np.max(np.abs(lam))))
@@ -431,9 +430,8 @@ def diagonal_flow_coefficients(v, c, t: float):
     c = np.atleast_1d(np.asarray(c, dtype=complex))
     if v.shape != c.shape:
         raise DimensionMismatch(f"rate shape {v.shape} != start shape {c.shape}")
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(c)) and np.isfinite(t)):
-        # NaN passes the pole test below and would come back as nan+nanj
-        raise NonFiniteInput("flow rates, start values and time must be finite")
+    # NaN passes the pole test below and would come back as nan+nanj
+    require_finite(np.concatenate([v, c, np.ravel(t)]), "flow rate, start value or time")
     denom = 1.0 - 1j * v * c * t
     bad = np.abs(denom) < 1e-12
     if np.any(bad):

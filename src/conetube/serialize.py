@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import algebra as al
-from .errors import DimensionMismatch, NonFiniteInput, NumericalFailure
+from .errors import DimensionMismatch, NumericalFailure, require_finite
 
 
 def format_float(x: float) -> str:
@@ -24,12 +24,6 @@ def format_float(x: float) -> str:
     if x == 0:
         x = 0.0  # fold -0.0
     return "%.12g" % float(x)
-
-
-def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput(f"{what} has NaN or infinite entries")
-    return arr
 
 
 # exact leaf types skip the isinstance chain; _quote gives json.dumps(str)'s bytes
@@ -124,7 +118,7 @@ def element_from_json(algebra: al.AlgebraDescriptor, data) -> np.ndarray:
         raise DimensionMismatch("element must be a JSON array")
     refusal = "element entries must be numbers or [re, im] pairs, got "
     vals = [_entry(entry, True, refusal) for entry in data]
-    arr = _require_finite(np.asarray(vals, dtype=complex), "element")
+    arr = require_finite(np.asarray(vals, dtype=complex), "element")
     return al.as_element(algebra, arr.real if np.all(arr.imag == 0) else arr)
 
 
@@ -136,7 +130,7 @@ def matrix_from_json(data, allow_complex: bool = False) -> np.ndarray:
             for row in data]
     if len({len(r) for r in rows}) != 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
-    arr = _require_finite(np.asarray(rows, dtype=complex), "matrix")
+    arr = require_finite(np.asarray(rows, dtype=complex), "matrix")
     return arr.real if np.all(arr.imag == 0) else arr
 
 

@@ -44,6 +44,7 @@ from .errors import (
     NonFiniteInput,
     NotIdempotent,
     NumericalFailure,
+    require_finite,
 )
 
 # The one spectral tolerance, fixed: no function or command takes another.
@@ -459,7 +460,7 @@ def peirce_projections(algebra: al.AlgebraDescriptor, c) -> PeirceData:
     L(c) has spectrum in {1, 1/2, 0}, so the projections are the quadratic
     polynomials in L(c) interpolating each eigenvalue; no eigensolver runs.
     """
-    c = al.as_real_element(algebra, c)
+    c = require_finite(al.as_real_element(algebra, c), "idempotent")
     cc = al.jordan_product(algebra, c, c)
     if np.max(np.abs(cc - c)) > SPECTRAL_TOL * max(1.0, float(np.max(np.abs(c))) ** 2):
         raise NotIdempotent(f"c∘c differs from c by {np.max(np.abs(cc - c)):.2e}")
@@ -478,6 +479,7 @@ def _check_frame(algebra, frame):
     if frame.shape != (algebra.rank, algebra.dim):
         raise InvalidFrame(
             f"frame must be {algebra.rank} x {algebra.dim}, got {frame.shape}")
+    require_finite(frame, "frame")
     e = al.unit(algebra)
     r, d = frame.shape
     resid = _frame_products(algebra, frame)

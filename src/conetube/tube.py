@@ -45,9 +45,9 @@ from . import algebra as al
 from .errors import (
     BlockViolation,
     InvalidSignature,
-    NonFiniteInput,
     NotInHolomorphicTangent,
     NumericalFailure,
+    require_finite,
 )
 
 MEMBERSHIP_TOL = 1e-8
@@ -94,10 +94,8 @@ class NondegeneracyResult:
 
 def condition_star_holds(eigenvalues) -> bool:
     """True when λ_j + λ_k = 0 only happens with λ_j = λ_k = 0."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    if not np.all(np.isfinite(lam)):
-        # NaN fails every comparison below and would read as "no pair cancels"
-        raise NonFiniteInput("eigenvalue list has a NaN or infinite entry")
+    # NaN fails every comparison below and would read as "no pair cancels"
+    lam = require_finite(np.asarray(eigenvalues, dtype=float), "eigenvalue list")
     cut = 1e-10 * np.max(np.abs(lam), initial=1.0)
     nonzero = np.abs(lam) > cut
     cancels = np.abs(np.add.outer(lam, lam)) <= cut
@@ -232,7 +230,7 @@ def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
 def _check_in_subspace(orbit, v, rows, error, what):
     """Coerce one element; raise ``error`` unless it lies in the span of the
     trace-orthonormal ``rows``. Returns it and its coordinates on them."""
-    v = al.as_element(orbit.algebra, v)
+    v = require_finite(al.as_element(orbit.algebra, v), what)
     coord = rows @ (al.trace_gram(orbit.algebra) @ v)
     resid = np.linalg.norm(v - coord @ rows)
     if resid > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(v)):

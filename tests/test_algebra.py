@@ -428,6 +428,13 @@ def test_jordan_inverse_solve_failure(break_linalg):
         ct.jordan_inverse(A, ct.unit(A))
 
 
+def test_jordan_inverse_svd_failure(break_linalg):
+    break_linalg("svd")
+    A = ct.make_algebra("hermR", rank=3)
+    with pytest.raises(ct.NumericalFailure, match="Jordan inverse"):
+        ct.jordan_inverse(A, ct.unit(A))
+
+
 def test_complex_bilinearity():
     rng = np.random.default_rng(79)
     A = ct.make_algebra("hermH", rank=2)

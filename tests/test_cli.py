@@ -10,6 +10,7 @@ import pytest
 
 from conetube import algebra as al
 from conetube import cli
+from conetube import errors
 from conetube import fields as fl
 from conetube import spectral as sp
 from conetube import tube as tb
@@ -183,7 +184,7 @@ def test_orbit_borderline_exit_three(capsys):
     (["--family", "spin", "--n", "3"], "[NaN,1,0,0,0]"),
     (["--family", "spin", "--n", "3"], "[Infinity,1,0,0,0]"),
     (["--family", "albert"], "[" + ",".join(["NaN"] * 27) + "]"),
-])
+], ids=["spin-nan", "spin-inf", "albert-nan"])
 def test_orbit_rejects_non_finite_element(family_args, element, capsys):
     # json.loads accepts NaN and Infinity; they must stop at the input boundary
     code, out, err = run(["orbit", *family_args, "--element", element, "--json"],
@@ -394,7 +395,9 @@ ANALYZE_ARGV = ["analyze", "--family", "hermR", "--rank", "2", "--p", "1",
               "--element", "[1,2,0,0,0,0]"], "eigensolver failed"),
     ("solve", ["siegel", "--matrix", json.dumps(np.eye(4).tolist()),
                "--z", "[[[0,1],[0,0]],[[0,0],[0,1]]]"], "Möbius action solve failed"),
-], ids=["analyze-svd", "spectral-eigh", "orbit-eigh", "siegel-solve"])
+    ("svd", ["siegel", "--matrix", json.dumps(np.eye(4).tolist()),
+             "--z", "[[[0,1],[0,0]],[[0,0],[0,1]]]"], "Möbius action solve failed"),
+], ids=["analyze-svd", "spectral-eigh", "orbit-eigh", "siegel-solve", "siegel-svd"])
 def test_linalg_failure_exits_three(name, argv, message, break_linalg, capsys):
     break_linalg(name)
     # a cold analyze ranks only in gl_omega_span, cached once per algebra;
@@ -404,6 +407,53 @@ def test_linalg_failure_exits_three(name, argv, message, break_linalg, capsys):
     assert code == 3
     assert err.startswith("numerical failure: ") and message in err
     assert out == ""
+
+
+_NOT_UTF8 = "<a file that is not UTF-8>"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--p", "1", "--q", "0"],
+    ["table", "--family", "spin", "--n", "9"],
+    ["flow", "--v", "1,2", "--c", "i,i", "--rank", "3"],
+    ["flow", "--v", "1", "--c", "2e+i"],
+    ["spectral", "--family", "hermR", "--rank", "2", "--element", _NOT_UTF8],
+    ["spectral", "--family", "hermR", "--rank", "2",
+     "--element", "[" * 100_000 + "]" * 100_000],
+], ids=["analyze-no-family", "table-spin-n9", "flow-rank", "flow-exponent",
+        "element-not-utf8", "element-deep"])
+def test_refusal_exits_two(argv, tmp_path, capsys):
+    path = tmp_path / "element.json"
+    path.write_bytes(b"\xff\xfe[1, 0, 0]")
+    argv = [str(path) if arg == _NOT_UTF8 else arg for arg in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ")
+
+
+_GROUP_EXITS = {errors.InputError: (2, "input error: "),
+                errors.NumericalError: (3, "numerical failure: ")}
+_ERROR_CLASSES = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.ConetubeError)
+                  and cls not in (errors.ConetubeError, *_GROUP_EXITS)]
+
+
+def test_error_classes_are_all_found():
+    assert len(_ERROR_CLASSES) == 18
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_group_sets_exit_code(cls, monkeypatch, capsys):
+    groups = [group for group in _GROUP_EXITS if issubclass(cls, group)]
+    assert len(groups) == 1
+    code, prefix = _GROUP_EXITS[groups[0]]
+
+    def fail(algebra):
+        raise cls("injected")
+
+    monkeypatch.setattr(fl, "dim_table", fail)
+    assert run(["table", "--family", "hermR", "--rank", "2"], capsys) == (
+        code, "", prefix + "injected\n")
 
 
 def test_unknown_family_exits_two(capsys):

@@ -187,6 +187,20 @@ def test_siegel_rejects_bad_input():
                          np.zeros((2, 2), dtype=complex))
 
 
+def test_siegel_rejects_empty_matrix():
+    # r = 0 would leave cz + d with no singular value to test
+    with pytest.raises(ct.NotSymplectic):
+        ct.siegel_action(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-13])
+def test_siegel_action_of_j_at_any_scale(s):
+    # at A = J, cz + d = -z: well conditioned however small s is
+    z = s * 1j * np.eye(2)
+    np.testing.assert_allclose(ct.siegel_action(ct.symplectic_form(2), z),
+                               -np.linalg.inv(z), rtol=1e-12, atol=0)
+
+
 def test_siegel_action_solve_failure(break_linalg):
     z = _siegel_point(2, np.random.default_rng(461))
     break_linalg("solve")

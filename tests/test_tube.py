@@ -53,6 +53,41 @@ def test_condition_star_rejects_non_finite(bad):
         tb.condition_star_holds([bad, 1.0])
 
 
+def _poisoned(arr, bad):
+    arr = np.array(arr, dtype=complex if np.iscomplexobj(arr) else float)
+    arr.flat[0] = bad
+    return arr
+
+
+_A3 = ct.make_algebra("hermR", rank=3)
+_ORB11 = tb.make_orbit(_A3, 1, 1)
+_ENTRY_POINTS = {
+    "jordan_inverse": lambda bad: ct.jordan_inverse(_A3, _poisoned(ct.unit(_A3), bad)),
+    "cayley": lambda bad: ct.cayley(_A3, _poisoned(ct.unit(_A3), bad)),
+    "inverse_cayley": lambda bad: ct.inverse_cayley(_A3, _poisoned(np.zeros(_A3.dim), bad)),
+    "siegel-A": lambda bad: ct.siegel_action(_poisoned(ct.symplectic_form(2), bad),
+                                             1j * np.eye(2)),
+    "siegel-z": lambda bad: ct.siegel_action(ct.symplectic_form(2),
+                                             _poisoned(1j * np.eye(2), bad)),
+    "peirce_projections": lambda bad: ct.peirce_projections(
+        _A3, _poisoned(ct.standard_frame(_A3)[0], bad)),
+    "joint_peirce": lambda bad: ct.joint_peirce(_A3, _poisoned(ct.standard_frame(_A3), bad)),
+    "levi_form": lambda bad: ct.levi_form(_ORB11, _ORB11.basis_h[0],
+                                          _poisoned(_ORB11.basis_h[1], bad)),
+    "beta_map": lambda bad: ct.beta_map(_ORB11, _poisoned(_ORB11.basis_half[0], bad),
+                                        _ORB11.basis_e1[0]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_entry_points_refuse_non_finite(name, bad):
+    # a NaN passes every tolerance test, so each must refuse it up front
+    with pytest.raises(ct.NonFiniteInput, match="NaN or infinite"):
+        _ENTRY_POINTS[name](bad)
+
+
 def test_levi_form_and_beta_map_match_dense_reference(dense_blocks):
     # coordinates on the orbit's rows against the dense formulas of a fresh
     # joint_peirce, on every degenerate desk and large-rank orbit; an input
