@@ -333,9 +333,14 @@ def jordan_inverse(algebra: AlgebraDescriptor, z) -> np.ndarray:
     Singularity is decided on the smallest singular value of P(z) relative
     to the largest. A determinant test would be scale and dimension
     fragile: |det P(t·e)| = t^(2 dim) crosses any fixed cutoff for healthy
-    invertible elements once the algebra is large.
+    invertible elements once the algebra is large. Both run on z·2^-e, 2^e
+    the power of two just above max|z|, and w is scaled back exactly, so
+    (2^k z)⁻¹ = 2^-k z⁻¹ bit for bit; a w beyond the float range raises
+    NumericalFailure.
     """
     z = require_finite(as_element(algebra, z), "element")
+    exp = np.frexp(np.abs(z.view(float)).max())[1]  # view: both parts of a complex z
+    z = np.ldexp(z.view(float), -exp).view(z.dtype)
     P = pquad(algebra, z)
     try:
         sv = np.linalg.svd(P, compute_uv=False)
@@ -343,9 +348,13 @@ def jordan_inverse(algebra: AlgebraDescriptor, z) -> np.ndarray:
             raise SingularElement(
                 f"quadratic representation has relative smallest singular value "
                 f"{0.0 if sv[0] <= 0 else sv[-1] / sv[0]:.2e} for {algebra}")
-        return np.linalg.solve(P, z)
+        w = np.linalg.solve(P, z)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Jordan inverse solve failed: {exc}") from exc
+    # compare exponents, so that an overflow raises before ldexp warns
+    if np.frexp(np.abs(w.view(float)).max())[1] - exp > 1024:
+        raise NumericalFailure(f"the Jordan inverse overflows for {algebra}")
+    return np.ldexp(w.view(float), -exp).view(w.dtype)
 
 
 def triple_product(algebra: AlgebraDescriptor, x, y, z) -> np.ndarray:

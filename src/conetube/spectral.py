@@ -71,21 +71,14 @@ class Signature(NamedTuple):
 class SpectralData:
     """Eigenvalues (descending) and frame rows with x = Σ λ_j frame[j]."""
 
-    algebra: al.AlgebraDescriptor
     eigenvalues: np.ndarray
     frame: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.eigenvalues)
 
 
 @dataclass
 class PeirceData:
     """Projections onto the eigenspaces of L(c) at 1, 1/2, 0."""
 
-    algebra: al.AlgebraDescriptor
-    idempotent: np.ndarray
     pi1: np.ndarray
     pi_half: np.ndarray
     pi0: np.ndarray
@@ -96,8 +89,6 @@ class PeirceData:
 class JointPeirceData:
     """Joint Peirce projections of a frame, keyed by pairs j <= k (0-based)."""
 
-    algebra: al.AlgebraDescriptor
-    frame: np.ndarray
     projections: dict[tuple[int, int], np.ndarray]
     dims: dict[tuple[int, int], int]
 
@@ -386,7 +377,7 @@ def spectral_decompose(algebra: al.AlgebraDescriptor, x) -> SpectralData:
     # compare exponents, so that an overflow raises before ldexp warns
     if math.frexp(float(np.abs(eigenvalues).max()))[1] + exp > 1024:
         raise NumericalFailure(f"an eigenvalue overflows for {algebra}")
-    return SpectralData(algebra, np.ldexp(eigenvalues, exp), frame)
+    return SpectralData(np.ldexp(eigenvalues, exp), frame)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +462,7 @@ def peirce_projections(algebra: al.AlgebraDescriptor, c) -> PeirceData:
     pi_half = 4.0 * (L - L2)
     pi0 = eye - 3.0 * L + 2.0 * L2
     dims = tuple(int(round(float(np.trace(p)))) for p in (pi1, pi_half, pi0))
-    return PeirceData(algebra, c, pi1, pi_half, pi0, dims)
+    return PeirceData(pi1, pi_half, pi0, dims)
 
 
 def _check_frame(algebra, frame):
@@ -517,4 +508,4 @@ def joint_peirce(algebra: al.AlgebraDescriptor, frame) -> JointPeirceData:
         raise InvalidFrame("joint Peirce projections do not resolve the identity")
     keys = list(zip(j.tolist(), k.tolist()))
     dims = np.rint(np.trace(stack, axis1=1, axis2=2)).astype(int).tolist()
-    return JointPeirceData(algebra, frame, dict(zip(keys, stack)), dict(zip(keys, dims)))
+    return JointPeirceData(dict(zip(keys, stack)), dict(zip(keys, dims)))

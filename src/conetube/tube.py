@@ -365,22 +365,19 @@ def aut_germ_dimension(algebra: al.AlgebraDescriptor, p: int, q: int) -> int:
     """Dimension of the isotropy at a of the infinitesimal CR automorphisms.
 
     These are the infinitesimal CR automorphisms of the orbit tube's germ at
-    its base point a that vanish at a. For the light-cone tube, hol(M, a) =
-    so(2,3) has dimension 10 and M has dimension 5, so the isotropy has 5.
+    its base point a that vanish at a: dim gl(Ω) + crcodim, as hol(M, a) =
+    {iu + Az + iP(z)w} has dimension 2·dim V + dim gl(Ω) and M has 2·dim V −
+    crcodim. dim gl(Ω) is :func:`conetube.fields.gl_omega_span`'s rank, as in
+    ``dim_table``. For the light-cone tube, hol(M, a) = so(2,3) has
+    dimension 10 and M has dimension 5, so the isotropy has 5.
 
     Only defined for degenerate nonzero signatures 0 < p + q < rank.
     """
-    r, n = algebra.rank, algebra.peirce_constant
-    rho = p + q
-    if not 0 < rho < r:
-        raise InvalidSignature(
-            f"germ dimension needs 0 < p + q < rank, got ({p}, {q}) at rank {r}")
-    rho_p = r - rho
-    if algebra.family == "albert":
-        # 79 = dim of the cone's linear automorphism algebra on H_3(O);
-        # equals 72 + 8 rho' in the hypersurface case rho' = 1
-        return 79 + rho_p + 8 * math.comb(rho_p, 2)
-    return n * (r * r + math.comb(rho_p, 2) - 2) + math.comb(n, 2) + rho_p + 2
+    if not 0 < p + q < algebra.rank:
+        raise InvalidSignature(f"germ dimension needs 0 < p + q < rank, "
+                               f"got ({p}, {q}) at rank {algebra.rank}")
+    from .fields import gl_omega_span
+    return gl_omega_span(algebra).dim_gl_omega + cr_dimensions(algebra, p, q)["crcodim"]
 
 
 def aut1_basis(orbit: TubeOrbit) -> list:

@@ -117,7 +117,7 @@ def test_criterion_5_germ_dimensions():
     assert ct.aut_germ_dimension(albert, 1, 1) == 80
     checked = 0
     for A in DESK:
-        gl_dim = fl.gl_omega_span(A).dim_gl_omega
+        gl_dim = fl.expected_dim_table(A)["dim_sl_omega"] + 1
         for (p, q) in _degenerate_orbits(A):
             crcodim = ct.cr_dimensions(A, p, q)["crcodim"]
             assert ct.aut_germ_dimension(A, p, q) == gl_dim + crcodim, (A, p, q)

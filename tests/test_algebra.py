@@ -421,6 +421,36 @@ def test_jordan_inverse_singular():
         ct.jordan_inverse(A, np.zeros(A.dim))
 
 
+@pytest.mark.filterwarnings("error")
+def test_jordan_inverse_at_extreme_scales():
+    A = ct.make_algebra("hermR", rank=2)
+    # P(z) overflows on the first and underflows to 0 on the second
+    np.testing.assert_allclose(ct.jordan_inverse(A, [1e300, 1e300, 0.0]),
+                               [1e-300, 1e-300, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(ct.jordan_inverse(A, [1e-170, 2e-170, 0.0]),
+                               [1e170, 5e169, 0.0], rtol=1e-15)
+    with pytest.raises(ct.NumericalFailure, match="overflows"):
+        ct.jordan_inverse(A, [1e-310, 1e-310, 0.0])
+
+
+def _scale2(x, k):
+    """x·2^k, exact on both parts of a complex x."""
+    return np.ldexp(x.view(float), k).view(x.dtype)
+
+
+@pytest.mark.filterwarnings("error")
+def test_jordan_inverse_is_exactly_power_of_two_equivariant():
+    rng = np.random.default_rng(401)
+    for fam, r in (("spin", 2), ("hermR", 3), ("hermC", 3), ("hermH", 2), ("albert", 3)):
+        A = ct.make_algebra(fam, rank=r, peirce_constant=3 if fam == "spin" else None)
+        x = _rand(A, rng) + 3.0 * ct.unit(A)
+        for z in (x, x + 1j * _rand(A, rng)):
+            w = ct.jordan_inverse(A, z)
+            for k in (-600, -1, 1, 600):
+                got = ct.jordan_inverse(A, _scale2(z, k))
+                assert got.tobytes() == _scale2(w, -k).tobytes(), (A, z.dtype, k)
+
+
 def test_jordan_inverse_solve_failure(break_linalg):
     break_linalg("solve")
     A = ct.make_algebra("hermR", rank=3)

@@ -142,33 +142,43 @@ _HERM_R2 = ct.make_algebra("hermR", rank=2)
 
 @pytest.mark.parametrize("parse, data, want", [
     # a number, or an [re, im] pair; anything else names the bad entry as JSON
-    ("element", [1, 2, -3], [1.0, 2.0, -3.0]),
-    ("element", [0.5, -1.25, 2e3], [0.5, -1.25, 2000.0]),
-    ("element", [[1, 2], 0.5, [0.0, -1]], [1 + 2j, 0.5, -1j]),
-    ("element", [1, [1, 2, 3], 0], _ELEMENT_ENTRY_ERROR + "[1, 2, 3]"),
-    ("element", [1, "2", 0], _ELEMENT_ENTRY_ERROR + '"2"'),
-    ("element", [1, None, 0], _ELEMENT_ENTRY_ERROR + "null"),
-    ("element", [1, [1, "2"], 0], _ELEMENT_ENTRY_ERROR + '[1, "2"]'),
-    ("real matrix", [[1, 2], [-3, 4]], [[1.0, 2.0], [-3.0, 4.0]]),
-    ("real matrix", [[0.5, -1.25]], [[0.5, -1.25]]),
-    ("real matrix", [[[0, 1], 2]], "bad matrix entry [0, 1]"),
-    ("real matrix", [[[1.0, 0.0]]], "bad matrix entry [1.0, 0.0]"),
-    ("real matrix", [[1, "2"]], 'bad matrix entry "2"'),
-    ("real matrix", [[None]], "bad matrix entry null"),
-    ("real matrix", [[1.0], [2.0, 3.0]], "matrix rows have unequal lengths"),
-    ("complex matrix", [[[0, 1], 2], [3, [4.5, -1]]], [[1j, 2], [3, 4.5 - 1j]]),
-    ("complex matrix", [[[1, 0], 2.5]], [[1.0, 2.5]]),
-    ("complex matrix", [[[1, 2, 3]]], "bad matrix entry [1, 2, 3]"),
-    ("complex matrix", [["x"]], 'bad matrix entry "x"'),
-    ("complex matrix", [[None, 1]], "bad matrix entry null"),
-    ("complex matrix", [[[0, 1]], [1, 2]], "matrix rows have unequal lengths"),
+    pytest.param("element", [1, 2, -3], [1.0, 2.0, -3.0], id="element-ints"),
+    pytest.param("element", [0.5, -1.25, 2e3], [0.5, -1.25, 2000.0], id="element-floats"),
+    pytest.param("element", [[1, 2], 0.5, [0.0, -1]], [1 + 2j, 0.5, -1j], id="element-pairs"),
+    pytest.param("element", [1, [1, 2, 3], 0], _ELEMENT_ENTRY_ERROR + "[1, 2, 3]",
+                 id="element-triple-entry"),
+    pytest.param("element", [1, "2", 0], _ELEMENT_ENTRY_ERROR + '"2"', id="element-string"),
+    pytest.param("element", [1, None, 0], _ELEMENT_ENTRY_ERROR + "null", id="element-null"),
+    pytest.param("element", [1, [1, "2"], 0], _ELEMENT_ENTRY_ERROR + '[1, "2"]',
+                 id="element-string-in-pair"),
+    pytest.param("real matrix", [[1, 2], [-3, 4]], [[1.0, 2.0], [-3.0, 4.0]], id="real-ints"),
+    pytest.param("real matrix", [[0.5, -1.25]], [[0.5, -1.25]], id="real-floats"),
+    pytest.param("real matrix", [[[0, 1], 2]], "bad matrix entry [0, 1]", id="real-pair-entry"),
+    pytest.param("real matrix", [[[1.0, 0.0]]], "bad matrix entry [1.0, 0.0]",
+                 id="real-float-pair-entry"),
+    pytest.param("real matrix", [[1, "2"]], 'bad matrix entry "2"', id="real-string"),
+    pytest.param("real matrix", [[None]], "bad matrix entry null", id="real-null"),
+    pytest.param("real matrix", [[1.0], [2.0, 3.0]], "matrix rows have unequal lengths",
+                 id="real-ragged"),
+    pytest.param("complex matrix", [[[0, 1], 2], [3, [4.5, -1]]], [[1j, 2], [3, 4.5 - 1j]],
+                 id="complex-pairs"),
+    pytest.param("complex matrix", [[[1, 0], 2.5]], [[1.0, 2.5]], id="complex-one-row"),
+    pytest.param("complex matrix", [[[1, 2, 3]]], "bad matrix entry [1, 2, 3]",
+                 id="complex-triple-entry"),
+    pytest.param("complex matrix", [["x"]], 'bad matrix entry "x"', id="complex-string"),
+    pytest.param("complex matrix", [[None, 1]], "bad matrix entry null", id="complex-null"),
+    pytest.param("complex matrix", [[[0, 1]], [1, 2]], "matrix rows have unequal lengths",
+                 id="complex-ragged"),
     # JSON true and false load as bool, a subclass of int: refused, not 1 and 0
-    ("element", [True, 2, 3], _ELEMENT_ENTRY_ERROR + "true"),
-    ("element", [1, [0.5, False], 0], _ELEMENT_ENTRY_ERROR + "[0.5, false]"),
-    ("real matrix", [[1, 0], [0, True]], "bad matrix entry true"),
-    ("complex matrix", [[[False, 1]]], "bad matrix entry [false, 1]"),
+    pytest.param("element", [True, 2, 3], _ELEMENT_ENTRY_ERROR + "true", id="element-true"),
+    pytest.param("element", [1, [0.5, False], 0], _ELEMENT_ENTRY_ERROR + "[0.5, false]",
+                 id="element-false-in-pair"),
+    pytest.param("real matrix", [[1, 0], [0, True]], "bad matrix entry true", id="real-true"),
+    pytest.param("complex matrix", [[[False, 1]]], "bad matrix entry [false, 1]",
+                 id="complex-false-in-pair"),
     # an entry with no JSON form is named by its repr
-    ("element", [1, 2j, 0], _ELEMENT_ENTRY_ERROR + '"2j"'),
+    pytest.param("element", [1, 2j, 0], _ELEMENT_ENTRY_ERROR + '"2j"',
+                 id="element-python-complex"),
 ])
 def test_json_entry_parsing(parse, data, want):
     def call():

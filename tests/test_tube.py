@@ -259,6 +259,8 @@ def test_invalid_signature():
         ct.aut_germ_dimension(A, 2, 0)
     with pytest.raises(ct.InvalidSignature):
         ct.aut_germ_dimension(A, 0, 0)
+    with pytest.raises(ct.InvalidSignature):
+        ct.aut_germ_dimension(A, -1, 2)  # 0 < p + q < rank, but p < 0
 
 
 def test_levi_form_bracket_oracle(dense_blocks):
@@ -452,6 +454,31 @@ def test_peirce_structure_matches_trace_form_of_products():
         assert norm[g].min() >= 0.35 and norm[~g].max(initial=0.0) <= 1.4e-16, A
 
 
+def _peirce_rule(x, y, z):
+    """Does V_x ∘ V_y meet V_z, from the pair indices alone?
+
+    True iff the three blocks are {V_ij, V_jk, V_ik} (i, j, k distinct),
+    {V_ij, V_ij, V_ii} (i ≠ j) or {V_ii, V_ii, V_ii}.
+    """
+    diag = [b for b in (x, y, z) if b[0] == b[1]]
+    off = [b for b in (x, y, z) if b[0] != b[1]]
+    if len(diag) == 3:
+        return x == y == z
+    if len(diag) == 1:
+        return off[0] == off[1] and diag[0][0] in off[0]
+    return not diag and len({*x, *y, *z}) == 3 and len({x, y, z}) == 3
+
+
+def test_block_graph_is_the_peirce_rule_graph():
+    # spin n=1 is on the desk
+    for A in DESK + LARGE_RANK + [ct.make_algebra(f, rank=1)
+                                  for f in ("hermR", "hermC", "hermH")]:
+        pairs = [tuple(pair) for pair in tb._standard_joint_peirce(A)[1].tolist()]
+        want = np.array([[[_peirce_rule(x, y, z) for z in pairs] for y in pairs]
+                         for x in pairs])
+        np.testing.assert_array_equal(tb._block_graph(A), want, err_msg=repr(A))
+
+
 def test_orbits_refuse_assignment_and_in_place_writes():
     # the orbit's bases are the Peirce rows its blocks are read from, so no
     # orbit may be edited after make_orbit: not a field, not an array entry
@@ -574,13 +601,13 @@ def test_aut_germ_dimension_closed_forms():
 
 
 def test_aut_germ_identity():
-    # germ dimension = dim gl(Omega) + CR codimension on every orbit
-    from conetube import fields as fl
-    for A in DESK:
-        gl_dim = fl.dim_table(A)["dim_sl_omega"] + 1
+    # germ dimension = dim gl(Omega) + CR codimension on every orbit, with
+    # dim gl(Omega) from the closed form, not from the ranked span
+    for A in DESK + LARGE_RANK:
+        gl_dim = ct.expected_dim_table(A)["dim_sl_omega"] + 1
         for (p, q) in _degenerate_orbits(A):
-            dims = ct.cr_dimensions(A, p, q)
-            assert ct.aut_germ_dimension(A, p, q) == gl_dim + dims["crcodim"]
+            crcodim = ct.cr_dimensions(A, p, q)["crcodim"]
+            assert ct.aut_germ_dimension(A, p, q) == gl_dim + crcodim, (A, p, q)
 
 
 def test_aut1_basis():
