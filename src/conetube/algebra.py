@@ -225,12 +225,14 @@ def trace_gram(algebra: AlgebraDescriptor) -> np.ndarray:
     return G
 
 
+def _unit_support(algebra: AlgebraDescriptor) -> slice:
+    """The coordinates where the unit is 1; it is 0 on all others."""
+    return slice(0, 1 if algebra.family == "spin" else algebra.rank)
+
+
 def unit(algebra: AlgebraDescriptor) -> np.ndarray:
     e = np.zeros(algebra.dim)
-    if algebra.family == "spin":
-        e[0] = 1.0
-    else:
-        e[:algebra.rank] = 1.0
+    e[_unit_support(algebra)] = 1.0
     return e
 
 

@@ -218,7 +218,7 @@ def cmd_orbit(args):
     algebra = _algebra_from_args(args)
     x = sz.element_from_json(algebra, _load_json_arg(args.element))
     sd = sp.spectral_decompose(algebra, x)
-    sig, support = sp._signature_and_support(sd)
+    sig, counted = sp._signature(sd.eigenvalues)
     minors = sp._minors(sd.eigenvalues)
     report = {
         "descriptor": sz.descriptor_to_json(algebra),
@@ -226,7 +226,7 @@ def cmd_orbit(args):
         "q": sig.q,
         "minors": [float(v) for v in minors],
         "generic_norm": float(minors[-1]),
-        "support": sz.element_to_json(support),
+        "support": sz.element_to_json(sd.frame[counted].sum(axis=0)),
     }
     lines = [f"algebra       {algebra!r}",
              f"signature     (p, q) = ({sig.p}, {sig.q})",

@@ -349,7 +349,7 @@ def vanishing_conditions(algebra: al.AlgebraDescriptor, field: GradedField,
     imag_part = field.u + al.pquad(algebra, a) @ field.w
     value_zero = (np.linalg.norm(real_part) <= tol * scale
                   and np.linalg.norm(imag_part) <= tol * scale)
-    support = sp._signature_and_support(data)[1]
+    support = data.frame[sp._signature(data.eigenvalues)[1]].sum(axis=0)
     pi0 = sp.peirce_projections(algebra, support).pi0
     one_jet_zero = bool(np.linalg.norm(field.A) <= tol
                         and np.linalg.norm(field.w - pi0 @ field.w) <= tol)
@@ -425,6 +425,12 @@ def diagonal_flow_coefficients(v, c, t: float):
 
     Solves to z_j(t) = c_j / (1 − i v_j c_j t); the pole is reported as a
     FlowSingularity instead of returning an overflow.
+
+    v c t can overflow where the quotient is finite. Where the plain formula
+    could overflow, numerator and denominator are divided by 2^s ≥ |v c t|,
+    and v and t are scaled by powers of two 2^-a and 2^-b with a + b = s, so
+    that no product passes 2^1023. Elsewhere a = b = s = 0, and the plain
+    formula runs unchanged.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=complex))
@@ -432,12 +438,21 @@ def diagonal_flow_coefficients(v, c, t: float):
         raise DimensionMismatch(f"rate shape {v.shape} != start shape {c.shape}")
     # NaN passes the pole test below and would come back as nan+nanj
     require_finite(np.concatenate([v, c, np.ravel(t)]), "flow rate, start value or time")
-    denom = 1.0 - 1j * v * c * t
-    bad = np.abs(denom) < 1e-12
+    # 2^k bounds each factor; a zero gets a k that bounds every product by 0
+    kv, kc, kt = (np.where(f == 0, -4096, np.frexp(f)[1])
+                  for f in (v, np.maximum(abs(c.real), abs(c.imag)), t))
+    plain = (kv + kc <= 1023) & (kv + kc + kt <= 1023)
+    s = np.where(plain, 0, np.maximum(kv + kc + kt, 0))
+    a = np.where(plain, 0, np.maximum(kv + kc - 1023, 0))
+    denom = np.ldexp(1.0, -s) - 1j * np.ldexp(v, -a) * c * np.ldexp(t, a - s)
+    bad = np.abs(denom) < np.ldexp(1e-12, -s)
     if np.any(bad):
         raise FlowSingularity(
             f"flow reaches a pole at t = {t} in component {int(np.nonzero(bad)[0][0])}")
-    return c / denom
+    num = np.empty_like(c)
+    num.real = np.ldexp(c.real, -s)
+    num.imag = np.ldexp(c.imag, -s)
+    return num / denom
 
 
 def diagonal_flow(algebra: al.AlgebraDescriptor, frame, v_coeffs, c_coeffs,

@@ -27,6 +27,11 @@ max|x|, and the eigenvalues are multiplied back by 2^e once at the end. So
 every family is exactly equivariant under x -> 2^k x: the frame bytes stay
 the same and the eigenvalues scale exactly, from subnormal elements up to
 those whose eigenvalues overflow, which raise NumericalFailure.
+
+orbit_signature reads only the eigenvalues and builds no support. One rule,
+_signature, decides which eigenvalues count as positive, negative or zero,
+and refuses the borderline band; support_idempotent, the orbit command and
+fields.vanishing_conditions sum the support over the frame members it marks.
 """
 
 from __future__ import annotations
@@ -248,8 +253,6 @@ def _frame_products(algebra, frame):
 
 
 def _validate_spectral(algebra, eigenvalues, frame, x):
-    scale = float(np.max(np.abs(eigenvalues)))
-    e = al.unit(algebra)
     r, d = frame.shape
     resid = _frame_products(algebra, frame)
     # idempotency residuals on the diagonal, orthogonality off it. The rows
@@ -257,10 +260,11 @@ def _validate_spectral(algebra, eigenvalues, frame, x):
     # result is C-contiguous, so that reshape and the strided slice are views
     # and the subtraction lands in resid. On a copy it would be lost.
     resid.reshape(r * r, d)[::r + 1] -= frame
-    worst = max(float(np.max(np.abs(resid))),
-                float(np.max(np.abs(frame.sum(axis=0) - e))))
-    recon = float(np.max(np.abs(eigenvalues @ frame - x)))
-    if worst > SPECTRAL_TOL or recon > SPECTRAL_TOL * scale:
+    total = frame.sum(axis=0)
+    total[al._unit_support(algebra)] -= 1.0  # total is now Σ e_j - e
+    worst = max(float(abs(resid).max()), float(abs(total).max()))
+    recon = float(abs(eigenvalues @ frame - x).max())
+    if worst > SPECTRAL_TOL or recon > SPECTRAL_TOL * float(abs(eigenvalues).max()):
         raise NumericalFailure(
             f"frame residual {worst:.2e}, reconstruction residual {recon:.2e} "
             f"exceed tolerance {SPECTRAL_TOL:.1e} for {algebra}")
@@ -408,17 +412,26 @@ def generic_minors(algebra: al.AlgebraDescriptor, x) -> tuple[np.ndarray, float]
     return minors, float(minors[-1])
 
 
-def _signature_and_support(sd: SpectralData) -> tuple[Signature, np.ndarray]:
-    """Orbit label and support idempotent of one decomposition; see orbit_signature."""
+def _signature(eigenvalues) -> tuple[Signature, list[bool]]:
+    """The rule of orbit_signature: (p, q), and which eigenvalues it counts.
+
+    Each eigenvalue is taken relative to the largest magnitude. It counts as
+    positive from SPECTRAL_TOL up, as negative from -SPECTRAL_TOL down, and as
+    zero up to SPECTRAL_TOL/10 in magnitude; the open band between is refused
+    as borderline.
+    The rule runs over Python floats: at rank 2 to 7 a numpy pass costs
+    several times more. The mask marks the frame members of the support.
+    """
     tol = SPECTRAL_TOL
-    scale = float(np.max(np.abs(sd.eigenvalues)))
-    rel = sd.eigenvalues / scale if scale else sd.eigenvalues
-    in_band = (np.abs(rel) > tol / 10) & (np.abs(rel) < tol)
-    if np.any(in_band):
+    lam = eigenvalues.tolist()
+    scale = max(map(abs, lam))
+    rel = [v / scale for v in lam] if scale else lam
+    band = [v for v in rel if tol / 10 < abs(v) < tol]
+    if band:
         raise BorderlineSpectrum(
-            f"eigenvalue ratio(s) {rel[in_band]} inside the ({tol/10:.0e}, {tol:.0e}) band")
-    sig = Signature(int(np.sum(rel >= tol)), int(np.sum(rel <= -tol)))
-    return sig, sd.frame[np.abs(rel) >= tol].sum(axis=0)
+            f"eigenvalue ratio(s) {np.array(band)} inside the ({tol/10:.0e}, {tol:.0e}) band")
+    sig = Signature(sum(v >= tol for v in rel), sum(v <= -tol for v in rel))
+    return sig, [abs(v) >= tol for v in rel]
 
 
 def orbit_signature(algebra: al.AlgebraDescriptor, x) -> Signature:
@@ -428,7 +441,7 @@ def orbit_signature(algebra: al.AlgebraDescriptor, x) -> Signature:
     magnitude; anything in the band (SPECTRAL_TOL/10, SPECTRAL_TOL) is
     refused as borderline.
     """
-    return _signature_and_support(spectral_decompose(algebra, x))[0]
+    return _signature(spectral_decompose(algebra, x).eigenvalues)[0]
 
 
 def orbit_count(rank: int) -> int:
@@ -438,7 +451,8 @@ def orbit_count(rank: int) -> int:
 
 def support_idempotent(algebra: al.AlgebraDescriptor, x) -> np.ndarray:
     """Sum of the frame idempotents belonging to nonzero eigenvalues."""
-    return _signature_and_support(spectral_decompose(algebra, x))[1]
+    sd = spectral_decompose(algebra, x)
+    return sd.frame[_signature(sd.eigenvalues)[1]].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,32 @@ def test_orbit_borderline_exit_three(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("element, p, q, support", [
+    ("[1,1e-8,0]", 2, 0, [1, 1, 0]),
+    ("[1,-1e-8,0]", 1, 1, [1, 1, 0]),
+    ("[1,1e-9,0]", 1, 0, [1, 0, 0]),
+    ("[1,-1e-9,0]", 1, 0, [1, 0, 0]),
+    ("[0,0,0]", 0, 0, [0, 0, 0]),
+])
+def test_orbit_signature_rule_edges(element, p, q, support, capsys):
+    # a ratio of exactly ±1e-8 counts, ±1e-9 is zero, and zero is (0, 0)
+    code, out, _ = run(["orbit", "--family", "hermR", "--rank", "2",
+                        "--element", element, "--json"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["p"], rep["q"], rep["support"]) == (p, q, support)
+
+
+@pytest.mark.parametrize("element, ratios", [("[1,5e-9,0]", "[5.e-09]"),
+                                             ("[1,-5e-9,0]", "[-5.e-09]")])
+def test_orbit_band_message(element, ratios, capsys):
+    code, out, err = run(["orbit", "--family", "hermR", "--rank", "2",
+                          "--element", element, "--json"], capsys)
+    assert code == 3 and out == ""
+    assert err == (f"numerical failure: eigenvalue ratio(s) {ratios} "
+                   "inside the (1e-09, 1e-08) band\n")
+
+
 @pytest.mark.parametrize("family_args, element", [
     (["--family", "spin", "--n", "3"], "[NaN,1,0,0,0]"),
     (["--family", "spin", "--n", "3"], "[Infinity,1,0,0,0]"),
@@ -248,6 +275,14 @@ def test_flow_pole_exit_three(capsys):
     code, _, err = run(["flow", "--v", "1", "--c=-i", "--t", "1"], capsys)
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_flow_past_the_float_limit(capsys):
+    # v c t = 1e400 overflows; c / (1 − i v c t) is about 1e-200 i
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["flow", "--v", "1e200", "--c", "1e200", "--t", "1"], capsys)
+    assert (code, out, err) == (0, "g_1(1) = 1e-200i\n", "")
 
 
 def test_flow_mismatched_lengths(capsys):

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -422,6 +424,54 @@ def test_flow_singularity():
     # v = 1, c = -i reaches the pole of 1/(1 - t) at t = 1
     with pytest.raises(ct.FlowSingularity):
         fl.diagonal_flow_coefficients([1.0], [-1j], 1.0)
+
+
+def _exact_flow(v, c, t):
+    """c / (1 − i v c t) in exact rationals, rounded once per part."""
+    a, b, v, t = (Fraction(float(x)) for x in (c.real, c.imag, v, t))
+    dr, di = 1 + v * b * t, -v * a * t
+    den = dr * dr + di * di
+    return complex(float((a * dr + b * di) / den), float((b * dr - a * di) / den))
+
+
+@pytest.mark.parametrize("v, c, t", [
+    (1e200, 1e200, 1.0),
+    (1e200, 1e200, 1e-300),
+    (1e300, 1e300, 0.0),
+    (1e-300, 1e300j, 1.0),
+    (-1e308, 1e308 - 1e308j, 1e308),
+    (1e250, -3e100 + 2e150j, -1e-120),
+    (2.0 ** 1000, 3.0 * 2.0 ** 30, 2.0 ** -1030),
+    (2.0 ** 1000, -1j * (2.0 ** 30 + 2.0 ** -8), 2.0 ** -1030),  # |1 − i v c t| = 2^-38
+    (5e-324, 1e308j, 1e308),
+], ids=["1e200-1e200-1", "1e200-1e200-1e-300", "t-zero", "v-tiny", "near-max",
+        "mixed", "vc-past-max", "near-pole-vc-past-max", "v-subnormal"])
+def test_diagonal_flow_near_the_float_limit(v, c, t):
+    # v c t overflows here although c / (1 − i v c t) is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = fl.diagonal_flow_coefficients([v], [c], t)[0]
+    want = _exact_flow(v, complex(c), t)
+    assert abs(g - want) <= 4 * np.finfo(float).eps * abs(want)
+
+
+def test_diagonal_flow_keeps_the_plain_formula_in_range():
+    # where v c t cannot overflow, the quotient has the plain formula's bits
+    rng = np.random.default_rng(367)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100, shape)
+
+    for _ in range(200):
+        v, c, t = draw(3), draw(3) + 1j * draw(3), float(draw())
+        g = fl.diagonal_flow_coefficients(v, c, t)
+        assert g.tobytes() == (c / (1.0 - 1j * v * c * t)).tobytes()
+
+
+def test_flow_singularity_past_the_float_limit():
+    # v c t = -i exactly, with v c = -i 2^1030 past the float range
+    with pytest.raises(ct.FlowSingularity):
+        fl.diagonal_flow_coefficients([2.0 ** 1000], [-1j * 2.0 ** 30], 2.0 ** -1030)
 
 
 @pytest.mark.parametrize("v, c, t", [

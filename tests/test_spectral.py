@@ -175,6 +175,90 @@ def test_orbit_signature_borderline():
         ct.orbit_signature(A, x)
 
 
+# hermR diag(1, r) decomposes exactly, so its eigenvalue ratio is r itself
+@pytest.mark.parametrize("r, want, support", [
+    (1e-8, (2, 0), [1, 1, 0]),
+    (-1e-8, (1, 1), [1, 1, 0]),
+    (1e-9, (1, 0), [1, 0, 0]),
+    (-1e-9, (1, 0), [1, 0, 0]),
+    (1e-12, (1, 0), [1, 0, 0]),
+    (-1e-300, (1, 0), [1, 0, 0]),
+    (0.0, (1, 0), [1, 0, 0]),
+])
+def test_signature_rule_edges(r, want, support):
+    # a ratio of exactly ±SPECTRAL_TOL counts; ±SPECTRAL_TOL/10 and below is zero
+    A = ct.make_algebra("hermR", rank=2)
+    x = [1.0, r, 0.0]
+    assert sp.spectral_decompose(A, x).eigenvalues.tolist() == sorted([1.0, r], reverse=True)
+    assert sp.orbit_signature(A, x) == want
+    assert sp.support_idempotent(A, x).tolist() == support
+
+
+@pytest.mark.parametrize("element, ratios", [
+    ([1.0, 5e-9, 0.0], "[5.e-09]"),
+    ([1.0, -5e-9, 0.0], "[-5.e-09]"),
+    ([-1.0, 5e-9, 0.0], "[5.e-09]"),
+    ([1.0, 5e-9, -3e-9, 0.0, 0.0, 0.0], "[ 5.e-09 -3.e-09]"),
+])
+def test_signature_rule_refuses_the_band(element, ratios):
+    A = ct.make_algebra("hermR", rank=2 if len(element) == 3 else 3)
+    message = f"eigenvalue ratio(s) {ratios} inside the (1e-09, 1e-08) band"
+    for call in (sp.orbit_signature, sp.support_idempotent):
+        with pytest.raises(ct.BorderlineSpectrum) as info:
+            call(A, element)
+        assert str(info.value) == message
+
+
+def test_signature_rule_on_the_zero_element():
+    for A in DESK:
+        assert sp.orbit_signature(A, np.zeros(A.dim)) == (0, 0)
+        assert sp.support_idempotent(A, np.zeros(A.dim)).tolist() == [0.0] * A.dim
+
+
+def _numpy_signature(eigenvalues):
+    """The signature rule as whole-array numpy operations, or None in the band."""
+    tol = sp.SPECTRAL_TOL
+    scale = np.abs(eigenvalues).max()
+    rel = eigenvalues / scale if scale else eigenvalues
+    if np.any((np.abs(rel) > tol / 10) & (np.abs(rel) < tol)):
+        return None, None
+    return (int(np.sum(rel >= tol)), int(np.sum(rel <= -tol))), np.abs(rel) >= tol
+
+
+@pytest.mark.parametrize("A", DESK, ids=str)
+def test_signature_rule_matches_a_numpy_rule(A):
+    # eigenvalue magnitudes on both sides of each cut: counted, band, zero
+    # (albert's root route fails on some of these; ROADMAP item 1)
+    rng = np.random.default_rng(283)
+    mags = [1.0, 2e-8, 5e-9, 2e-10, 0.0]
+    seen = set()
+    for _ in range(40):
+        lam = rng.choice([-1.0, 1.0], A.rank) * rng.choice(mags, A.rank) * rng.uniform(0.5, 2.0)
+        lam[0] = 1.0
+        x = _transported(A, rng.permutation(lam), rng)
+        try:
+            data = sp.spectral_decompose(A, x)
+        except ct.NumericalFailure as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                sp.orbit_signature(A, x)
+            continue
+        want, counted = _numpy_signature(data.eigenvalues)
+        if want is None:
+            with pytest.raises(ct.BorderlineSpectrum):
+                sp.orbit_signature(A, x)
+            seen.add("band")
+            continue
+        assert sp.orbit_signature(A, x) == want
+        assert (sp.support_idempotent(A, x).tobytes()
+                == data.frame[counted].sum(axis=0).tobytes())
+        rel = np.abs(data.eigenvalues) / np.abs(data.eigenvalues).max()
+        if not counted.all():
+            seen.add("zero")
+        if np.any(counted & (rel < 1e-6)):
+            seen.add("counted near the cut")
+    assert seen == {"band", "zero", "counted near the cut"}
+
+
 def test_orbit_count():
     assert ct.orbit_count(1) == 3
     assert ct.orbit_count(2) == 6
@@ -528,6 +612,29 @@ def test_validate_spectral_catches_an_orthogonality_fault():
     worst, recon = _validation_residuals(A, lam, frame, x)
     assert 1e-7 < worst < 1e-5
     assert recon == 0.0
+
+
+@pytest.mark.parametrize("family, kw, dropped, worst", [
+    ("spin", {"peirce_constant": 3}, 0, 0.5),
+    ("hermR", {"rank": 3}, 2, 1.0),
+], ids=["spin-n3", "hermR-r3"])
+def test_validate_spectral_catches_a_frame_short_of_the_unit(family, kw, dropped, worst):
+    # a zero member passes every product check, so only Σ e_j = e fails. The
+    # unit is e[0] on spin and e[:r] on hermR; subtracting it anywhere else
+    # would also fail the full frame, or give another residual here
+    A = ct.make_algebra(family, **kw)
+    frame = ct.standard_frame(A)
+    lam = np.arange(A.rank, 0, -1.0)
+    sp._validate_spectral(A, lam, frame, lam @ frame)
+    frame[dropped] = 0.0
+    kept = frame.copy()
+    prods = sp._frame_products(A, frame)
+    for j in range(A.rank):
+        for k in range(A.rank):
+            want = frame[j] if j == k else 0.0
+            assert np.max(np.abs(prods[j, k] - want)) == 0.0
+    assert _validation_residuals(A, lam, frame, lam @ frame) == (worst, 0.0)
+    assert frame.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("A", DESK, ids=str)
