@@ -29,8 +29,9 @@ s = (α+β)/2 and u_0 = (α-β)/2 is an isomorphism of algebras.
 The joint Peirce spaces V_jk of :func:`standard_frame` are coordinate
 blocks: V_jj = ℝe_j, and V_jk for j < k is spanned by the n units of the
 pair, (j, k, ·) in a Hermitian family and u_1..u_n in the spin factor,
-whose e_0, e_1 = (1, ±1, 0)/2 are not coordinate axes. ``tube`` reads
-its Peirce rows from this layout, with no projector.
+whose e_0, e_1 = (1, ±1, 0)/2 are not coordinate axes. :func:`peirce_blocks`
+is the one place this layout is read: it turns it into the table of
+blocks, rows and block products that ``tube`` reads, with no projector.
 
 Elements are plain numpy vectors of coordinates; real vectors live in V and
 complex vectors in its complexification E = V ⊕ iV. All operators returned
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .errors import (ClassificationError, DimensionMismatch, NumericalFailure,
 
 FAMILIES = ("spin", "hermR", "hermC", "hermH", "albert")
 
-_HERM_PEIRCE = {"hermR": 1, "hermC": 2, "hermH": 4, "albert": 8}
+_HERM_PEIRCE = {"hermR": 1, "hermC": 2, "hermH": 4}
 
 # Smallest singular value of P(z), relative to the largest, below which
 # jordan_inverse calls z singular.
@@ -102,8 +104,6 @@ def make_algebra(family: str, rank: int | None = None,
                 f"{family} forces Peirce constant {_HERM_PEIRCE[family]}, got {n}")
         if rank is None or rank < 1:
             raise ClassificationError(f"{family} needs a rank >= 1")
-        if n == 8 and rank > 3:
-            raise ClassificationError("octonion entries only allow rank <= 3")
     rank = int(rank)
     dim = rank + (rank * (rank - 1) // 2) * n
     return AlgebraDescriptor(family, rank, n, dim)
@@ -141,7 +141,6 @@ def _herm_index(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
-@lru_cache(maxsize=None)
 def _herm_basis_matrices(rank: int, n: int) -> np.ndarray:
     """All basis elements as K_n-valued matrices, shape (dim, r, r, n)."""
     r = rank
@@ -156,7 +155,6 @@ def _herm_basis_matrices(rank: int, n: int) -> np.ndarray:
             basis[idx, j, k, d] = 1.0
             basis[idx, k, j, d] = conj[d]
             idx += 1
-    basis.setflags(write=False)
     return basis
 
 
@@ -219,8 +217,7 @@ def trace_gram(algebra: AlgebraDescriptor) -> np.ndarray:
     tr(L(x)L(y)) differs by a tr(x)tr(y) term and fails both properties.
     """
     T = multiplication_table(algebra)
-    G = np.einsum("abc,c->ab", T, np.einsum("cii->c", T))
-    G = 0.5 * (G + G.T)
+    G = np.einsum("abc,c->ab", T, np.einsum("cii->c", T))  # symmetric, as T is in a, b
     G.setflags(write=False)
     return G
 
@@ -247,6 +244,60 @@ def standard_frame(algebra: AlgebraDescriptor) -> np.ndarray:
         for j in range(algebra.rank):
             frame[j, j] = 1.0
     return frame
+
+
+class PeirceBlocks(NamedTuple):
+    """The joint Peirce blocks V_jk of :func:`standard_frame`, m = r(r+1)/2.
+
+    ``pairs`` are the (m, 2) keys (j, k), j <= k, of ``spectral.joint_peirce``
+    in its order, and ``sizes`` the dimensions, 1 if j = k and n if j < k.
+    ``rows`` is a trace-orthonormal basis of V, block by block, and
+    ``row_block`` each row's index into ``pairs``. ``graph[x, y, z]`` says
+    whether V_x ∘ V_y meets V_z; it is symmetric in its three axes.
+    """
+
+    pairs: np.ndarray
+    sizes: np.ndarray
+    rows: np.ndarray
+    row_block: np.ndarray
+    graph: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def peirce_blocks(algebra: AlgebraDescriptor) -> PeirceBlocks:
+    """The Peirce block table of the standard frame, cached and read-only.
+
+    V_jj is spanned by e_j, and the V_jk with j < k, in order, by the last
+    dim − r coordinate units, n each; each row is scaled to trace norm 1.
+    Entry [x, y, z] of the graph is the norm of block (x, y, z) of
+    t[a, b, c] = (r_a ∘ r_b | r_c) over the rows r, cut against the largest
+    by :func:`above_rank_cut`. t is one (dim, dim²) product with the
+    multiplication table, squared slab by slab and summed by blocks. Over
+    the desk, hermR r=6, 7, 12, hermC r=6, 10 and hermH r=4, 6 kept norms
+    are ≥ 0.35 of the largest, dropped ones ≤ 1.4e-16.
+    """
+    r, n, d = algebra.rank, algebra.peirce_constant, algebra.dim
+    pairs = np.transpose(np.triu_indices(r))
+    on_diag = pairs[:, 0] == pairs[:, 1]
+    sizes = np.where(on_diag, 1, n)
+    row_block = np.repeat(np.arange(len(pairs)), sizes)
+    rows = np.zeros((d, d))
+    rows[on_diag[row_block]] = standard_frame(algebra)
+    rows[~on_diag[row_block], r:] = np.eye(d - r)
+    gram = trace_gram(algebra)
+    rows /= np.sqrt(np.einsum("ab,bc,ac->a", rows, gram, rows))[:, None]
+
+    coord = rows @ gram  # coord @ x: the row coordinates of x
+    t = (rows @ multiplication_table(algebra).reshape(d, d * d)).reshape(d, d, d)
+    for slab in t:
+        slab[...] = np.square(rows @ slab @ coord.T)
+    for axis in range(3):
+        t = np.add.reduceat(t, np.cumsum(sizes) - sizes, axis=axis)
+    graph = above_rank_cut(np.sqrt(t), np.sqrt(t.max()))
+    blocks = PeirceBlocks(pairs, sizes, rows, row_block, graph)
+    for arr in blocks:
+        arr.flags.writeable = False
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +514,11 @@ def above_rank_cut(values: np.ndarray, largest) -> np.ndarray:
 def _ranked_svd(M: np.ndarray, svd) -> tuple[int, np.ndarray | None]:
     """Rank of M and the ``vh`` that ``svd`` returns beside its singular values.
 
-    ``svd`` maps a matrix to (s, vh) or (s, None). A tall M is reduced to
-    its QR factor R first: same singular values and right vectors. The rank
-    counts the s above RANK_REL_CUT times the largest; a failed or
-    non-finite SVD raises NumericalFailure.
+    ``svd`` maps a matrix to (s, vh) or (s, None). The rank counts the s
+    above RANK_REL_CUT times the largest; a failed or non-finite SVD raises
+    NumericalFailure.
     """
-    M = np.asarray(M)
     try:
-        if M.shape[0] > M.shape[1]:
-            M = np.linalg.qr(M, mode="r")
         s, vh = svd(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"rank decision failed: {exc}") from exc
@@ -490,9 +537,9 @@ def numeric_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
     read ``vh`` use this: :func:`numeric_rank_only` makes the same decision
     from the singular values alone, at less than half the cost.
     """
-    return _ranked_svd(M, lambda R: np.linalg.svd(R, full_matrices=False)[1:])
+    return _ranked_svd(M, lambda M: np.linalg.svd(M, full_matrices=False)[1:])
 
 
 def numeric_rank_only(M: np.ndarray) -> int:
     """``numeric_rank(M)[0]`` from the singular values alone."""
-    return _ranked_svd(M, lambda R: (np.linalg.svd(R, compute_uv=False), None))[0]
+    return _ranked_svd(M, lambda M: (np.linalg.svd(M, compute_uv=False), None))[0]

@@ -33,7 +33,6 @@ from .errors import (
     NumericalFailure,
     require_finite,
 )
-from .tube import condition_star_holds
 
 _CLOSURE_REL_TOL = 1e-8
 # terms per chunk in _commutators_at: 2 MB of float64 whatever the pair count
@@ -340,7 +339,7 @@ def vanishing_conditions(algebra: al.AlgebraDescriptor, field: GradedField,
     """
     a = al.as_real_element(algebra, a)
     data = sp.spectral_decompose(algebra, a)
-    if not condition_star_holds(data.eigenvalues):
+    if not sp.condition_star_holds(data.eigenvalues):
         raise ConditionStarViolated(
             f"spectrum {data.eigenvalues} has cancelling eigenvalue pairs")
     tol = 1e-9
@@ -424,7 +423,8 @@ def diagonal_flow_coefficients(v, c, t: float):
     """Closed-form flow of ż_j = i v_j z_j² through z(0) = c, per coordinate.
 
     Solves to z_j(t) = c_j / (1 − i v_j c_j t); the pole is reported as a
-    FlowSingularity instead of returning an overflow.
+    FlowSingularity instead of returning an overflow, and a quotient past
+    the float range next to it as a NumericalFailure.
 
     v c t can overflow where the quotient is finite. Where the plain formula
     could overflow, numerator and denominator are divided by 2^s ≥ |v c t|,
@@ -452,7 +452,13 @@ def diagonal_flow_coefficients(v, c, t: float):
     num = np.empty_like(c)
     num.real = np.ldexp(c.real, -s)
     num.imag = np.ldexp(c.imag, -s)
-    return num / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = num / denom
+    bad = ~np.isfinite(g)
+    if np.any(bad):
+        raise NumericalFailure(f"flow coefficient passes the float range at t = {t} "
+                               f"in component {int(np.nonzero(bad)[0][0])}")
+    return g
 
 
 def diagonal_flow(algebra: al.AlgebraDescriptor, frame, v_coeffs, c_coeffs,

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import algebra as al
 from .errors import DimensionMismatch, NumericalFailure, require_finite
+from .fields import GradedField
 
 
 def format_float(x: float) -> str:
@@ -141,7 +142,6 @@ def field_to_json(field) -> dict:
 
 
 def field_from_json(algebra: al.AlgebraDescriptor, data):
-    from .fields import GradedField
     if not isinstance(data, dict) or set(data) - {"u", "A", "w"}:
         raise DimensionMismatch('field must be {"u": …, "A": …, "w": …}')
     d = algebra.dim

@@ -449,6 +449,16 @@ def orbit_count(rank: int) -> int:
     return math.comb(rank + 2, 2)
 
 
+def condition_star_holds(eigenvalues) -> bool:
+    """True when λ_j + λ_k = 0 only happens with λ_j = λ_k = 0."""
+    # NaN fails every comparison below and would read as "no pair cancels"
+    lam = require_finite(np.asarray(eigenvalues, dtype=float), "eigenvalue list")
+    cut = 1e-10 * np.max(np.abs(lam), initial=1.0)
+    nonzero = np.abs(lam) > cut
+    cancels = np.abs(np.add.outer(lam, lam)) <= cut
+    return not np.any(cancels & (nonzero[:, None] | nonzero))
+
+
 def support_idempotent(algebra: al.AlgebraDescriptor, x) -> np.ndarray:
     """Sum of the frame idempotents belonging to nonzero eigenvalues."""
     sd = spectral_decompose(algebra, x)

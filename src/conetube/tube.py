@@ -20,24 +20,22 @@ and E_0 (both zero); then
 
 and the kernel chain H⁰ ⊃ H¹ ⊃ H² … decides the nondegeneracy order. All
 bases returned are trace-orthonormal rows of the m = r(r+1)/2 joint Peirce
-spaces V_jk of the standard frame, read off the coordinate layout of
-``algebra``: V_jj = ℝe_j, and V_jk (j < k) is spanned by n coordinate units.
+spaces V_jk of the standard frame, taken from ``algebra.peirce_blocks``, the
+one place the coordinate layout is read.
 
 No rank is decided at the base point. L(a) and P(a) are diagonal on those
 rows, so the kernel chain and minimality's closure 𝒜a are sums of whole
-blocks, read off one boolean graph per algebra (see ``_block_graph``); the
-Peirce rules V_ij ∘ V_jk ⊆ V_ik (i, j, k distinct) and V_ij ∘ V_ij ⊆
-V_ii + V_jj say which of its entries can be true. ``levi_form`` and
-``beta_map`` stay the validated single-pair functions, in coordinates on
-the orbit's rows; ranked by ``numeric_rank``, their matrices are the tests'
-oracle of the chain.
+blocks, read off the table's block ``graph``; the Peirce rules V_ij ∘ V_jk
+⊆ V_ik (i, j, k distinct) and V_ij ∘ V_ij ⊆ V_ii + V_jj say which of its
+entries can be true. ``levi_form`` and ``beta_map`` stay the validated
+single-pair functions, in coordinates on the orbit's rows; ranked by
+``numeric_rank``, their matrices are the tests' oracle of the chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +47,7 @@ from .errors import (
     NumericalFailure,
     require_finite,
 )
+from .fields import GradedField, gl_omega_span
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -92,16 +91,6 @@ class NondegeneracyResult:
     note: str | None = None
 
 
-def condition_star_holds(eigenvalues) -> bool:
-    """True when λ_j + λ_k = 0 only happens with λ_j = λ_k = 0."""
-    # NaN fails every comparison below and would read as "no pair cancels"
-    lam = require_finite(np.asarray(eigenvalues, dtype=float), "eigenvalue list")
-    cut = 1e-10 * np.max(np.abs(lam), initial=1.0)
-    nonzero = np.abs(lam) > cut
-    cancels = np.abs(np.add.outer(lam, lam)) <= cut
-    return not np.any(cancels & (nonzero[:, None] | nonzero))
-
-
 def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
     """Closed-form CR dimension, codimension and Levi kernel dimension."""
     r, n = algebra.rank, algebra.peirce_constant
@@ -118,60 +107,6 @@ def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
-def _standard_joint_peirce(algebra: al.AlgebraDescriptor):
-    """Joint Peirce rows of the standard frame, read off the coordinates.
-
-    Returns read-only ``(frame, pairs, rows, row_pair)``, shared by all
-    callers: ``pairs`` is the (m, 2) array of the ``joint_peirce`` keys (j, k),
-    in their order, and the ``rows`` with ``row_pair == i`` are a
-    trace-orthonormal basis of V_jk for ``pairs[i]``. The coordinate layout
-    of ``algebra`` makes V_jj = ℝe_j, and the V_jk with j < k, in order, span
-    the last n·C(r, 2) = dim − r coordinate units, n each: the (j, k, ·)
-    units of a Hermitian family, u_1..u_n of a spin factor. Each row is
-    scaled to trace norm 1; no projector, factorisation or rank is computed.
-    """
-    r, n, d = algebra.rank, algebra.peirce_constant, algebra.dim
-    frame = al.standard_frame(algebra)
-    pairs = np.transpose(np.triu_indices(r))
-    on_diag = pairs[:, 0] == pairs[:, 1]
-    row_pair = np.repeat(np.arange(len(pairs)), np.where(on_diag, 1, n))
-    rows = np.zeros((d, d))
-    rows[on_diag[row_pair]] = frame
-    rows[~on_diag[row_pair], r:] = np.eye(d - r)
-    rows /= np.sqrt(np.einsum("ab,bc,ac->a", rows, al.trace_gram(algebra), rows))[:, None]
-    for arr in (frame, pairs, rows, row_pair):
-        arr.flags.writeable = False
-    return frame, pairs, rows, row_pair
-
-
-@lru_cache(maxsize=None)
-def _block_graph(algebra: al.AlgebraDescriptor) -> np.ndarray:
-    """(m, m, m) bools over the ``pairs``: does V_x ∘ V_y meet V_z? Cached.
-
-    Read-only, shared and symmetric in its three axes (the product commutes,
-    the trace form is associative). Entry [x, y, z] is the norm of block (x, y, z) of
-    t[a, b, c] = (r_a ∘ r_b | r_c) over the Peirce rows r, cut against the
-    largest block norm by ``algebra.above_rank_cut``, the cut of every rank
-    decision. t is one (dim, dim²) product with the multiplication table,
-    squared slab by slab and summed by blocks. Over the desk, hermR r=6, 7,
-    12, hermC r=6, 10 and hermH r=4, 6 kept norms are ≥ 0.35 of the
-    largest, dropped ones ≤ 1.4e-16.
-    """
-    _, pairs, rows, row_pair = _standard_joint_peirce(algebra)
-    d = algebra.dim
-    coord = rows @ al.trace_gram(algebra)  # coord @ x: the row coordinates of x
-    t = (rows @ al.multiplication_table(algebra).reshape(d, d * d)).reshape(d, d, d)
-    for slab in t:
-        slab[...] = np.square(rows @ slab @ coord.T)
-    starts = np.searchsorted(row_pair, np.arange(len(pairs)))
-    for axis in range(3):
-        t = np.add.reduceat(t, starts, axis=axis)
-    graph = al.above_rank_cut(np.sqrt(t), np.sqrt(t.max()))
-    graph.flags.writeable = False
-    return graph
-
-
 def _standard_eigenvalues(rank: int, p: int, q: int) -> np.ndarray:
     """Eigenvalues of the canonical base point on the standard frame, unsorted."""
     lam = np.zeros(rank)
@@ -184,42 +119,41 @@ def _pair_class(algebra: al.AlgebraDescriptor, p: int, q: int) -> np.ndarray:
     """Per pair (j, k), how many of λ_j, λ_k are nonzero: 2, 1 or 0 as V_jk
     lies in E_1, E_{1/2} or E_0. λ_j ≠ 0 iff j < p + q on the standard frame.
     """
-    pairs = _standard_joint_peirce(algebra)[1]
-    return np.count_nonzero(pairs < p + q, axis=1)
+    return np.count_nonzero(al.peirce_blocks(algebra).pairs < p + q, axis=1)
 
 
 def _row_order(algebra: al.AlgebraDescriptor, p: int, q: int):
     """Each Peirce row's ``_pair_class``, and the stable order that sorts the
     rows E_1, E_{1/2}, E_0: the order of every orbit basis."""
-    row_class = _pair_class(algebra, p, q)[_standard_joint_peirce(algebra)[3]]
+    row_class = _pair_class(algebra, p, q)[al.peirce_blocks(algebra).row_block]
     return row_class, np.argsort(-row_class, kind="stable")
 
 
 def _row_eigenvalues(orbit: TubeOrbit) -> np.ndarray:
     """(λ_j, λ_k) for each row of the orbit's bases, V_jk its block, in order."""
-    _, pairs, _, row_pair = _standard_joint_peirce(orbit.algebra)
+    blocks = al.peirce_blocks(orbit.algebra)
+    row_order = _row_order(orbit.algebra, orbit.p, orbit.q)[1]
     lam = _standard_eigenvalues(orbit.algebra.rank, orbit.p, orbit.q)
-    return lam[pairs[row_pair[_row_order(orbit.algebra, orbit.p, orbit.q)[1]]]]
+    return lam[blocks.pairs[blocks.row_block[row_order]]]
 
 
 def make_orbit(algebra: al.AlgebraDescriptor, p: int, q: int) -> TubeOrbit:
     """Build the canonical base point of C_{p,q} and its Peirce data.
 
-    The orbit is the algebra's Peirce rows, built and checked once per
+    The orbit is the rows of ``algebra.peirce_blocks``, built once per
     algebra, sorted by ``_row_order``: no factorisation, spectral check or
     dense operator is built per call. The base point satisfies condition *
     and has signature (p, q) by construction. Every array stored is marked
     read-only in a frozen orbit.
     """
     cr_dimensions(algebra, p, q)  # raises InvalidSignature for a bad (p, q)
-    standard, _, rows, _ = _standard_joint_peirce(algebra)
     lam = _standard_eigenvalues(algebra.rank, p, q)
     order = np.argsort(lam, kind="stable")[::-1]
-    eigenvalues, frame = lam[order], standard[order]
+    eigenvalues, frame = lam[order], al.standard_frame(algebra)[order]
     a = eigenvalues @ frame
 
     row_class, row_order = _row_order(algebra, p, q)
-    basis = rows[row_order]  # a copy: the bases are the orbit's own
+    basis = al.peirce_blocks(algebra).rows[row_order]  # a copy: the orbit's own
     for arr in (a, eigenvalues, frame, basis):
         arr.flags.writeable = False
     m1, m = np.count_nonzero(row_class == 2), np.count_nonzero(row_class)
@@ -264,12 +198,13 @@ def _levi_kernel_pairs(orbit: TubeOrbit) -> tuple[np.ndarray, np.ndarray]:
     h_i ∘ h_j/μ_j. So the kernel is the H blocks y with no g[x, z, y], x in
     H, z in E_0: by the Peirce rules the E_1 blocks; an E_{1/2} one raises.
     """
+    blocks = al.peirce_blocks(orbit.algebra)
     cls = _pair_class(orbit.algebra, orbit.p, orbit.q)
     h = cls > 0
-    kernel = h & ~_block_graph(orbit.algebra)[np.ix_(h, cls == 0)].any(axis=(0, 1))
+    kernel = h & ~blocks.graph[np.ix_(h, cls == 0)].any(axis=(0, 1))
     stray = np.flatnonzero(kernel & (cls == 1))
     if stray.size:
-        j, k = _standard_joint_peirce(orbit.algebra)[1][stray[0]]
+        j, k = blocks.pairs[stray[0]]
         raise NumericalFailure(
             f"E_1/2 block V_{j}{k} has no Levi link to E_0, against the Peirce rules")
     return cls, kernel
@@ -279,11 +214,11 @@ def levi_kernel(orbit: TubeOrbit) -> np.ndarray:
     """Levi kernel on H_aM as trace-orthonormal complex rows, shape (k, dim).
 
     The Peirce rows of the E_1 blocks, as the block graph finds them (see
-    :func:`_levi_kernel_pairs`; the cut's margin is in :func:`_block_graph`):
+    :func:`_levi_kernel_pairs`; the cut's margin is in ``algebra.peirce_blocks``):
     empty when ρ = 0, all of H_aM on the open orbit, where E_0 = 0.
     """
-    _, _, rows, row_pair = _standard_joint_peirce(orbit.algebra)
-    return rows[_levi_kernel_pairs(orbit)[1][row_pair]].astype(complex)
+    blocks = al.peirce_blocks(orbit.algebra)
+    return blocks.rows[_levi_kernel_pairs(orbit)[1][blocks.row_block]].astype(complex)
 
 
 def beta_map(orbit: TubeOrbit, v, u) -> np.ndarray:
@@ -304,22 +239,23 @@ def beta_map(orbit: TubeOrbit, v, u) -> np.ndarray:
 def nondegeneracy_order(orbit: TubeOrbit) -> NondegeneracyResult:
     """Kernel chain H⁰ = H_aM ⊃ H¹ = Levi kernel ⊃ H² = right β-kernel ⊃ …
 
-    Each H^k is a sum of whole blocks read off :func:`_block_graph`, with no
-    rank. On Peirce rows coordinate r of β(half_i, e1_s) is (μ_s + μ_r − μ_i)
-    t[i, s, r]/κ_s, so each step drops the kernel blocks s with g[s, i, r]
-    for some E_{1/2} blocks i, r: there the Peirce rules make the weight λ_j
-    or λ_k of s = V_jk, never 0. Returns the first k with H^k = 0. The
+    Each H^k is a sum of whole blocks read off the block graph of
+    ``algebra.peirce_blocks``, with no rank. On Peirce rows coordinate r of
+    β(half_i, e1_s) is (μ_s + μ_r − μ_i) t[i, s, r]/κ_s, so each step drops
+    the kernel blocks s with g[s, i, r] for some E_{1/2} blocks i, r: there
+    the Peirce rules make the weight λ_j or λ_k of s = V_jk, never 0.
+    Returns the first k with H^k = 0. The
     totally real orbit (ρ = 0) has order 0 by convention; a chain that
     stabilises at a nonzero dimension (the open orbit) gives ``order = None``.
     """
     if orbit.rho == 0:
         return NondegeneracyResult(0, True, [0],
                                    "totally real: order 0 by convention")
+    blocks = al.peirce_blocks(orbit.algebra)
     cls, kernel = _levi_kernel_pairs(orbit)
     half = cls == 1
-    beta_linked = _block_graph(orbit.algebra)[:, half][:, :, half].any(axis=(1, 2))
-    row_pair = _standard_joint_peirce(orbit.algebra)[3]
-    chain = [orbit.basis_h.shape[0], int(np.count_nonzero(kernel[row_pair]))]
+    beta_linked = blocks.graph[:, half][:, :, half].any(axis=(1, 2))
+    chain = [orbit.basis_h.shape[0], int(blocks.sizes[kernel].sum())]
     while chain[-1] > 0:
         if chain[-1] == chain[-2]:
             note = ("open orbit: NotFinitelyNondegenerate by convention"
@@ -327,7 +263,7 @@ def nondegeneracy_order(orbit: TubeOrbit) -> NondegeneracyResult:
                     "kernel chain stabilised at nonzero dimension")
             return NondegeneracyResult(None, False, chain, note)
         kernel &= ~beta_linked
-        chain.append(int(np.count_nonzero(kernel[row_pair])))
+        chain.append(int(blocks.sizes[kernel].sum()))
     return NondegeneracyResult(len(chain) - 1, True, chain)
 
 
@@ -350,9 +286,9 @@ def minimality_check(orbit: TubeOrbit) -> bool:
     the H blocks, and is grown through the graph (with x, every z with
     g[x, y, z] for some y) until it stops, at most m passes. On every orbit
     the tests run it reaches all of V iff ρ > 0. The cut's margin is in
-    :func:`_block_graph`.
+    ``algebra.peirce_blocks``.
     """
-    graph = _block_graph(orbit.algebra)
+    graph = al.peirce_blocks(orbit.algebra).graph
     closure = _pair_class(orbit.algebra, orbit.p, orbit.q) > 0
     while True:
         grown = closure | graph[closure].any(axis=(0, 1))
@@ -376,7 +312,6 @@ def aut_germ_dimension(algebra: al.AlgebraDescriptor, p: int, q: int) -> int:
     if not 0 < p + q < algebra.rank:
         raise InvalidSignature(f"germ dimension needs 0 < p + q < rank, "
                                f"got ({p}, {q}) at rank {algebra.rank}")
-    from .fields import gl_omega_span
     return gl_omega_span(algebra).dim_gl_omega + cr_dimensions(algebra, p, q)["crcodim"]
 
 
@@ -384,7 +319,6 @@ def aut1_basis(orbit: TubeOrbit) -> list:
     """Weight-one fields i{zvz}∂_z with v in V_0; count equals CR codim."""
     if not 0 < orbit.rho < orbit.algebra.rank:
         raise InvalidSignature("weight-one stabiliser basis needs 0 < rho < rank")
-    from .fields import GradedField
     dim = orbit.algebra.dim
     return [GradedField(u=np.zeros(dim), A=np.zeros((dim, dim)), w=row.copy())
             for row in orbit.basis_e0]

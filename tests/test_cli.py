@@ -285,6 +285,17 @@ def test_flow_past_the_float_limit(capsys):
     assert (code, out, err) == (0, "g_1(1) = 1e-200i\n", "")
 
 
+def test_flow_quotient_past_the_float_range_exits_three(capsys):
+    # |1 − i v c t| ≈ 2e-12 passes the pole cut; the quotient ≈ 5e311 does not fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["flow", "--v", "1e-300", "--c=-1e300i",
+                              "--t", "1.000000000002"], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("numerical failure: flow coefficient passes the float range "
+                   "at t = 1.000000000002 in component 0\n")
+
+
 def test_flow_mismatched_lengths(capsys):
     code, _, err = run(["flow", "--v", "1,2", "--c", "i"], capsys)
     assert code == 2
@@ -722,8 +733,7 @@ def test_analyze_never_builds_dense_projectors(monkeypatch, capsys):
     # the kernel chain and minimality are read off each algebra's block graph,
     # on Peirce rows read off the coordinate layout: even from cold caches, no
     # joint_peirce (the only builder of dense π_jk) runs for any verdict
-    tb._standard_joint_peirce.cache_clear()
-    tb._block_graph.cache_clear()
+    al.peirce_blocks.cache_clear()
 
     def refuse(algebra, frame):
         raise AssertionError(f"dense Peirce projectors built for {algebra}")

@@ -475,6 +475,21 @@ def test_flow_singularity_past_the_float_limit():
 
 
 @pytest.mark.parametrize("v, c, t", [
+    (1e-300, -1e300j, 1.000000000002),
+    (1.0, -1e300j, 1.000000000002e-300),
+], ids=["v-tiny", "c-huge"])
+def test_flow_quotient_past_the_float_range(v, c, t):
+    # |1 − i v c t| ≈ 2e-12 passes the pole cut, but c / (1 − i v c t) ≈ 5e311
+    A = ct.make_algebra("hermR", rank=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ct.NumericalFailure, match="passes the float range"):
+            fl.diagonal_flow_coefficients([v], [c], t)
+        with pytest.raises(ct.NumericalFailure, match="passes the float range"):
+            fl.diagonal_flow(A, ct.standard_frame(A), [v], [c], t)
+
+
+@pytest.mark.parametrize("v, c, t", [
     ([np.nan, 1.0], [1j, 2j], 0.5),
     ([np.inf, 1.0], [1j, 2j], 0.5),
     ([1.0, 1.0], [complex(np.nan, 1.0), 2j], 0.5),

@@ -1,0 +1,83 @@
+"""Package-wide checks: the import layer, and input refusals across modules."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import conetube as ct
+from conetube import domains as dm
+from conetube import fields as fl
+from conetube import serialize as sz
+
+PACKAGE = Path(ct.__file__).parent
+
+
+def _package_imports():
+    """Module name -> (its parsed tree, the package modules it imports)."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module else
+                            (alias.name for alias in node.names))
+        out[path.stem] = tree, deps
+    return out
+
+
+def test_imports_sit_at_module_level_and_form_no_cycle():
+    modules = _package_imports()
+    graph = {name: deps for name, (_, deps) in modules.items()}
+    assert set().union(*graph.values()) <= set(graph)
+    tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
+    for name, (tree, _) in modules.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [node.lineno for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom))]
+                assert not inner, f"{name}.{fn.name} imports at lines {inner}"
+
+
+_HERM2 = ct.make_algebra("hermR", rank=2)
+_HERM3 = ct.make_algebra("hermR", rank=3)
+
+REFUSALS = {
+    "flow-frame-width": (
+        lambda: fl.diagonal_flow(_HERM2, np.zeros((2, 4)), [1.0, 1.0], [1j, 1j], 0.1),
+        ct.DimensionMismatch, "frame shape (2, 4) does not fit dim 3"),
+    "bracket-other-algebra": (
+        lambda: fl.bracket(_HERM2, fl.euler_field(_HERM3), fl.euler_field(_HERM3)),
+        ct.DimensionMismatch, "field does not live on this algebra"),
+    "element-not-array": (
+        lambda: sz.element_from_json(_HERM2, {"x": 1}),
+        ct.DimensionMismatch, "element must be a JSON array"),
+    "matrix-not-list": (
+        lambda: sz.matrix_from_json(3),
+        ct.DimensionMismatch, "matrix must be a JSON array of rows"),
+    "field-complex-u": (
+        lambda: sz.field_from_json(_HERM2, {"u": [[0, 1], 0, 0]}),
+        ct.DimensionMismatch, "field coefficients u, w must be real"),
+    "lie-ball-empty": (
+        lambda: dm.LieBallPoint([]),
+        ct.DimensionMismatch, "Lie ball point must be a nonempty vector"),
+    "siegel-point-shape": (
+        lambda: dm.siegel_action(np.eye(4), np.zeros((3, 3))),
+        ct.DimensionMismatch, "point shape (3, 3), expected (2, 2)"),
+    "isotropy-not-square": (
+        lambda: dm.isotropy_dimension(np.zeros((2, 3))),
+        ct.NotInLightCone, "expected a square matrix, got shape (2, 3)"),
+    "aut1-open-orbit": (
+        lambda: ct.aut1_basis(ct.make_orbit(_HERM2, 2, 0)),
+        ct.InvalidSignature, "weight-one stabiliser basis needs 0 < rho < rank"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_raise_their_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

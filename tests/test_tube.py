@@ -42,15 +42,15 @@ def _rand_section(orbit, rng, basis):
 
 
 def test_condition_star():
-    assert tb.condition_star_holds(np.array([1.0, 2.0, -1.5]))
-    assert not tb.condition_star_holds(np.array([1.0, -1.0, 2.0]))
-    assert tb.condition_star_holds(np.array([1.0, 0.0, 0.0]))
+    assert sp.condition_star_holds(np.array([1.0, 2.0, -1.5]))
+    assert not sp.condition_star_holds(np.array([1.0, -1.0, 2.0]))
+    assert sp.condition_star_holds(np.array([1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_condition_star_rejects_non_finite(bad):
     with pytest.raises(ct.NonFiniteInput):
-        tb.condition_star_holds([bad, 1.0])
+        sp.condition_star_holds([bad, 1.0])
 
 
 def _poisoned(arr, bad):
@@ -129,16 +129,18 @@ def test_cached_standard_projections_are_read_only():
     # joint_peirce stays their reference, so a change to that layout fails here
     for A in DESK + LARGE_RANK + [ct.make_algebra(f, rank=1)
                                   for f in ("hermR", "hermC", "hermH")]:
-        frame, pairs, rows, row_pair = tb._standard_joint_peirce(A)
-        for arr in (frame, pairs, rows, row_pair):
+        blocks = al.peirce_blocks(A)
+        pairs, sizes, rows, row_pair = blocks.pairs, blocks.sizes, blocks.rows, blocks.row_block
+        for arr in blocks:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
         m = math.comb(A.rank + 1, 2)
-        assert pairs.shape == (m, 2)
+        assert pairs.shape == (m, 2) and sizes.shape == (m,)
         assert rows.shape == (A.dim, A.dim) and row_pair.shape == (A.dim,)
-        joint = sp.joint_peirce(A, frame)
+        joint = sp.joint_peirce(A, al.standard_frame(A))
         assert [tuple(pair) for pair in pairs.tolist()] == list(joint.projections), A
+        assert sizes.tolist() == list(joint.dims.values())
         # the per-pair rows: trace-orthonormal, as many per pair as the
         # block's dimension, each in the range of its π_jk
         G = ct.trace_gram(A)
@@ -153,7 +155,7 @@ def test_cached_standard_projections_are_read_only():
         for arr in (orb.base_point, orb.frame, orb.eigenvalues, orb.basis_h,
                     orb.basis_e1, orb.basis_half, orb.basis_e0):
             assert not arr.flags.writeable
-            assert not any(np.shares_memory(arr, cached) for cached in (frame, rows))
+            assert not any(np.shares_memory(arr, cached) for cached in blocks)
 
 
 def _condition_star_pair_loop(lam):
@@ -180,7 +182,7 @@ def test_condition_star_matches_pair_loop():
             cut = 1e-10 * max(1.0, float(np.max(np.abs(lam))))
             lam[k] = -lam[j] + rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5]) * cut
         want = _condition_star_pair_loop(lam.tolist())
-        assert tb.condition_star_holds(lam) == want, lam
+        assert sp.condition_star_holds(lam) == want, lam
         verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -193,7 +195,7 @@ def test_base_point_eigenvalues():
     np.testing.assert_allclose(lam[:2], [2.0, 1.0])
     assert abs(lam[2]) < 1e-12
     np.testing.assert_allclose(lam[3:], [-3.5, -4.5])
-    assert tb.condition_star_holds(orb.eigenvalues)
+    assert sp.condition_star_holds(orb.eigenvalues)
 
 
 def test_cr_dimension_formulas():
@@ -245,7 +247,7 @@ def test_base_point_has_its_signature_and_condition_star():
     for A in DESK + LARGE_RANK:
         for (p, q) in _all_orbits(A):
             orb = ct.make_orbit(A, p, q)
-            assert tb.condition_star_holds(orb.eigenvalues)
+            assert sp.condition_star_holds(orb.eigenvalues)
             if p + q:
                 sig = sp.orbit_signature(A, orb.base_point)
                 assert (sig.p, sig.q) == (p, q)
@@ -427,10 +429,10 @@ def test_batched_matrices_match_per_pair_oracles(spec, sig):
 
 def test_peirce_structure_is_read_only_and_symmetric():
     for A in DESK + LARGE_RANK:
-        g = tb._block_graph(A)
+        g = al.peirce_blocks(A).graph
         m = math.comb(A.rank + 1, 2)
         assert g.shape == (m, m, m) and g.dtype == bool
-        assert tb._block_graph(A) is g  # once per algebra
+        assert al.peirce_blocks(A).graph is g  # once per algebra
         assert not g.flags.writeable
         with pytest.raises(ValueError):
             g.flat[0] = True
@@ -442,14 +444,15 @@ def test_peirce_structure_matches_trace_form_of_products():
     # the graph is the block norms of (r_a ∘ r_b | r_c), cut at RANK_REL_CUT
     # times the largest, with kept norms >= 0.35 and dropped <= 1.4e-16 of it
     for A in _first_of_each_family():
-        _, pairs, rows, row_pair = tb._standard_joint_peirce(A)
+        table = al.peirce_blocks(A)
+        pairs, rows, row_pair = table.pairs, table.rows, table.row_block
         t = np.array([[[ct.trace_form(A, ct.jordan_product(A, ra, rb), rc)
                         for rc in rows] for rb in rows] for ra in rows])
         blocks = [row_pair == i for i in range(len(pairs))]
         norm = np.array([[[np.linalg.norm(t[np.ix_(x, y, z)]) for z in blocks]
                           for y in blocks] for x in blocks])
         norm /= norm.max()
-        g = tb._block_graph(A)
+        g = table.graph
         np.testing.assert_array_equal(g, norm > al.RANK_REL_CUT, err_msg=repr(A))
         assert norm[g].min() >= 0.35 and norm[~g].max(initial=0.0) <= 1.4e-16, A
 
@@ -473,10 +476,11 @@ def test_block_graph_is_the_peirce_rule_graph():
     # spin n=1 is on the desk
     for A in DESK + LARGE_RANK + [ct.make_algebra(f, rank=1)
                                   for f in ("hermR", "hermC", "hermH")]:
-        pairs = [tuple(pair) for pair in tb._standard_joint_peirce(A)[1].tolist()]
+        blocks = al.peirce_blocks(A)
+        pairs = [tuple(pair) for pair in blocks.pairs.tolist()]
         want = np.array([[[_peirce_rule(x, y, z) for z in pairs] for y in pairs]
                          for x in pairs])
-        np.testing.assert_array_equal(tb._block_graph(A), want, err_msg=repr(A))
+        np.testing.assert_array_equal(blocks.graph, want, err_msg=repr(A))
 
 
 def test_orbits_refuse_assignment_and_in_place_writes():
@@ -505,12 +509,12 @@ def test_batched_checks_reject_rows_outside_their_block(monkeypatch):
     # kernel, which the Peirce rules forbid
     spec, (p, q) = BATCHED_ORBITS[1]
     orb = ct.make_orbit(spec, p, q)
-    pairs = tb._standard_joint_peirce(spec)[1]
+    blocks = al.peirce_blocks(spec)
     y = int(np.flatnonzero(tb._pair_class(spec, p, q) == 1)[0])
-    g = tb._block_graph(spec).copy()
+    g = blocks.graph.copy()
     g[y], g[:, y], g[:, :, y] = False, False, False
-    monkeypatch.setattr(tb, "_block_graph", lambda algebra: g)
-    j, k = pairs[y]
+    monkeypatch.setattr(al, "peirce_blocks", lambda algebra: blocks._replace(graph=g))
+    j, k = blocks.pairs[y]
     for verdict in (ct.levi_kernel, ct.nondegeneracy_order):
         with pytest.raises(ct.NumericalFailure, match=f"V_{j}{k} has no Levi link"):
             verdict(orb)
