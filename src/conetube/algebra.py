@@ -162,9 +162,10 @@ def _herm_basis_matrices(rank: int, n: int) -> np.ndarray:
 def multiplication_table(algebra: AlgebraDescriptor) -> np.ndarray:
     """Structure tensor T with (x∘y)_c = Σ T[a, b, c] x_a y_b. Cached.
 
-    T is the only d³ array kept per algebra. x contracted with T on its
-    first axis is L(x)ᵀ, which :func:`_lmul_stack` turns into L(x), and
-    ``einsum("cii->c", T)`` is the trace vector, tr L(b_c) at c.
+    T is the only d³ array kept per algebra. Every other module contracts it
+    through :func:`_lmul_stack`, the stack of L(x)ᵀ, and ``einsum("cii->c",
+    T)`` is the trace vector. :func:`jordan_product` keeps its einsum, as
+    ``y @ L(x)ᵀ`` rounds differently and moves albert frames.
 
     Hermitian families take the K_n-matrix product of every basis pair in
     one contraction and read coordinate c off entry (I[c], J[c], D[c]) of
@@ -271,10 +272,10 @@ def peirce_blocks(algebra: AlgebraDescriptor) -> PeirceBlocks:
     dim − r coordinate units, n each; each row is scaled to trace norm 1.
     Entry [x, y, z] of the graph is the norm of block (x, y, z) of
     t[a, b, c] = (r_a ∘ r_b | r_c) over the rows r, cut against the largest
-    by :func:`above_rank_cut`. t is one (dim, dim²) product with the
-    multiplication table, squared slab by slab and summed by blocks. Over
-    the desk, hermR r=6, 7, 12, hermC r=6, 10 and hermH r=4, 6 kept norms
-    are ≥ 0.35 of the largest, dropped ones ≤ 1.4e-16.
+    by :func:`above_rank_cut`. t is the stack L(r_a)ᵀ of :func:`_lmul_stack`
+    between the rows and their coordinates, squared and summed by blocks.
+    Over the desk, hermR r=6, 7, 12, hermC r=6, 10 and hermH r=4, 6 kept
+    norms are ≥ 0.35 of the largest, dropped ones ≤ 1.4e-16.
     """
     r, n, d = algebra.rank, algebra.peirce_constant, algebra.dim
     pairs = np.transpose(np.triu_indices(r))
@@ -288,9 +289,7 @@ def peirce_blocks(algebra: AlgebraDescriptor) -> PeirceBlocks:
     rows /= np.sqrt(np.einsum("ab,bc,ac->a", rows, gram, rows))[:, None]
 
     coord = rows @ gram  # coord @ x: the row coordinates of x
-    t = (rows @ multiplication_table(algebra).reshape(d, d * d)).reshape(d, d, d)
-    for slab in t:
-        slab[...] = np.square(rows @ slab @ coord.T)
+    t = np.square(rows @ _lmul_stack(algebra, rows, transposed=True) @ coord.T)
     for axis in range(3):
         t = np.add.reduceat(t, np.cumsum(sizes) - sizes, axis=axis)
     graph = above_rank_cut(np.sqrt(t), np.sqrt(t.max()))
@@ -504,6 +503,15 @@ def matrix_to_element(algebra: AlgebraDescriptor, M: np.ndarray) -> np.ndarray:
         x[..., r::2] = entry.real
         x[..., r + 1::2] = entry.imag
     return x
+
+
+def below_2_500(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x·2^-k, k) for the least k >= 0 that puts every entry below 2^500.
+
+    Squares, pair sums and norms of x·2^-k stay finite; 2^-k scales exactly."""
+    top = np.maximum(np.abs(x.real), np.abs(x.imag)).max(initial=0.0)
+    k = max(int(np.frexp(top)[1]) - 500, 0)
+    return x * 2.0 ** -k, k
 
 
 def above_rank_cut(values: np.ndarray, largest) -> np.ndarray:

@@ -274,9 +274,8 @@ def cmd_flow(args):
     if rank != v.size:
         raise DimensionMismatch(
             f"rank {rank} does not match {v.size} flow coefficients")
-    frame = al.standard_frame(algebra)
     coeffs = fl.diagonal_flow_coefficients(v, c, args.t)
-    element = fl.diagonal_flow(algebra, frame, v, c, args.t)
+    element = coeffs @ al.standard_frame(algebra).astype(complex)  # Σ g_j e_j
     report = {
         "descriptor": sz.descriptor_to_json(algebra),
         "t": args.t,

@@ -35,25 +35,15 @@ def multiplication_tensor(n: int) -> np.ndarray:
 
 
 def _double(table: np.ndarray) -> np.ndarray:
+    """The table of K_2m from that of K_m, one block per pair of halves."""
     m = table.shape[0]
-    conj = conjugation_signs(m)
+    swapped = table.transpose(1, 0, 2)  # swapped[i, j] = e_j e_i
+    conj = conjugation_signs(m)[:, None]  # on the second factor
     big = np.zeros((2 * m, 2 * m, 2 * m))
-
-    def mul(x, y):
-        return np.einsum("ijk,i,j->k", table, x, y)
-
-    eye = np.eye(m)
-    for i in range(m):
-        for j in range(m):
-            a, c = eye[i], eye[j]
-            # (a,0)(c,0) = (ac, 0)
-            big[i, j, :m] = mul(a, c)
-            # (a,0)(0,d) = (0, da)
-            big[i, m + j, m:] = mul(c, a)
-            # (0,b)(c,0) = (0, b c̄)
-            big[m + i, j, m:] = mul(a, conj * c)
-            # (0,b)(0,d) = (-d̄ b, 0)
-            big[m + i, m + j, :m] = -mul(conj * c, a)
+    big[:m, :m, :m] = table  # (a,0)(c,0) = (ac, 0)
+    big[:m, m:, m:] = swapped  # (a,0)(0,d) = (0, da)
+    big[m:, :m, m:] = table * conj  # (0,b)(c,0) = (0, b c̄)
+    big[m:, m:, :m] = -swapped * conj  # (0,b)(0,d) = (-d̄ b, 0)
     return big
 
 

@@ -151,17 +151,19 @@ def siegel_action(A, z):
 
     z is a complex symmetric r×r matrix; when its imaginary part is
     positive definite the image stays in the half space and that is
-    verified on the result.
+    verified on the result. It runs on z·2^-k and w·2^-m below 2^500 (see
+    ``algebra.below_2_500``); an image past the float range raises.
     """
     A = require_finite(np.asarray(A, dtype=float), "symplectic matrix")
     z = require_finite(np.asarray(z, dtype=complex), "Siegel point")
     r = _check_symplectic(A)
     if z.shape != (r, r):
         raise DimensionMismatch(f"point shape {z.shape}, expected {(r, r)}")
-    if np.linalg.norm(z - z.T) > 1e-8 * max(1.0, np.linalg.norm(z)):
+    z, k = al.below_2_500(z)
+    if np.linalg.norm(z - z.T) > 1e-8 * max(2.0 ** -k, np.linalg.norm(z)):
         raise DimensionMismatch("Siegel point must be a symmetric matrix")
-    a, b = A[:r, :r], A[:r, r:]
-    c, d = A[r:, :r], A[r:, r:]
+    a, b = A[:r, :r], A[:r, r:] * 2.0 ** -k
+    c, d = A[r:, :r], A[r:, r:] * 2.0 ** -k
     denom = c @ z + d
     try:
         sv = np.linalg.svd(denom, compute_uv=False)
@@ -172,14 +174,18 @@ def siegel_action(A, z):
         w = np.linalg.solve(denom.T, (a @ z + b).T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Möbius action solve failed: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise NumericalFailure("the Möbius image passes the float range")
+    w, m = al.below_2_500(w)
     w = 0.5 * (w + w.T)
-    input_upper = np.all(np.linalg.eigvalsh((z - z.conj().T) / 2j) > 0)
-    if input_upper:
+    if np.all(np.linalg.eigvalsh((z - z.conj().T) / 2j) > 0):  # z is in the half space
         lo = np.min(np.linalg.eigvalsh((w - w.conj().T) / 2j))
-        if lo < -1e-9 * max(1.0, np.linalg.norm(w)):
+        scale = max(2.0 ** -m, np.linalg.norm(w))
+        if lo < -1e-9 * scale:
             raise NumericalFailure(
-                f"image left the Siegel half space (min imag eigenvalue {lo:.2e})")
-    return w
+                f"image left the Siegel half space (min imag eigenvalue "
+                f"{lo / scale:.2e} of max(1, |w|))")
+    return np.ldexp(w.view(float), m).view(complex)
 
 
 def isotropy_dimension(s) -> int:

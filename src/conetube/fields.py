@@ -35,8 +35,6 @@ from .errors import (
 )
 
 _CLOSURE_REL_TOL = 1e-8
-# terms per chunk in _commutators_at: 2 MB of float64 whatever the pair count
-_PRODUCT_TERMS = 1 << 18
 
 
 @dataclass(eq=False)
@@ -124,37 +122,18 @@ class GlOmegaSpan:
         return resid <= _CLOSURE_REL_TOL * max(1.0, np.linalg.norm(flat))
 
 
-@lru_cache(maxsize=None)
-def _structure_terms(algebra: al.AlgebraDescriptor):
-    """Nonzero T[a, b, c] as (a, b, value) sorted by c, and where each c starts.
-
-    Every c has a term, since Σ_a e_a T[a, c, c] = 1 for the unit e, so
-    ``np.add.reduceat`` over the starts sums exactly the terms of each c.
-    """
-    T = al.multiplication_table(algebra)
-    c, a, b = np.nonzero(T.transpose(2, 0, 1))
-    return a, b, T[a, b, c], np.searchsorted(c, np.arange(algebra.dim))
-
-
 def _commutators_at(algebra: al.AlgebraDescriptor, xs: np.ndarray,
                     ys: np.ndarray, lps: np.ndarray) -> np.ndarray:
     """Values [L(x_i), L(y_i)]p = x_i∘(y_i∘p) − y_i∘(x_i∘p) at each probe p.
 
     ``lps`` stacks L(p)ᵀ for s probes, shape (s, dim, dim). The result has
-    one row per pair and one dim-wide block per probe. The products run
-    over the nonzero structure constants alone, in chunks of pairs of
-    about _PRODUCT_TERMS terms.
+    one row per pair and one dim-wide block per probe. y_i∘p and x_i∘p come
+    from one matmul each; multiplying them by L(x_i) and L(y_i) is one
+    batched matmul each, with the L(·)ᵀ stacks of ``algebra._lmul_stack``.
     """
-    a, b, t, starts = _structure_terms(algebra)
-    xp, yp = xs @ lps, ys @ lps
-    out = np.empty((len(xs), len(lps), xs.shape[1]))
-    step = max(1, _PRODUCT_TERMS // (len(lps) * t.size))
-    for i in range(0, len(xs), step):
-        c = slice(i, i + step)
-        terms = xs[c].take(a, axis=1) * yp[:, c].take(b, axis=2)
-        terms -= ys[c].take(a, axis=1) * xp[:, c].take(b, axis=2)
-        terms *= t
-        out[c] = np.add.reduceat(terms, starts, axis=2).transpose(1, 0, 2)
+    yp, xp = (np.swapaxes(v @ lps, 0, 1) for v in (ys, xs))  # (pairs, s, dim)
+    out = yp @ al._lmul_stack(algebra, xs, transposed=True)
+    out -= xp @ al._lmul_stack(algebra, ys, transposed=True)
     return out.reshape(len(xs), -1)
 
 
@@ -376,7 +355,8 @@ def _multi_indices(length: int, total: int):
 
 
 def monomial_weight(m, j: int, eigenvalues) -> complex:
-    """Σ m_i λ_i − λ_j for a multi-index m and a 1-based component j."""
+    """Σ m_i λ_i − λ_j for a multi-index m and a 1-based component j, summed
+    on λ·2^-k below 2^500: only a weight past the float range raises."""
     lam = np.asarray(eigenvalues, dtype=complex)
     m = np.asarray(m, dtype=float)
     if m.shape != lam.shape:
@@ -384,7 +364,13 @@ def monomial_weight(m, j: int, eigenvalues) -> complex:
             f"multi-index length {m.shape} does not match {lam.shape} eigenvalues")
     if not 1 <= j <= lam.size:
         raise IndexOutOfRange(f"component {j} outside 1..{lam.size}")
-    return complex(m @ lam - lam[j - 1])
+    lam, k = al.below_2_500(lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = m @ lam - lam[j - 1]
+        w = complex(np.ldexp(w.real, k), np.ldexp(w.imag, k))
+    if not np.isfinite(w):
+        raise NumericalFailure(f"monomial weight of {m.tolist()} passes the float range")
+    return w
 
 
 def nonresonant(eigenvalues, bound: int) -> NonresonanceResult:

@@ -238,27 +238,15 @@ def _purify_frame(algebra, frame):
 
 
 def _frame_products(algebra, frame):
-    """All products frame[j] ∘ frame[k], shape (r, r, dim), in two matmuls.
-
-    The first contracts e_j with the first axis of T: row j of
-    ``y = frame @ T.reshape(d, d * d)`` is L(e_j)ᵀ flattened, as in
-    ``algebra._lmul_stack``. T is stored in C order, so the reshape is a view
-    and no copy of the d³ table is made per call. The second contracts e_k
-    with the middle axis: ``frame @ y.reshape(r, d, d)`` has entry [j, k] =
-    e_k L(e_j)ᵀ = e_j ∘ e_k.
-    """
-    d = algebra.dim
-    y = frame @ al.multiplication_table(algebra).reshape(d, d * d)
-    return frame @ y.reshape(len(frame), d, d)
+    """All products frame[j] ∘ frame[k] = frame[k] L(frame[j])ᵀ, shape (r, r, dim)."""
+    return frame @ al._lmul_stack(algebra, frame, transposed=True)
 
 
 def _validate_spectral(algebra, eigenvalues, frame, x):
     r, d = frame.shape
     resid = _frame_products(algebra, frame)
-    # idempotency residuals on the diagonal, orthogonality off it. The rows
-    # [j, j] are every (r + 1)-th row of resid seen as (r * r, d); the matmul
-    # result is C-contiguous, so that reshape and the strided slice are views
-    # and the subtraction lands in resid. On a copy it would be lost.
+    # idempotency residuals on the diagonal, orthogonality off it; the diagonal
+    # is a strided view of the C-contiguous resid, so the -= lands in resid
     resid.reshape(r * r, d)[::r + 1] -= frame
     total = frame.sum(axis=0)
     total[al._unit_support(algebra)] -= 1.0  # total is now Σ e_j - e
@@ -453,7 +441,8 @@ def condition_star_holds(eigenvalues) -> bool:
     """True when λ_j + λ_k = 0 only happens with λ_j = λ_k = 0."""
     # NaN fails every comparison below and would read as "no pair cancels"
     lam = require_finite(np.asarray(eigenvalues, dtype=float), "eigenvalue list")
-    cut = 1e-10 * np.max(np.abs(lam), initial=1.0)
+    lam, k = al.below_2_500(lam)  # no pair sum passes the float range
+    cut = 1e-10 * np.max(np.abs(lam), initial=2.0 ** -k)
     nonzero = np.abs(lam) > cut
     cancels = np.abs(np.add.outer(lam, lam)) <= cut
     return not np.any(cancels & (nonzero[:, None] | nonzero))
@@ -476,9 +465,11 @@ def peirce_projections(algebra: al.AlgebraDescriptor, c) -> PeirceData:
     polynomials in L(c) interpolating each eigenvalue; no eigensolver runs.
     """
     c = require_finite(al.as_real_element(algebra, c), "idempotent")
-    cc = al.jordan_product(algebra, c, c)
-    if np.max(np.abs(cc - c)) > SPECTRAL_TOL * max(1.0, float(np.max(np.abs(c))) ** 2):
-        raise NotIdempotent(f"c∘c differs from c by {np.max(np.abs(cc - c)):.2e}")
+    cs, k = al.below_2_500(c)  # c∘c past the float range would pass as inf <= inf
+    scale = max(2.0 ** -k, float(np.max(np.abs(cs)))) ** 2
+    resid = np.max(np.abs(al.jordan_product(algebra, cs, cs) - 2.0 ** -k * cs))
+    if resid > SPECTRAL_TOL * scale:
+        raise NotIdempotent(f"c∘c − c is {resid / scale:.2e} of max(1, max|c|)²")
     L = al.lmul(algebra, c)
     L2 = L @ L
     eye = np.eye(algebra.dim)

@@ -296,6 +296,18 @@ def test_flow_quotient_past_the_float_range_exits_three(capsys):
                    "at t = 1.000000000002 in component 0\n")
 
 
+@pytest.mark.parametrize("matrix, z, want", [
+    ("[[1,0],[0,1]]", "[[[0,1e200]]]", (0, "1e+200i\n", "")),
+    ("[[1,0],[0,1]]", "[[[0,1e308]]]", (0, "1e+308i\n", "")),
+    ("[[2,0],[0,0.5]]", "[[[0,1e308]]]",
+     (3, "", "numerical failure: the Möbius image passes the float range\n")),
+], ids=["1e200", "1e308", "4e308"])
+def test_siegel_on_huge_points_prints_or_exits_three(matrix, z, want, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["siegel", "--matrix", matrix, "--z", z], capsys) == want
+
+
 def test_flow_mismatched_lengths(capsys):
     code, _, err = run(["flow", "--v", "1,2", "--c", "i"], capsys)
     assert code == 2

@@ -1,5 +1,7 @@
 """Cayley maps, Lie ball strata, Siegel half-space action, light cone isotropy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,23 @@ def test_isotropy_matches_germ_dimension():
     dims = ct.cr_dimensions(A, 1, 0)
     manifold_dim = 2 * dims["crdim"] + dims["crcodim"]
     assert sp_dim - manifold_dim == 5
+
+
+@pytest.mark.parametrize("A, z, want", [
+    (np.eye(2), [[1e200j]], [[1e200j]]),
+    (np.eye(2), [[1e155 + 1e155j]], [[1e155 + 1e155j]]),
+    (np.eye(2), [[1e308j]], [[1e308j]]),
+    (np.diag([2.0, 0.5]), [[1e154j]], [[4e154j]]),
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), [[1e308j]], [[1e-308j]]),
+    (np.diag([2.0, 0.5]), [[1e308j]], None),
+], ids=["id-1e200", "id-1e155", "id-1e308", "diag-4e154", "J-1e308", "diag-4e308"])
+def test_siegel_action_on_huge_points(A, z, want):
+    # a finite image comes back without an overflow warning; 4e308 is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(ct.NumericalFailure, match="passes the float range"):
+                ct.siegel_action(A, np.array(z))
+        else:
+            w = ct.siegel_action(A, np.array(z))
+            np.testing.assert_allclose(w, want, rtol=4 * np.finfo(float).eps)

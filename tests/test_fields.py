@@ -254,7 +254,9 @@ def test_dim_table_above_the_desk(family, rank):
 def test_commutator_values_match_dense_operators():
     # reference: [L(x), L(y)] p from the dense multiplication operators
     rng = np.random.default_rng(349)
-    for A in DESK + [ct.make_algebra("hermH", rank=4)]:
+    # hermR r=12 and hermC r=10 (dim 78 and 100) are the largest operands
+    for A in DESK + [ct.make_algebra(f, rank=r) for f, r in
+                     (("hermH", 4), ("hermR", 12), ("hermC", 10))]:
         xs, ys, ps = rng.standard_normal((3, 5, A.dim))
         lps = np.stack([ct.lmul(A, p).T for p in ps])
         got = fl._commutators_at(A, xs, ys, lps).reshape(5, 5, A.dim)

@@ -2,6 +2,7 @@
 
 import ast
 import graphlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import conetube as ct
 from conetube import domains as dm
 from conetube import fields as fl
 from conetube import serialize as sz
+from conetube import spectral as sp
 
 PACKAGE = Path(ct.__file__).parent
 
@@ -81,3 +83,27 @@ def test_refusals_raise_their_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+LARGE_FINITE = {
+    "peirce-1e155": (
+        lambda: sp.peirce_projections(_HERM3, [1e155, 0, 0, 0, 0, 0]), ct.NotIdempotent),
+    "peirce-1e308": (
+        lambda: sp.peirce_projections(_HERM3, [1e308, 0, 0, 0, 0, 0]), ct.NotIdempotent),
+    "star-equal": (lambda: sp.condition_star_holds([1e308, 1e308]), True),
+    "star-cancel": (lambda: sp.condition_star_holds([1e308, -1e308]), False),
+    "weight-1e308": (lambda: fl.monomial_weight([2, 0], 1, [1e308, 1]), 1e308),
+    "weight-past-range": (
+        lambda: fl.monomial_weight([3, 0], 1, [1e308, 1]), ct.NumericalFailure),
+}
+
+
+@pytest.mark.parametrize("call, want", LARGE_FINITE.values(), ids=LARGE_FINITE.keys())
+def test_large_finite_input_ends_in_a_verdict_or_a_typed_error(call, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, type):
+            with pytest.raises(want):
+                call()
+        else:
+            assert call() == want
