@@ -18,7 +18,13 @@ Coordinates
 Hermitian families use the diagonal matrix units first (j = 0..r-1), then for
 each pair j < k in lexicographic order the n symmetrised off-diagonal units:
 coordinate (j, k, d) is the matrix with the d-th K_n basis vector at (j, k)
-and its conjugate at (k, j). The spin factor uses coordinates (s, u) in
+and its conjugate at (k, j). K_n is R, C, H or the octonions for n = 1, 2, 4,
+8: R^n with unit e_0 and conjugation x̄ = (x_0, -x_1, ..., -x_{n-1}), so that
+x x̄ = |x|² e_0, and the product of the Cayley–Dickson doubling
+
+    (a, b)(c, d) = (ac - d̄b, da + bc̄),    conj(a, b) = (ā, -b),
+
+which gives ij = k, jk = i, ki = j in H. The spin factor uses coordinates (s, u) in
 R ⊕ R^{n+1} with product
 
     (s, u)∘(t, v) = (st + <u, v>, sv + tu),   unit e = (1, 0).
@@ -46,7 +52,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .composition import conjugation_signs, multiplication_tensor
 from .errors import (ClassificationError, DimensionMismatch, NumericalFailure,
                      SingularElement, require_finite)
 
@@ -141,6 +146,28 @@ def _herm_index(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
+def _conjugation_signs(n: int) -> np.ndarray:
+    signs = -np.ones(n)
+    signs[0] = 1.0
+    return signs
+
+
+def _composition_table(n: int) -> np.ndarray:
+    """Structure tensor of K_n, (xy)_p = Σ K[m, q, p] x_m y_q, by doubling K_1."""
+    table = np.ones((1, 1, 1))
+    while len(table) < n:
+        m = len(table)
+        swapped = table.transpose(1, 0, 2)  # swapped[i, j] = e_j e_i
+        conj = _conjugation_signs(m)[:, None]  # on the second factor
+        big = np.zeros((2 * m, 2 * m, 2 * m))
+        big[:m, :m, :m] = table  # (a,0)(c,0) = (ac, 0)
+        big[:m, m:, m:] = swapped  # (a,0)(0,d) = (0, da)
+        big[m:, :m, m:] = table * conj  # (0,b)(c,0) = (0, b c̄)
+        big[m:, m:, :m] = -swapped * conj  # (0,b)(0,d) = (-d̄ b, 0)
+        table = big
+    return table
+
+
 def _herm_basis_matrices(rank: int, n: int) -> np.ndarray:
     """All basis elements as K_n-valued matrices, shape (dim, r, r, n)."""
     r = rank
@@ -148,7 +175,7 @@ def _herm_basis_matrices(rank: int, n: int) -> np.ndarray:
     basis = np.zeros((dim, r, r, n))
     for j in range(r):
         basis[j, j, j, 0] = 1.0
-    conj = conjugation_signs(n)
+    conj = _conjugation_signs(n)
     idx = r
     for (j, k) in _herm_pairs(r):
         for d in range(n):
@@ -173,7 +200,6 @@ def multiplication_table(algebra: AlgebraDescriptor) -> np.ndarray:
     exact.
     """
     if algebra.family == "spin":
-        n = algebra.peirce_constant
         dim = algebra.dim
         T = np.zeros((dim, dim, dim))
         T[0, 0, 0] = 1.0
@@ -185,7 +211,7 @@ def multiplication_table(algebra: AlgebraDescriptor) -> np.ndarray:
         return T
     r, n = algebra.rank, algebra.peirce_constant
     basis = _herm_basis_matrices(r, n)
-    tk = multiplication_tensor(n)
+    tk = _composition_table(n)
     j, k, d = _herm_index(r)
     I = np.concatenate([d, np.repeat(j, n)])
     J = np.concatenate([d, np.repeat(k, n)])

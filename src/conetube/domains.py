@@ -71,7 +71,8 @@ def ball_to_spin(w):
 
 @dataclass
 class LieBallPoint:
-    """ℂ^m coordinates with the two forms (z|z) and ⟨z,z⟩ computed from them."""
+    """ℂ^m coordinates with the two forms (z|z) and ⟨z,z⟩ computed from them,
+    on z·2^-k below 2^500 and scaled back: one past the float range is inf."""
 
     coords: np.ndarray
     hermitian: float = field(init=False)
@@ -82,18 +83,24 @@ class LieBallPoint:
         if self.coords.ndim != 1 or self.coords.size == 0:
             raise DimensionMismatch("Lie ball point must be a nonempty vector")
         require_finite(self.coords, "Lie ball point")
-        self.hermitian = float(np.real(np.vdot(self.coords, self.coords)))
-        self.bilinear = complex(np.sum(self.coords ** 2))
+        z, k = al.below_2_500(self.coords)
+        b = np.sum(z ** 2)
+        with np.errstate(over="ignore"):
+            self.hermitian = float(np.ldexp(np.real(np.vdot(z, z)), 2 * k))
+            self.bilinear = complex(np.ldexp(b.real, 2 * k), np.ldexp(b.imag, 2 * k))
 
 
 def lie_ball_membership(z) -> str:
     """Classify against D = {(z|z) + sqrt((z|z)² − |⟨z,z⟩|²) < 1}.
 
     The Shilov stratum (z|z) = |⟨z,z⟩| = 1 is tested first since it also
-    satisfies q = 1; the rest of q = 1 is the smooth boundary stratum.
+    satisfies q = 1; the rest of q = 1 is the smooth boundary stratum. As
+    q ≥ (z|z), a point with (z|z) ≥ 1 + tol is exterior before h² is formed.
     """
     point = z if isinstance(z, LieBallPoint) else LieBallPoint(z)
     h = point.hermitian
+    if h - 1.0 >= _STRATUM_TOL:
+        return EXTERIOR
     babs = abs(point.bilinear)
     q = h + np.sqrt(max(h * h - babs * babs, 0.0))
     if abs(h - 1.0) < _STRATUM_TOL and abs(babs - 1.0) < _STRATUM_TOL:
@@ -133,17 +140,34 @@ def symplectic_lie_algebra_basis(r: int) -> np.ndarray:
     return np.stack(basis)
 
 
+def _symplectic_residual(A: np.ndarray, k: np.ndarray):
+    """|AᵀJA − J| and its rounding scale |A|ᵀ|J||A| + |J|, formed on the
+    columns of A scaled by 2^-k, so that entry (i, j) is scaled by 2^-k_i-k_j."""
+    J = symplectic_form(len(A) // 2)
+    A, Jk = np.ldexp(A, -k), np.ldexp(J, -np.add.outer(k, k))
+    return np.abs(A.T @ J @ A - Jk), np.abs(A).T @ np.abs(J) @ np.abs(A) + np.abs(Jk)
+
+
 def _check_symplectic(A: np.ndarray) -> int:
+    """r for a 2r x 2r A with |AᵀJA − J| ≤ tol (|A|ᵀ|J||A| + |J|) entrywise.
+
+    An entry whose products pass the float range is formed again on columns
+    scaled below 2^500; its scale, ≥ 2^-24 there, dwarfs any underflow loss.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2 or not A.size:
         raise NotSymplectic(f"matrix shape {A.shape} is not 2r x 2r with r >= 1")
-    r = A.shape[0] // 2
-    J = symplectic_form(r)
-    resid = np.linalg.norm(A.T @ J @ A - J)
-    scale = max(1.0, np.linalg.norm(A) ** 2)
-    if resid > _SYMPLECTIC_TOL * scale:
-        raise NotSymplectic(f"A^T J A - J has norm {resid:.2e}")
-    return r
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid, scale = _symplectic_residual(A, np.zeros(len(A), dtype=int))
+    over = ~np.isfinite(scale)
+    k = np.maximum(np.frexp(np.abs(A).max(axis=0))[1] - 500, 0)
+    resid[over], scale[over] = (x[over] for x in _symplectic_residual(A, k))
+    excess = resid - _SYMPLECTIC_TOL * scale
+    i, j = np.unravel_index(np.argmax(excess), excess.shape)
+    if excess[i, j] > 0:
+        raise NotSymplectic(f"entry ({i}, {j}) of A^T J A - J is "
+                            f"{resid[i, j] / scale[i, j]:.2e} of its rounding scale")
+    return len(A) // 2
 
 
 def siegel_action(A, z):

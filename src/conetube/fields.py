@@ -378,7 +378,9 @@ def nonresonant(eigenvalues, bound: int) -> NonresonanceResult:
 
     The verdict is exact when the search provably exhausts all resonance
     candidates: all real parts on one side of zero and the bound at least
-    max|Re λ| / min|Re λ|. A found witness is always exact.
+    max|Re λ| / min|Re λ|. A found witness is always exact. The search runs
+    on λ·2^-k below 2^500 (see ``algebra.below_2_500``), so no weight
+    overflows, and a ratio past the float range is never within the bound.
     """
     lam = np.asarray(eigenvalues, dtype=complex)
     if lam.ndim != 1 or lam.size == 0:
@@ -386,20 +388,21 @@ def nonresonant(eigenvalues, bound: int) -> NonresonanceResult:
     require_finite(lam, "eigenvalue list")
     if bound < 2:
         raise InvalidBound(f"resonance search needs bound >= 2, got {bound}")
-    scale = max(1.0, float(np.max(np.abs(lam))))
+    scaled, k = al.below_2_500(lam)
+    cut = 1e-9 * max(2.0 ** -k, float(np.max(np.abs(scaled))))
     for total in range(2, bound + 1):
         for m in _multi_indices(lam.size, total):
-            weights = np.asarray(m, dtype=float) @ lam - lam
-            hits = np.nonzero(np.abs(weights) <= 1e-9 * scale)[0]
+            weights = np.asarray(m, dtype=float) @ scaled - scaled
+            hits = np.nonzero(np.abs(weights) <= cut)[0]
             if hits.size:
                 return NonresonanceResult(False, True, bound,
                                           (m, int(hits[0]) + 1))
     re = lam.real
     if np.all(re > 0) or np.all(re < 0):
         # any resonance needs |m| * min|Re| <= max|Re|, so the search
-        # below this bound is exhaustive
-        needed = int(math.ceil(np.max(np.abs(re)) / np.min(np.abs(re))))
-        exact = bound >= needed
+        # below this bound is exhaustive; bound >= x is bound >= ceil(x)
+        with np.errstate(over="ignore"):
+            exact = bool(bound >= np.max(np.abs(re)) / np.min(np.abs(re)))
     else:
         exact = False
     return NonresonanceResult(True, exact, bound)

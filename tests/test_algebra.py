@@ -125,6 +125,36 @@ def test_spin_product_closed_form():
                                    atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_composition_tables_are_normed_and_alternative(n):
+    # K_n = R, C, H, O: unit e_0, |xy| = |x||y|, x x̄ = |x|² e_0, x(xy) = (xx)y,
+    # and associative up to H; the octonions are not
+    K = al._composition_table(n)
+    conj = al._conjugation_signs(n)
+
+    def mul(x, y):
+        return np.einsum("mqp,m,q->p", K, x, y)
+
+    e0 = np.eye(n)[0]
+    rng = np.random.default_rng(59)
+    worst_associator = 0.0
+    for _ in range(200):
+        x, y, z = rng.standard_normal((3, n))
+        np.testing.assert_allclose(mul(e0, x), x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(mul(x, e0), x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(np.linalg.norm(mul(x, y)),
+                                   np.linalg.norm(x) * np.linalg.norm(y), rtol=1e-13)
+        np.testing.assert_allclose(mul(x, conj * x), (x @ x) * e0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(mul(x, mul(x, y)), mul(mul(x, x), y),
+                                   rtol=0, atol=1e-13)
+        associator = np.abs(mul(mul(x, y), z) - mul(x, mul(y, z))).max()
+        worst_associator = max(worst_associator, associator)
+    if n <= 4:
+        assert worst_associator <= 1e-13
+    else:
+        assert worst_associator > 1.0
+
+
 def test_matrix_realisation_oracle():
     # product and quadratic map match (XY+YX)/2 and A X A on matrices
     rng = np.random.default_rng(37)

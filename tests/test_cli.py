@@ -301,7 +301,10 @@ def test_flow_quotient_past_the_float_range_exits_three(capsys):
     ("[[1,0],[0,1]]", "[[[0,1e308]]]", (0, "1e+308i\n", "")),
     ("[[2,0],[0,0.5]]", "[[[0,1e308]]]",
      (3, "", "numerical failure: the Möbius image passes the float range\n")),
-], ids=["1e200", "1e308", "4e308"])
+    ("[[1e200,0],[0,1e-200]]", "[[[0,1e-300]]]", (0, "1e+100i\n", "")),
+    ("[[1e200,0],[0,1e-200]]", "[[[0,1]]]",
+     (3, "", "numerical failure: the Möbius image passes the float range\n")),
+], ids=["1e200", "1e308", "4e308", "diag-1e200", "diag-1e200-at-i"])
 def test_siegel_on_huge_points_prints_or_exits_three(matrix, z, want, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -203,6 +203,19 @@ def test_siegel_action_of_j_at_any_scale(s):
                                -np.linalg.inv(z), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("A", [
+    [[1e308, 0.0], [0.0, 1e-308]],
+    [[1e200, 0.0], [1e200, 1e-200]],
+    [[1e300, -1e300], [1e-300, 0.0]],
+], ids=["diag-1e308", "huge-pair", "tiny-beside-huge"])
+def test_symplectic_check_at_extreme_entries(A):
+    # det A = 1: an entry whose products pass the float range is formed on
+    # scaled columns, and a tiny entry next to a huge one is not lost there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dm._check_symplectic(np.array(A)) == 1
+
+
 def test_siegel_action_solve_failure(break_linalg):
     z = _siegel_point(2, np.random.default_rng(461))
     break_linalg("solve")
@@ -267,7 +280,9 @@ def test_isotropy_matches_germ_dimension():
     (np.diag([2.0, 0.5]), [[1e154j]], [[4e154j]]),
     (np.array([[0.0, 1.0], [-1.0, 0.0]]), [[1e308j]], [[1e-308j]]),
     (np.diag([2.0, 0.5]), [[1e308j]], None),
-], ids=["id-1e200", "id-1e155", "id-1e308", "diag-4e154", "J-1e308", "diag-4e308"])
+    (np.diag([1e200, 1e-200]), [[1e-300j]], [[1e100j]]),
+], ids=["id-1e200", "id-1e155", "id-1e308", "diag-4e154", "J-1e308", "diag-4e308",
+        "diag-1e200"])
 def test_siegel_action_on_huge_points(A, z, want):
     # a finite image comes back without an overflow warning; 4e308 is refused
     with warnings.catch_warnings():

@@ -72,6 +72,9 @@ REFUSALS = {
     "isotropy-not-square": (
         lambda: dm.isotropy_dimension(np.zeros((2, 3))),
         ct.NotInLightCone, "expected a square matrix, got shape (2, 3)"),
+    "siegel-not-symplectic": (
+        lambda: dm.siegel_action(np.diag([1e11, 1.0]), np.array([[1j]])),
+        ct.NotSymplectic, "entry (0, 1) of A^T J A - J is 1.00e+00 of its rounding scale"),
     "aut1-open-orbit": (
         lambda: ct.aut1_basis(ct.make_orbit(_HERM2, 2, 0)),
         ct.InvalidSignature, "weight-one stabiliser basis needs 0 < rho < rank"),
@@ -95,6 +98,12 @@ LARGE_FINITE = {
     "weight-1e308": (lambda: fl.monomial_weight([2, 0], 1, [1e308, 1]), 1e308),
     "weight-past-range": (
         lambda: fl.monomial_weight([3, 0], 1, [1e308, 1]), ct.NumericalFailure),
+    "nonresonant-1e308": (
+        lambda: fl.nonresonant([1e308, 1e308], 2), fl.NonresonanceResult(True, True, 2)),
+    "nonresonant-ratio-past-range": (
+        lambda: fl.nonresonant([1e300, 1e-300 + 1e300j], 2),
+        fl.NonresonanceResult(True, False, 2)),
+    "lie-ball-1e200": (lambda: dm.lie_ball_membership([1e200, 0]), dm.EXTERIOR),
 }
 
 
