@@ -211,7 +211,13 @@ def cmd_spectral(args):
         dims = ", ".join(f"V_{j + 1}{k + 1}:{d}"
                          for (j, k), d in sorted(joint.dims.items()))
         lines.append(f"block dims   {dims}")
-    return 0, sz.spectral_to_json(algebra, data, joint), lines
+    report = {"descriptor": sz.descriptor_to_json(algebra),
+              "eigenvalues": data.eigenvalues, "frame": data.frame}
+    if joint is not None:
+        report["projections"] = {f"{j},{k}": mat
+                                 for (j, k), mat in sorted(joint.projections.items())}
+        report["block_dims"] = {f"{j},{k}": d for (j, k), d in sorted(joint.dims.items())}
+    return 0, report, lines
 
 
 def cmd_orbit(args):
@@ -224,9 +230,9 @@ def cmd_orbit(args):
         "descriptor": sz.descriptor_to_json(algebra),
         "p": sig.p,
         "q": sig.q,
-        "minors": [float(v) for v in minors],
-        "generic_norm": float(minors[-1]),
-        "support": sz.element_to_json(sd.frame[counted].sum(axis=0)),
+        "minors": minors,
+        "generic_norm": minors[-1],
+        "support": sd.frame[counted].sum(axis=0),
     }
     lines = [f"algebra       {algebra!r}",
              f"signature     (p, q) = ({sig.p}, {sig.q})",
@@ -279,8 +285,8 @@ def cmd_flow(args):
     report = {
         "descriptor": sz.descriptor_to_json(algebra),
         "t": args.t,
-        "coefficients": [sz.complex_pair(g) for g in coeffs],
-        "element": sz.element_to_json(element),
+        "coefficients": coeffs,
+        "element": element,
     }
     lines = [f"g_{j + 1}({_fmt(args.t)}) = {_fmt_complex(g)}"
              for j, g in enumerate(coeffs)]
@@ -295,7 +301,7 @@ def cmd_siegel(args):
         dim = dm.isotropy_dimension(s)
         r = s.shape[0]
         report = {
-            "s": [sz.element_to_json(row) for row in s],
+            "s": s,
             "isotropy_dimension": dim,
             "sp_dim": r * (2 * r + 1),
         }
@@ -307,7 +313,7 @@ def cmd_siegel(args):
     A = sz.matrix_from_json(_load_json_arg(args.matrix)).astype(float)
     z = sz.matrix_from_json(_load_json_arg(args.z), allow_complex=True)
     w = dm.siegel_action(A, z)
-    report = {"result": [[sz.complex_pair(v) for v in row] for row in w]}
+    report = {"result": w}
     return 0, report, ["  ".join(_fmt_complex(v) for v in row) for row in w]
 
 

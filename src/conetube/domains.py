@@ -84,7 +84,9 @@ class LieBallPoint:
             raise DimensionMismatch("Lie ball point must be a nonempty vector")
         require_finite(self.coords, "Lie ball point")
         z, k = al.below_2_500(self.coords)
-        b = np.sum(z ** 2)
+        x, y = z.real, z.imag
+        # (x - y)(x + y), not x² - y²: a cancelling pair gives exactly 0
+        b = complex(np.sum((x - y) * (x + y)), 2 * np.sum(x * y))
         with np.errstate(over="ignore"):
             self.hermitian = float(np.ldexp(np.real(np.vdot(z, z)), 2 * k))
             self.bilinear = complex(np.ldexp(b.real, 2 * k), np.ldexp(b.imag, 2 * k))

@@ -1,9 +1,10 @@
-"""Deterministic JSON encoding of elements, descriptors, and reports.
+"""The canonical JSON writer, and the readers of elements and matrices.
 
-Floats render with 12 significant digits through repeated runs, so equal
-inputs produce byte-identical output. Complex numbers are [re, im] pairs,
-elements are coordinate arrays, descriptors are {"family", "rank", "n"},
-graded fields are {"u", "A", "w"}.
+``dumps_canonical`` is the one place a report becomes JSON: numpy arrays and
+scalars go in as they are, floats render with 12 significant digits, and
+complex numbers as [re, im] pairs, so equal inputs give byte-identical
+output. ``element_from_json`` and ``matrix_from_json`` read the same
+layout back, a JSON number or an [re, im] pair per entry.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from . import algebra as al
 from .errors import DimensionMismatch, NumericalFailure, require_finite
-from .fields import GradedField
 
 
 def format_float(x: float) -> str:
@@ -72,28 +72,9 @@ def dumps_canonical(obj) -> str:
     return "".join(parts)
 
 
-def complex_pair(c) -> list:
-    c = complex(c)
-    return [c.real, c.imag]
-
-
 def descriptor_to_json(algebra: al.AlgebraDescriptor) -> dict:
     return {"family": algebra.family, "rank": algebra.rank,
             "n": algebra.peirce_constant}
-
-
-def descriptor_from_json(data) -> al.AlgebraDescriptor:
-    if not isinstance(data, dict) or "family" not in data:
-        raise DimensionMismatch("descriptor must be an object with a family")
-    return al.make_algebra(data["family"], rank=data.get("rank"),
-                           peirce_constant=data.get("n"))
-
-
-def element_to_json(x) -> list:
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        return [[float(v.real), float(v.imag)] for v in x]
-    return [float(v) for v in x]
 
 
 def _is_number(entry) -> bool:
@@ -133,37 +114,3 @@ def matrix_from_json(data, allow_complex: bool = False) -> np.ndarray:
         raise DimensionMismatch("matrix rows have unequal lengths")
     arr = require_finite(np.asarray(rows, dtype=complex), "matrix")
     return arr.real if np.all(arr.imag == 0) else arr
-
-
-def field_to_json(field) -> dict:
-    return {"u": element_to_json(field.u),
-            "A": [element_to_json(row) for row in field.A],
-            "w": element_to_json(field.w)}
-
-
-def field_from_json(algebra: al.AlgebraDescriptor, data):
-    if not isinstance(data, dict) or set(data) - {"u", "A", "w"}:
-        raise DimensionMismatch('field must be {"u": …, "A": …, "w": …}')
-    d = algebra.dim
-    u = element_from_json(algebra, data.get("u", [0.0] * d))
-    w = element_from_json(algebra, data.get("w", [0.0] * d))
-    A = matrix_from_json(data.get("A", np.zeros((d, d)).tolist()))
-    if np.iscomplexobj(u) or np.iscomplexobj(w):
-        raise DimensionMismatch("field coefficients u, w must be real")
-    return GradedField(u, A, w)
-
-
-def spectral_to_json(algebra, data, joint=None) -> dict:
-    out = {
-        "descriptor": descriptor_to_json(algebra),
-        "eigenvalues": [float(v) for v in data.eigenvalues],
-        "frame": [element_to_json(row) for row in data.frame],
-    }
-    if joint is not None:
-        out["projections"] = {
-            f"{j},{k}": [element_to_json(row) for row in mat]
-            for (j, k), mat in sorted(joint.projections.items())
-        }
-        out["block_dims"] = {f"{j},{k}": int(d)
-                             for (j, k), d in sorted(joint.dims.items())}
-    return out

@@ -11,8 +11,10 @@ import pytest
 
 from conetube import algebra as al
 from conetube import cli
+from conetube import domains as dm
 from conetube import errors
 from conetube import fields as fl
+from conetube import serialize as sz
 from conetube import spectral as sp
 from conetube import tube as tb
 from conetube.cli import main
@@ -230,13 +232,98 @@ def test_spectral_diag_example(capsys):
 
 
 def test_spectral_projections_flag(capsys):
-    code, out, _ = run(["spectral", "--family", "hermR", "--rank", "2",
-                        "--element", "[3,1,0]", "--json", "--projections"],
-                       capsys)
+    argv = ["spectral", "--family", "hermR", "--rank", "2", "--element", "[3,1,0]", "--json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert not {"projections", "block_dims"} & set(json.loads(out))
+    code, out, _ = run(argv + ["--projections"], capsys)
     assert code == 0
     rep = json.loads(out)
     assert rep["block_dims"] == {"0,0": 1, "0,1": 1, "1,1": 1}
     assert sum(rep["block_dims"].values()) == 3
+
+
+def _listed(a):
+    """An array as plain lists: one float per real entry, [re, im] per complex one."""
+    a = np.asarray(a)
+    if a.ndim > 1:
+        return [_listed(row) for row in a]
+    if np.iscomplexobj(a):
+        return [[float(v.real), float(v.imag)] for v in a]
+    return [float(v) for v in a]
+
+
+def _descriptor(A):
+    return {"family": A.family, "rank": A.rank, "n": A.peirce_constant}
+
+
+def _spectral_layout(A, x):
+    sd = sp.spectral_decompose(A, x)
+    joint = sp.joint_peirce(A, sd.frame)
+    return {"descriptor": _descriptor(A), "eigenvalues": _listed(sd.eigenvalues),
+            "frame": _listed(sd.frame),
+            "projections": {f"{j},{k}": _listed(m)
+                            for (j, k), m in sorted(joint.projections.items())},
+            "block_dims": {f"{j},{k}": int(d) for (j, k), d in sorted(joint.dims.items())}}
+
+
+def _orbit_layout(A, x):
+    sig = sp.orbit_signature(A, x)
+    minors, norm = sp.generic_minors(A, x)
+    return {"descriptor": _descriptor(A), "p": sig.p, "q": sig.q,
+            "minors": _listed(minors), "generic_norm": float(norm),
+            "support": _listed(sp.support_idempotent(A, x))}
+
+
+def _flow_layout(A, v, c, t):
+    return {"descriptor": _descriptor(A), "t": t,
+            "coefficients": _listed(fl.diagonal_flow_coefficients(v, c, t)),
+            "element": _listed(fl.diagonal_flow(A, al.standard_frame(A), v, c, t))}
+
+
+_ELEMENTS = {
+    "hermR": (["--family", "hermR", "--rank", "3"], al.make_algebra("hermR", rank=3),
+              [2, 1, -1, 0.5, 0.25, -0.5]),
+    "hermC": (["--family", "hermC", "--rank", "3"], al.make_algebra("hermC", rank=3),
+              [2, 1, -1, 0.5, 0, 0.25, 0, -0.5, 0.125]),
+    "spin": (["--family", "spin", "--n", "3"], al.make_algebra("spin", peirce_constant=3),
+             [1, 0.5, -0.25, 2, 0.125]),
+}
+_J2 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+_Z2 = np.array([[1 + 2j, 0.5], [0.5, 1j]])
+_S3 = np.array([[2.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
+
+_LAYOUTS = {
+    **{f"spectral-{name}": (["spectral", "--projections", *fam, "--element", json.dumps(x)],
+                            lambda A=A, x=x: _spectral_layout(A, np.array(x, dtype=float)))
+       for name, (fam, A, x) in _ELEMENTS.items()},
+    **{f"orbit-{name}": (["orbit", *fam, "--element", json.dumps(x)],
+                         lambda A=A, x=x: _orbit_layout(A, np.array(x, dtype=float)))
+       for name, (fam, A, x) in _ELEMENTS.items()},
+    "flow-hermR": (["flow", "--v", "1,2", "--c", "i,1+2i", "--t", "0.25"],
+                   lambda: _flow_layout(al.make_algebra("hermR", rank=2),
+                                        [1.0, 2.0], [1j, 1 + 2j], 0.25)),
+    "flow-hermC": (["flow", "--family", "hermC", "--v", "1,0.5", "--c", "2-i,3i",
+                    "--t", "-0.5"],
+                   lambda: _flow_layout(al.make_algebra("hermC", rank=2),
+                                        [1.0, 0.5], [2 - 1j, 3j], -0.5)),
+    "siegel-action": (["siegel", "--matrix", json.dumps(_J2.tolist()), "--z",
+                       json.dumps([[[v.real, v.imag] for v in row] for row in _Z2])],
+                      lambda: {"result": _listed(dm.siegel_action(_J2, _Z2))}),
+    "siegel-isotropy": (["siegel", "--isotropy", "--s", json.dumps(_S3.tolist())],
+                        lambda: {"s": _listed(_S3),
+                                 "isotropy_dimension": dm.isotropy_dimension(_S3),
+                                 "sp_dim": 21}),
+}
+
+
+@pytest.mark.parametrize("argv, layout", _LAYOUTS.values(), ids=_LAYOUTS.keys())
+def test_json_layout_of_array_reports(argv, layout, capsys):
+    # arrays go into reports as they are; the JSON is that of plain lists of
+    # floats and [re, im] pairs, built here from the library calls
+    code, out, err = run(argv + ["--json"], capsys)
+    assert (code, err) == (0, "")
+    assert out == sz.dumps_canonical(layout()) + "\n"
 
 
 def test_nondegen_spin(capsys):

@@ -1,4 +1,4 @@
-"""Canonical JSON emission and the element/field/descriptor codecs."""
+"""The canonical JSON writer, and the element and matrix readers."""
 
 import json
 
@@ -84,30 +84,26 @@ def test_descriptor_round_trip():
     for A in ct.desk_algebras():
         data = sz.descriptor_to_json(A)
         assert set(data) == {"family", "rank", "n"}
-        back = sz.descriptor_from_json(json.loads(json.dumps(data)))
-        assert back == A
-    with pytest.raises(ct.DimensionMismatch):
-        sz.descriptor_from_json([1, 2, 3])
-    with pytest.raises(ct.ClassificationError):
-        sz.descriptor_from_json({"family": "who"})
+        back = json.loads(sz.dumps_canonical(data))
+        assert ct.make_algebra(back["family"], back["rank"], back["n"]) == A
 
 
 def test_element_round_trip_real():
     A = ct.make_algebra("hermR", rank=3)
     rng = np.random.default_rng(501)
     x = rng.standard_normal(A.dim)
-    data = sz.element_to_json(x)
+    data = json.loads(sz.dumps_canonical(x))
     assert all(isinstance(v, float) for v in data)
     back = sz.element_from_json(A, data)
-    np.testing.assert_allclose(back, x)
+    np.testing.assert_allclose(back, x, rtol=1e-11)
     assert back.dtype == float
 
 
 def test_element_round_trip_complex():
     A = ct.make_algebra("hermR", rank=2)
     z = np.array([1 + 2j, 0.5j, -1.0])
-    data = sz.element_to_json(z)
-    assert data[0] == [1.0, 2.0]
+    data = json.loads(sz.dumps_canonical(z))
+    assert data == [[1, 2], [0, 0.5], [-1, 0]]
     back = sz.element_from_json(A, data)
     np.testing.assert_allclose(back, z)
 
@@ -195,43 +191,3 @@ def test_json_entry_parsing(parse, data, want):
     want = np.array(want)
     assert got.dtype == (complex if np.iscomplexobj(want) else float)
     np.testing.assert_array_equal(got, want)
-
-
-def test_field_round_trip():
-    A = ct.make_algebra("hermR", rank=2)
-    rng = np.random.default_rng(503)
-    from conetube import fields as fl
-    f = fl.random_field(A, rng)
-    data = sz.field_to_json(f)
-    assert set(data) == {"u", "A", "w"}
-    back = sz.field_from_json(A, data)
-    np.testing.assert_allclose(back.u, f.u)
-    np.testing.assert_allclose(back.A, f.A)
-    np.testing.assert_allclose(back.w, f.w)
-    partial = sz.field_from_json(A, {"u": [1.0, 0.0, 0.0]})
-    assert np.max(np.abs(partial.A)) == 0
-    with pytest.raises(ct.DimensionMismatch):
-        sz.field_from_json(A, {"u": [1.0, 0.0, 0.0], "typo": []})
-
-
-def test_field_from_json_refuses_booleans():
-    for data in ({"u": [1.0, False, 0.0]}, {"w": [True, 0, 0]},
-                 {"A": [[True, 0, 0], [0, 0, 0], [0, 0, 0]]}):
-        with pytest.raises(ct.DimensionMismatch):
-            sz.field_from_json(_HERM_R2, data)
-
-
-def test_spectral_to_json():
-    A = ct.make_algebra("hermR", rank=3)
-    x = np.zeros(A.dim)
-    x[0], x[1] = 1.0, -2.0
-    data = ct.spectral_decompose(A, x)
-    out = sz.spectral_to_json(A, data)
-    assert out["descriptor"]["family"] == "hermR"
-    assert len(out["eigenvalues"]) == 3
-    assert "projections" not in out
-    joint = ct.joint_peirce(A, data.frame)
-    out = sz.spectral_to_json(A, data, joint)
-    assert out["block_dims"]["1,2"] == 1
-    text = sz.dumps_canonical(out)
-    json.loads(text)
