@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import conetube as ct
+from conetube import cli
 from conetube import serialize as sz
 
 
@@ -191,3 +192,22 @@ def test_json_entry_parsing(parse, data, want):
     want = np.array(want)
     assert got.dtype == (complex if np.iscomplexobj(want) else float)
     np.testing.assert_array_equal(got, want)
+
+
+def test_spectral_to_json(capsys):
+    """The spectral report reaches dumps_canonical with its arrays as they are."""
+    A = ct.make_algebra("hermR", rank=3)
+    x = np.zeros(A.dim)
+    x[0], x[1] = 1.0, -2.0
+    argv = ["spectral", "--family", "hermR", "--rank", "3",
+            "--element", json.dumps(x.tolist()), "--json"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["descriptor"]["family"] == "hermR"
+    assert len(out["eigenvalues"]) == 3
+    assert "projections" not in out
+    assert cli.main(argv + ["--projections"]) == 0
+    text = capsys.readouterr().out
+    out = json.loads(text)
+    assert out["block_dims"]["1,2"] == 1
+    assert text.rstrip("\n") == sz.dumps_canonical(out)
