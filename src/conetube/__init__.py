@@ -7,6 +7,8 @@ minimality, and the dimensions of the relevant field algebras, together
 with Cayley-type maps between the tube, ball, and Siegel realizations.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BlockViolation,
     BorderlineSpectrum,
@@ -121,102 +123,6 @@ from .serialize import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraDescriptor",
-    "BlockViolation",
-    "BorderlineSpectrum",
-    "ClassificationError",
-    "ConditionStarViolated",
-    "ConetubeError",
-    "DimensionMismatch",
-    "EXTERIOR",
-    "FlowSingularity",
-    "GlOmegaSpan",
-    "GradedField",
-    "INTERIOR",
-    "IndexOutOfRange",
-    "InputError",
-    "InvalidBound",
-    "InvalidFrame",
-    "InvalidSignature",
-    "JointPeirceData",
-    "LieBallPoint",
-    "NonFiniteInput",
-    "NondegeneracyResult",
-    "NonresonanceResult",
-    "NotIdempotent",
-    "NotInHolomorphicTangent",
-    "NotInLightCone",
-    "NotSymplectic",
-    "NumericalError",
-    "NumericalFailure",
-    "PeirceData",
-    "SHILOV",
-    "SMOOTH_BOUNDARY",
-    "Signature",
-    "SingularDenominator",
-    "SingularElement",
-    "SpectralData",
-    "TubeOrbit",
-    "VanishingReport",
-    "as_element",
-    "as_real_element",
-    "aut1_basis",
-    "aut_germ_dimension",
-    "ball_to_spin",
-    "beta_map",
-    "bracket",
-    "cayley",
-    "condition_star_holds",
-    "cr_dimensions",
-    "desk_algebras",
-    "descriptor_to_json",
-    "diagonal_flow",
-    "diagonal_flow_coefficients",
-    "dim_table",
-    "dumps_canonical",
-    "element_from_json",
-    "element_to_matrix",
-    "euler_field",
-    "evaluate_field",
-    "expected_dim_table",
-    "field_derivative",
-    "generic_minors",
-    "generic_trace",
-    "gl_omega_span",
-    "inverse_cayley",
-    "isotropy_dimension",
-    "joint_peirce",
-    "jordan_inverse",
-    "jordan_product",
-    "levi_form",
-    "levi_kernel",
-    "lie_ball_membership",
-    "lmul",
-    "make_algebra",
-    "make_orbit",
-    "matrix_to_element",
-    "minimality_check",
-    "monomial_weight",
-    "multiplication_table",
-    "nondegeneracy_order",
-    "nonresonant",
-    "orbit_count",
-    "orbit_signature",
-    "peirce_projections",
-    "pquad",
-    "random_field",
-    "siegel_action",
-    "spectral_decompose",
-    "spin_to_ball",
-    "standard_frame",
-    "star",
-    "support_idempotent",
-    "symplectic_form",
-    "symplectic_lie_algebra_basis",
-    "trace_form",
-    "trace_gram",
-    "triple_product",
-    "unit",
-    "vanishing_conditions",
-]
+# every name imported above, and no submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

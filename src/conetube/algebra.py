@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ClassificationError, DimensionMismatch, NumericalFailure,
-                     SingularElement, require_finite)
+                     SingularElement, read_int, require_finite)
 
 FAMILIES = ("spin", "hermR", "hermC", "hermH", "albert")
 
@@ -90,26 +90,26 @@ def make_algebra(family: str, rank: int | None = None,
     if family not in FAMILIES:
         raise ClassificationError(
             f"unknown family {family!r}; expected one of {FAMILIES}")
+    rank, n = (None if x is None else read_int(x, what, ClassificationError)
+               for x, what in ((rank, "rank"), (peirce_constant, "Peirce constant")))
     if family == "spin":
         rank = 2 if rank is None else rank
         if rank != 2:
             raise ClassificationError("spin factors have rank 2")
-        if peirce_constant is None or peirce_constant < 1:
+        if n is None or n < 1:
             raise ClassificationError("spin factor needs a Peirce constant n >= 1")
-        n = int(peirce_constant)
     elif family == "albert":
         rank = 3 if rank is None else rank
-        n = 8 if peirce_constant is None else int(peirce_constant)
+        n = 8 if n is None else n
         if rank != 3 or n != 8:
             raise ClassificationError("the exceptional algebra has rank 3, n = 8")
     else:
-        n = _HERM_PEIRCE[family] if peirce_constant is None else int(peirce_constant)
+        n = _HERM_PEIRCE[family] if n is None else n
         if n != _HERM_PEIRCE[family]:
             raise ClassificationError(
                 f"{family} forces Peirce constant {_HERM_PEIRCE[family]}, got {n}")
         if rank is None or rank < 1:
             raise ClassificationError(f"{family} needs a rank >= 1")
-    rank = int(rank)
     dim = rank + (rank * (rank - 1) // 2) * n
     return AlgebraDescriptor(family, rank, n, dim)
 

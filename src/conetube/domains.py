@@ -26,6 +26,8 @@ from .errors import (
     NotSymplectic,
     NumericalFailure,
     SingularDenominator,
+    read_int,
+    read_real,
     require_finite,
 )
 
@@ -56,16 +58,14 @@ def inverse_cayley(algebra: al.AlgebraDescriptor, w):
 
 def spin_to_ball(z):
     """Coordinate twist identifying the spin Cayley image with the Lie ball."""
-    z = np.asarray(z, dtype=complex)
-    out = z.copy()
-    out[1:] = 1j * z[1:]
+    out = np.array(z, dtype=complex)
+    out[1:] *= 1j
     return out
 
 
 def ball_to_spin(w):
-    w = np.asarray(w, dtype=complex)
-    out = w.copy()
-    out[1:] = -1j * w[1:]
+    out = np.array(w, dtype=complex)
+    out[1:] *= -1j
     return out
 
 
@@ -114,16 +114,22 @@ def lie_ball_membership(z) -> str:
     return EXTERIOR
 
 
+def _block_size(r) -> int:
+    r = read_int(r, "block size r", DimensionMismatch)
+    if r < 1:
+        raise DimensionMismatch(f"block size r must be >= 1, got {r}")
+    return r
+
+
 def symplectic_form(r: int) -> np.ndarray:
     """J = (0, e; −e, 0) in r×r blocks."""
-    J = np.zeros((2 * r, 2 * r))
-    J[:r, r:] = np.eye(r)
-    J[r:, :r] = -np.eye(r)
-    return J
+    r = _block_size(r)
+    return np.block([[np.zeros((r, r)), np.eye(r)], [-np.eye(r), np.zeros((r, r))]])
 
 
 def symplectic_lie_algebra_basis(r: int) -> np.ndarray:
     """Basis of sp(r, ℝ): blocks (α, β; γ, −αᵀ) with β, γ symmetric."""
+    r = _block_size(r)
     basis = []
     for i in range(r):
         for j in range(r):
@@ -156,7 +162,6 @@ def _check_symplectic(A: np.ndarray) -> int:
     An entry whose products pass the float range is formed again on columns
     scaled below 2^500; its scale, ≥ 2^-24 there, dwarfs any underflow loss.
     """
-    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2 or not A.size:
         raise NotSymplectic(f"matrix shape {A.shape} is not 2r x 2r with r >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,7 +185,7 @@ def siegel_action(A, z):
     verified on the result. It runs on z·2^-k and w·2^-m below 2^500 (see
     ``algebra.below_2_500``); an image past the float range raises.
     """
-    A = require_finite(np.asarray(A, dtype=float), "symplectic matrix")
+    A = read_real(A, "symplectic matrix")
     z = require_finite(np.asarray(z, dtype=complex), "Siegel point")
     r = _check_symplectic(A)
     if z.shape != (r, r):
@@ -223,10 +228,9 @@ def isotropy_dimension(s) -> int:
     The nullity is invariant under s ↦ t·s but the rows mix s and s² terms,
     so s is divided by its largest entry before the rank decision.
     """
-    s = np.asarray(s, dtype=float)
+    s = read_real(s, "cone boundary point")
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise NotInLightCone(f"expected a square matrix, got shape {s.shape}")
-    require_finite(s, "cone boundary point")
     r = s.shape[0]
     scale = np.max(np.abs(s), initial=0.0)
     if scale == 0:

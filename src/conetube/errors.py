@@ -4,6 +4,9 @@ Every error belongs to one of two groups, and the group is its type: an
 ``InputError`` (bad descriptors, wrong shapes, invalid signatures, NaN or
 infinite input) or a ``NumericalError`` (singular operators, residuals
 above tolerance). The command line maps the group to its exit code.
+
+Caller input is read here: ``require_finite`` refuses NaN and infinity,
+``read_real`` reads an array that must be real, and ``read_int`` a count.
 """
 
 import numpy as np
@@ -101,3 +104,19 @@ def require_finite(arr, what: str):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput(f"{what} has a NaN or infinite entry")
     return arr
+
+
+def read_real(x, what: str) -> np.ndarray:
+    """x as a float array; DimensionMismatch for a nonzero imaginary part,
+    NonFiniteInput for a NaN or infinite entry."""
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr) and np.any(arr.imag != 0):
+        raise DimensionMismatch(f"expected a real {what}")
+    return require_finite(np.asarray(arr.real, dtype=float), what)
+
+
+def read_int(x, what: str, error: type[InputError]) -> int:
+    """x as an int if it is an int or a numpy integer, never a bool; else ``error``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {x!r}")
+    return int(x)

@@ -31,6 +31,8 @@ from .errors import (
     IndexOutOfRange,
     InvalidBound,
     NumericalFailure,
+    read_int,
+    read_real,
     require_finite,
 )
 
@@ -46,11 +48,10 @@ class GradedField:
     w: np.ndarray
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
-        self.w = np.asarray(self.w, dtype=float)
-        d = self.u.shape[0]
-        if self.A.shape != (d, d) or self.w.shape != (d,):
+        self.u, self.A, self.w = (read_real(x, f"field coefficient {name}") for x, name
+                                  in ((self.u, "u"), (self.A, "A"), (self.w, "w")))
+        shape = self.u.shape
+        if len(shape) != 1 or self.A.shape != shape * 2 or self.w.shape != shape:
             raise DimensionMismatch(
                 f"field coefficients disagree: u {self.u.shape}, "
                 f"A {self.A.shape}, w {self.w.shape}")
@@ -62,7 +63,13 @@ def euler_field(algebra: al.AlgebraDescriptor) -> GradedField:
     return GradedField(np.zeros(d), np.eye(d), np.zeros(d))
 
 
+def _check_field(algebra: al.AlgebraDescriptor, *fields: GradedField):
+    if any(f.u.shape[0] != algebra.dim for f in fields):
+        raise DimensionMismatch("field does not live on this algebra")
+
+
 def evaluate_field(algebra: al.AlgebraDescriptor, field: GradedField, z):
+    _check_field(algebra, field)
     z = al.as_element(algebra, z)
     return (1j * field.u + field.A @ z
             + 1j * (al.pquad(algebra, z) @ field.w))
@@ -76,6 +83,7 @@ def _mmat(algebra, u, w):
 
 def field_derivative(algebra: al.AlgebraDescriptor, field: GradedField, z):
     """Jacobian matrix f'(z) = A + 2i M(z, w), with M as in :func:`_mmat`."""
+    _check_field(algebra, field)
     z = al.as_element(algebra, z)
     return field.A + 2j * _mmat(algebra, z, field.w)
 
@@ -117,7 +125,10 @@ class GlOmegaSpan:
         return rows
 
     def contains(self, mat: np.ndarray) -> bool:
-        flat = mat.reshape(-1)
+        d = self.algebra.dim
+        if np.shape(mat) != (d, d):
+            raise DimensionMismatch(f"expected a {d} x {d} matrix, got shape {np.shape(mat)}")
+        flat = np.ravel(mat)
         resid = np.linalg.norm(flat - self.rows.T @ (self.rows @ flat))
         return resid <= _CLOSURE_REL_TOL * max(1.0, np.linalg.norm(flat))
 
@@ -218,10 +229,9 @@ def bracket(algebra: al.AlgebraDescriptor, f1: GradedField,
 
     The degree-one coefficient uses M(u, w) of :func:`_mmat`.
     """
+    _check_field(algebra, f1, f2)
     u1, a1, w1 = f1.u, f1.A, f1.w
     u2, a2, w2 = f2.u, f2.A, f2.w
-    if u1.shape[0] != algebra.dim or u2.shape[0] != algebra.dim:
-        raise DimensionMismatch("field does not live on this algebra")
 
     u_out = a2 @ u1 - a1 @ u2
     a_out = (a2 @ a1 - a1 @ a2 - 2.0 * _mmat(algebra, u1, w2)
@@ -316,6 +326,7 @@ def vanishing_conditions(algebra: al.AlgebraDescriptor, field: GradedField,
     are decided from the coefficients alone; the report also carries the
     directly evaluated f(a) and f'(a) for independent confirmation.
     """
+    _check_field(algebra, field)
     a = al.as_real_element(algebra, a)
     data = sp.spectral_decompose(algebra, a)
     if not sp.condition_star_holds(data.eigenvalues):
@@ -357,8 +368,9 @@ def _multi_indices(length: int, total: int):
 def monomial_weight(m, j: int, eigenvalues) -> complex:
     """Σ m_i λ_i − λ_j for a multi-index m and a 1-based component j, summed
     on λ·2^-k below 2^500: only a weight past the float range raises."""
-    lam = np.asarray(eigenvalues, dtype=complex)
-    m = np.asarray(m, dtype=float)
+    lam = require_finite(np.asarray(eigenvalues, dtype=complex), "eigenvalue list")
+    m = read_real(m, "multi-index")
+    j = read_int(j, "component", IndexOutOfRange)
     if m.shape != lam.shape:
         raise DimensionMismatch(
             f"multi-index length {m.shape} does not match {lam.shape} eigenvalues")
@@ -382,10 +394,10 @@ def nonresonant(eigenvalues, bound: int) -> NonresonanceResult:
     on λ·2^-k below 2^500 (see ``algebra.below_2_500``), so no weight
     overflows, and a ratio past the float range is never within the bound.
     """
-    lam = np.asarray(eigenvalues, dtype=complex)
+    lam = require_finite(np.asarray(eigenvalues, dtype=complex), "eigenvalue list")
     if lam.ndim != 1 or lam.size == 0:
         raise DimensionMismatch("eigenvalue list must be a nonempty vector")
-    require_finite(lam, "eigenvalue list")
+    bound = read_int(bound, "resonance bound", InvalidBound)
     if bound < 2:
         raise InvalidBound(f"resonance search needs bound >= 2, got {bound}")
     scaled, k = al.below_2_500(lam)
@@ -421,12 +433,14 @@ def diagonal_flow_coefficients(v, c, t: float):
     that no product passes 2^1023. Elsewhere a = b = s = 0, and the plain
     formula runs unchanged.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    # NaN passes the pole test below and would come back as nan+nanj
+    v, t = np.atleast_1d(read_real(v, "flow rate")), read_real(t, "flow time")
+    c = np.atleast_1d(require_finite(np.asarray(c, dtype=complex), "start value"))
+    if v.ndim != 1 or c.ndim != 1 or t.ndim:
+        raise DimensionMismatch("flow rates and start values must be vectors and the time "
+                                f"a scalar, got shapes {v.shape}, {c.shape} and {t.shape}")
     if v.shape != c.shape:
         raise DimensionMismatch(f"rate shape {v.shape} != start shape {c.shape}")
-    # NaN passes the pole test below and would come back as nan+nanj
-    require_finite(np.concatenate([v, c, np.ravel(t)]), "flow rate, start value or time")
     # 2^k bounds each factor; a zero gets a k that bounds every product by 0
     kv, kc, kt = (np.where(f == 0, -4096, np.frexp(f)[1])
                   for f in (v, np.maximum(abs(c.real), abs(c.imag)), t))
@@ -458,10 +472,9 @@ def diagonal_flow(algebra: al.AlgebraDescriptor, frame, v_coeffs, c_coeffs,
     decouples into scalar Riccati equations with the closed-form solution
     of diagonal_flow_coefficients. Returns the complex element Σ g_j(t) e_j.
     """
-    frame = np.asarray(frame, dtype=float)
+    frame = read_real(frame, "frame")
     if frame.ndim != 2 or frame.shape[1] != algebra.dim:
-        raise DimensionMismatch(f"frame shape {frame.shape} does not fit dim "
-                                f"{algebra.dim}")
+        raise DimensionMismatch(f"frame shape {frame.shape} does not fit dim {algebra.dim}")
     g = diagonal_flow_coefficients(v_coeffs, c_coeffs, t)
     if g.shape[0] != frame.shape[0]:
         raise DimensionMismatch("coefficient count does not match the frame")

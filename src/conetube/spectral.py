@@ -45,10 +45,14 @@ import numpy as np
 from . import algebra as al
 from .errors import (
     BorderlineSpectrum,
+    ClassificationError,
+    DimensionMismatch,
     InvalidFrame,
     NonFiniteInput,
     NotIdempotent,
     NumericalFailure,
+    read_int,
+    read_real,
     require_finite,
 )
 
@@ -434,13 +438,18 @@ def orbit_signature(algebra: al.AlgebraDescriptor, x) -> Signature:
 
 def orbit_count(rank: int) -> int:
     """Number of cone-closure orbits: one per signature p + q <= rank."""
+    rank = read_int(rank, "rank", ClassificationError)
+    if rank < 0:
+        raise ClassificationError(f"rank must be >= 0, got {rank}")
     return math.comb(rank + 2, 2)
 
 
 def condition_star_holds(eigenvalues) -> bool:
     """True when λ_j + λ_k = 0 only happens with λ_j = λ_k = 0."""
     # NaN fails every comparison below and would read as "no pair cancels"
-    lam = require_finite(np.asarray(eigenvalues, dtype=float), "eigenvalue list")
+    lam = read_real(eigenvalues, "eigenvalue list")
+    if lam.ndim != 1:
+        raise DimensionMismatch(f"eigenvalue list must be a vector, got shape {lam.shape}")
     lam, k = al.below_2_500(lam)  # no pair sum passes the float range
     cut = 1e-10 * np.max(np.abs(lam), initial=2.0 ** -k)
     nonzero = np.abs(lam) > cut
@@ -481,11 +490,10 @@ def peirce_projections(algebra: al.AlgebraDescriptor, c) -> PeirceData:
 
 
 def _check_frame(algebra, frame):
-    frame = np.asarray(frame, dtype=float)
+    frame = read_real(frame, "frame")
     if frame.shape != (algebra.rank, algebra.dim):
         raise InvalidFrame(
             f"frame must be {algebra.rank} x {algebra.dim}, got {frame.shape}")
-    require_finite(frame, "frame")
     e = al.unit(algebra)
     r, d = frame.shape
     resid = _frame_products(algebra, frame)

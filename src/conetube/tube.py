@@ -45,6 +45,7 @@ from .errors import (
     InvalidSignature,
     NotInHolomorphicTangent,
     NumericalFailure,
+    read_int,
     require_finite,
 )
 from .fields import GradedField, gl_omega_span
@@ -94,6 +95,7 @@ class NondegeneracyResult:
 def cr_dimensions(algebra: al.AlgebraDescriptor, p: int, q: int) -> dict:
     """Closed-form CR dimension, codimension and Levi kernel dimension."""
     r, n = algebra.rank, algebra.peirce_constant
+    p, q = read_int(p, "p", InvalidSignature), read_int(q, "q", InvalidSignature)
     if min(p, q) < 0:
         raise InvalidSignature(f"(p, q) = ({p}, {q}): {'p' if p < 0 else 'q'} is negative")
     if p + q > r:
@@ -309,10 +311,11 @@ def aut_germ_dimension(algebra: al.AlgebraDescriptor, p: int, q: int) -> int:
 
     Only defined for degenerate nonzero signatures 0 < p + q < rank.
     """
+    crcodim = cr_dimensions(algebra, p, q)["crcodim"]  # reads p and q first
     if not 0 < p + q < algebra.rank:
         raise InvalidSignature(f"germ dimension needs 0 < p + q < rank, "
                                f"got ({p}, {q}) at rank {algebra.rank}")
-    return gl_omega_span(algebra).dim_gl_omega + cr_dimensions(algebra, p, q)["crcodim"]
+    return gl_omega_span(algebra).dim_gl_omega + crcodim
 
 
 def aut1_basis(orbit: TubeOrbit) -> list:

@@ -4,6 +4,7 @@ import ast
 import graphlib
 import warnings
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -80,6 +81,111 @@ REFUSALS = {
     "aut1-open-orbit": (
         lambda: ct.aut1_basis(ct.make_orbit(_HERM2, 2, 0)),
         ct.InvalidSignature, "weight-one stabiliser basis needs 0 < rho < rank"),
+    # counts are ints or numpy ints, never floats or bools
+    "spin-fractional-n": (
+        lambda: ct.make_algebra("spin", 2, 2.5),
+        ct.ClassificationError, "Peirce constant must be an integer, got 2.5"),
+    "hermR-fractional-rank": (
+        lambda: ct.make_algebra("hermR", 2.7),
+        ct.ClassificationError, "rank must be an integer, got 2.7"),
+    "hermR-bool-rank": (
+        lambda: ct.make_algebra("hermR", True),
+        ct.ClassificationError, "rank must be an integer, got True"),
+    "orbit-bool-p": (
+        lambda: ct.make_orbit(_HERM3, True, 0),
+        ct.InvalidSignature, "p must be an integer, got True"),
+    "cr-float-p": (
+        lambda: ct.cr_dimensions(_HERM2, 1.0, 0),
+        ct.InvalidSignature, "p must be an integer, got 1.0"),
+    "germ-float-q": (
+        lambda: ct.aut_germ_dimension(_HERM3, 1, 0.0),
+        ct.InvalidSignature, "q must be an integer, got 0.0"),
+    "weight-bool-j": (
+        lambda: fl.monomial_weight([1, 1], True, [1.0, 2.0]),
+        ct.IndexOutOfRange, "component must be an integer, got True"),
+    "weight-fractional-j": (
+        lambda: fl.monomial_weight([1, 1], 1.5, [1.0, 2.0]),
+        ct.IndexOutOfRange, "component must be an integer, got 1.5"),
+    "nonresonant-fractional-bound": (
+        lambda: fl.nonresonant([1.0, 2.0], 2.5),
+        ct.InvalidBound, "resonance bound must be an integer, got 2.5"),
+    "orbit-count-fractional": (
+        lambda: sp.orbit_count(2.5),
+        ct.ClassificationError, "rank must be an integer, got 2.5"),
+    "orbit-count-negative": (
+        lambda: sp.orbit_count(-3),
+        ct.ClassificationError, "rank must be >= 0, got -3"),
+    "symplectic-form-fractional": (
+        lambda: dm.symplectic_form(1.5),
+        ct.DimensionMismatch, "block size r must be an integer, got 1.5"),
+    "symplectic-form-zero": (
+        lambda: dm.symplectic_form(0),
+        ct.DimensionMismatch, "block size r must be >= 1, got 0"),
+    "symplectic-basis-zero": (
+        lambda: dm.symplectic_lie_algebra_basis(0),
+        ct.DimensionMismatch, "block size r must be >= 1, got 0"),
+    # arrays that must be real refuse an imaginary part, NaN and infinity
+    "joint-peirce-complex-frame": (
+        lambda: sp.joint_peirce(_HERM2, ct.standard_frame(_HERM2) + 1e-3j),
+        ct.DimensionMismatch, "expected a real frame"),
+    "siegel-complex-matrix": (
+        lambda: dm.siegel_action((1 + 1j) * np.eye(2), [[1j]]),
+        ct.DimensionMismatch, "expected a real symplectic matrix"),
+    "isotropy-complex-array": (
+        lambda: dm.isotropy_dimension(np.diag([1.0, 0.0]) + 1e-3j),
+        ct.DimensionMismatch, "expected a real cone boundary point"),
+    "isotropy-complex-list": (
+        lambda: dm.isotropy_dimension([[1, 0], [0, 1j]]),
+        ct.DimensionMismatch, "expected a real cone boundary point"),
+    "star-complex": (
+        lambda: sp.condition_star_holds(np.array([1 + 1j, -1 + 1j])),
+        ct.DimensionMismatch, "expected a real eigenvalue list"),
+    "field-complex-u": (
+        lambda: fl.GradedField(1j * np.ones(3), np.eye(3), np.zeros(3)),
+        ct.DimensionMismatch, "expected a real field coefficient u"),
+    "field-nan-u": (
+        lambda: fl.GradedField(np.full(3, np.nan), np.eye(3), np.zeros(3)),
+        ct.NonFiniteInput, "field coefficient u has a NaN or infinite entry"),
+    "flow-complex-frame": (
+        lambda: fl.diagonal_flow(_HERM2, 1j * ct.standard_frame(_HERM2),
+                                 [1.0, 1.0], [1j, 1j], 0.1),
+        ct.DimensionMismatch, "expected a real frame"),
+    "flow-complex-rate": (
+        lambda: fl.diagonal_flow_coefficients([1 + 1j], [1j], 1.0),
+        ct.DimensionMismatch, "expected a real flow rate"),
+    "weight-complex-multi-index": (
+        lambda: fl.monomial_weight([1j, 1], 1, [1.0, 2.0]),
+        ct.DimensionMismatch, "expected a real multi-index"),
+    "weight-nan-multi-index": (
+        lambda: fl.monomial_weight([np.nan, 1], 1, [1.0, 2.0]),
+        ct.NonFiniteInput, "multi-index has a NaN or infinite entry"),
+    "weight-nan-eigenvalue": (
+        lambda: fl.monomial_weight([1, 1], 1, [np.nan, 1.0]),
+        ct.NonFiniteInput, "eigenvalue list has a NaN or infinite entry"),
+    # a field of another algebra, and shapes that used to answer
+    "evaluate-other-algebra": (
+        lambda: fl.evaluate_field(_HERM2, fl.euler_field(_HERM3), np.ones(3)),
+        ct.DimensionMismatch, "field does not live on this algebra"),
+    "derivative-other-algebra": (
+        lambda: fl.field_derivative(_HERM2, fl.euler_field(_HERM3), np.ones(3)),
+        ct.DimensionMismatch, "field does not live on this algebra"),
+    "vanishing-other-algebra": (
+        lambda: fl.vanishing_conditions(_HERM2, fl.euler_field(_HERM3), [1.0, 2.0, 0.0]),
+        ct.DimensionMismatch, "field does not live on this algebra"),
+    "gl-omega-contains-wrong-shape": (
+        lambda: fl.gl_omega_span(_HERM2).contains(np.eye(2)),
+        ct.DimensionMismatch, "expected a 3 x 3 matrix, got shape (2, 2)"),
+    "star-not-a-vector": (
+        lambda: sp.condition_star_holds([[1.0, -1.0]]),
+        ct.DimensionMismatch, "eigenvalue list must be a vector, got shape (1, 2)"),
+    "flow-not-vectors": (
+        lambda: fl.diagonal_flow_coefficients([[1.0]], [[1j]], 1.0),
+        ct.DimensionMismatch,
+        "flow rates and start values must be vectors and the time a scalar, "
+        "got shapes (1, 1), (1, 1) and ()"),
+    "flow-complex-time": (
+        lambda: fl.diagonal_flow_coefficients([1.0], [1j], 1j),
+        ct.DimensionMismatch, "expected a real flow time"),
 }
 
 
@@ -88,6 +194,20 @@ def test_refusals_raise_their_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+def test_numpy_integers_are_counts():
+    assert ct.make_algebra("hermC", np.int64(3)) == ct.make_algebra("hermC", 3)
+    assert ct.cr_dimensions(_HERM2, np.int64(1), 0) == ct.cr_dimensions(_HERM2, 1, 0)
+
+
+def test_star_import_binds_all_and_no_module():
+    namespace = {}
+    exec("from conetube import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(ct.__all__)
+    assert len(namespace) == 97
+    assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
 
 
 LARGE_FINITE = {
