@@ -296,12 +296,10 @@ def peirce_blocks(algebra: AlgebraDescriptor) -> PeirceBlocks:
 
     V_jj is spanned by e_j, and the V_jk with j < k, in order, by the last
     dim − r coordinate units, n each; each row is scaled to trace norm 1.
-    Entry [x, y, z] of the graph is the norm of block (x, y, z) of
-    t[a, b, c] = (r_a ∘ r_b | r_c) over the rows r, cut against the largest
-    by :func:`above_rank_cut`. t is the stack L(r_a)ᵀ of :func:`_lmul_stack`
-    between the rows and their coordinates, squared and summed by blocks.
-    Over the desk, hermR r=6, 7, 12, hermC r=6, 10 and hermH r=4, 6 kept
-    norms are ≥ 0.35 of the largest, dropped ones ≤ 1.4e-16.
+    Entry [x, y, z] of the graph says whether t[a, b, c] = (r_a ∘ r_b | r_c)
+    is nonzero somewhere in block (x, y, z), with t taken over the rows r
+    before they are scaled. Those rows and T have entries 0, ±½ and 1, and
+    the trace Gram matrix half-integers, so t is exact and so is the graph.
     """
     r, n, d = algebra.rank, algebra.peirce_constant, algebra.dim
     pairs = np.transpose(np.triu_indices(r))
@@ -312,13 +310,10 @@ def peirce_blocks(algebra: AlgebraDescriptor) -> PeirceBlocks:
     rows[on_diag[row_block]] = standard_frame(algebra)
     rows[~on_diag[row_block], r:] = np.eye(d - r)
     gram = trace_gram(algebra)
-    rows /= np.sqrt(np.einsum("ab,bc,ac->a", rows, gram, rows))[:, None]
-
-    coord = rows @ gram  # coord @ x: the row coordinates of x
-    t = np.square(rows @ _lmul_stack(algebra, rows, transposed=True) @ coord.T)
+    graph = rows @ _lmul_stack(algebra, rows, transposed=True) @ (rows @ gram).T != 0
     for axis in range(3):
-        t = np.add.reduceat(t, np.cumsum(sizes) - sizes, axis=axis)
-    graph = above_rank_cut(np.sqrt(t), np.sqrt(t.max()))
+        graph = np.logical_or.reduceat(graph, np.cumsum(sizes) - sizes, axis=axis)
+    rows /= np.sqrt(np.einsum("ab,bc,ac->a", rows, gram, rows))[:, None]
     blocks = PeirceBlocks(pairs, sizes, rows, row_block, graph)
     for arr in blocks:
         arr.flags.writeable = False
@@ -331,13 +326,16 @@ def peirce_blocks(algebra: AlgebraDescriptor) -> PeirceBlocks:
 
 def as_element(algebra: AlgebraDescriptor, x) -> np.ndarray:
     """Coerce to a coordinate vector; complex dtype is kept, else float."""
-    arr = np.asarray(x)
+    try:
+        arr = np.asarray(x)
+        arr = arr.astype(complex if np.iscomplexobj(arr) else float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(
+            f"expected {algebra.dim} numeric coordinates for {algebra}") from None
     if arr.shape != (algebra.dim,):
         raise DimensionMismatch(
             f"expected {algebra.dim} coordinates for {algebra}, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
-        return arr.astype(complex)
-    return arr.astype(float)
+    return arr
 
 
 def as_real_element(algebra: AlgebraDescriptor, x) -> np.ndarray:
@@ -540,11 +538,6 @@ def below_2_500(x: np.ndarray) -> tuple[np.ndarray, int]:
     return x * 2.0 ** -k, k
 
 
-def above_rank_cut(values: np.ndarray, largest) -> np.ndarray:
-    """values > RANK_REL_CUT · largest: the one cut behind every rank decision."""
-    return values > RANK_REL_CUT * largest
-
-
 def _ranked_svd(M: np.ndarray, svd) -> tuple[int, np.ndarray | None]:
     """Rank of M and the ``vh`` that ``svd`` returns beside its singular values.
 
@@ -558,7 +551,7 @@ def _ranked_svd(M: np.ndarray, svd) -> tuple[int, np.ndarray | None]:
         raise NumericalFailure(f"rank decision failed: {exc}") from exc
     if s.size and not np.isfinite(s[0]):
         raise NumericalFailure(f"rank decision on a matrix with singular value {s[0]}")
-    rank = int(np.count_nonzero(above_rank_cut(s, s[0]))) if s.size else 0
+    rank = int(np.count_nonzero(s > RANK_REL_CUT * s[0])) if s.size else 0
     return rank, vh
 
 

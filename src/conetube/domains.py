@@ -26,9 +26,9 @@ from .errors import (
     NotSymplectic,
     NumericalFailure,
     SingularDenominator,
+    read_complex,
     read_int,
     read_real,
-    require_finite,
 )
 
 INTERIOR = "Interior"
@@ -79,10 +79,9 @@ class LieBallPoint:
     bilinear: complex = field(init=False)
 
     def __post_init__(self):
-        self.coords = np.atleast_1d(np.asarray(self.coords, dtype=complex))
+        self.coords = np.atleast_1d(read_complex(self.coords, "Lie ball point"))
         if self.coords.ndim != 1 or self.coords.size == 0:
             raise DimensionMismatch("Lie ball point must be a nonempty vector")
-        require_finite(self.coords, "Lie ball point")
         z, k = al.below_2_500(self.coords)
         x, y = z.real, z.imag
         # (x - y)(x + y), not x² - y²: a cancelling pair gives exactly 0
@@ -186,7 +185,7 @@ def siegel_action(A, z):
     ``algebra.below_2_500``); an image past the float range raises.
     """
     A = read_real(A, "symplectic matrix")
-    z = require_finite(np.asarray(z, dtype=complex), "Siegel point")
+    z = read_complex(z, "Siegel point")
     r = _check_symplectic(A)
     if z.shape != (r, r):
         raise DimensionMismatch(f"point shape {z.shape}, expected {(r, r)}")

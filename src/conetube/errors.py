@@ -6,7 +6,7 @@ infinite input) or a ``NumericalError`` (singular operators, residuals
 above tolerance). The command line maps the group to its exit code.
 
 Caller input is read here: ``require_finite`` refuses NaN and infinity,
-``read_real`` reads an array that must be real, and ``read_int`` a count.
+``read_complex`` and ``read_real`` read arrays, and ``read_int`` a count.
 """
 
 import numpy as np
@@ -107,12 +107,20 @@ def require_finite(arr, what: str):
 
 
 def read_real(x, what: str) -> np.ndarray:
-    """x as a float array; DimensionMismatch for a nonzero imaginary part,
-    NonFiniteInput for a NaN or infinite entry."""
-    arr = np.asarray(x)
-    if np.iscomplexobj(arr) and np.any(arr.imag != 0):
+    """``read_complex(x, what)`` as floats; DimensionMismatch if it is not real."""
+    arr = read_complex(x, what)
+    if np.any(arr.imag != 0):
         raise DimensionMismatch(f"expected a real {what}")
-    return require_finite(np.asarray(arr.real, dtype=float), what)
+    return arr.real.copy()
+
+
+def read_complex(x, what: str) -> np.ndarray:
+    """x as a complex array; DimensionMismatch if it is not a rectangular
+    array of numbers, NonFiniteInput for a NaN or infinite entry."""
+    try:
+        return require_finite(np.asarray(x, dtype=complex), what)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{what} is not a rectangular array of numbers") from None
 
 
 def read_int(x, what: str, error: type[InputError]) -> int:

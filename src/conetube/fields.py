@@ -31,9 +31,9 @@ from .errors import (
     IndexOutOfRange,
     InvalidBound,
     NumericalFailure,
+    read_complex,
     read_int,
     read_real,
-    require_finite,
 )
 
 _CLOSURE_REL_TOL = 1e-8
@@ -368,7 +368,7 @@ def _multi_indices(length: int, total: int):
 def monomial_weight(m, j: int, eigenvalues) -> complex:
     """Σ m_i λ_i − λ_j for a multi-index m and a 1-based component j, summed
     on λ·2^-k below 2^500: only a weight past the float range raises."""
-    lam = require_finite(np.asarray(eigenvalues, dtype=complex), "eigenvalue list")
+    lam = read_complex(eigenvalues, "eigenvalue list")
     m = read_real(m, "multi-index")
     j = read_int(j, "component", IndexOutOfRange)
     if m.shape != lam.shape:
@@ -394,7 +394,7 @@ def nonresonant(eigenvalues, bound: int) -> NonresonanceResult:
     on λ·2^-k below 2^500 (see ``algebra.below_2_500``), so no weight
     overflows, and a ratio past the float range is never within the bound.
     """
-    lam = require_finite(np.asarray(eigenvalues, dtype=complex), "eigenvalue list")
+    lam = read_complex(eigenvalues, "eigenvalue list")
     if lam.ndim != 1 or lam.size == 0:
         raise DimensionMismatch("eigenvalue list must be a nonempty vector")
     bound = read_int(bound, "resonance bound", InvalidBound)
@@ -435,7 +435,7 @@ def diagonal_flow_coefficients(v, c, t: float):
     """
     # NaN passes the pole test below and would come back as nan+nanj
     v, t = np.atleast_1d(read_real(v, "flow rate")), read_real(t, "flow time")
-    c = np.atleast_1d(require_finite(np.asarray(c, dtype=complex), "start value"))
+    c = np.atleast_1d(read_complex(c, "start value"))
     if v.ndim != 1 or c.ndim != 1 or t.ndim:
         raise DimensionMismatch("flow rates and start values must be vectors and the time "
                                 f"a scalar, got shapes {v.shape}, {c.shape} and {t.shape}")

@@ -215,9 +215,9 @@ def _levi_kernel_pairs(orbit: TubeOrbit) -> tuple[np.ndarray, np.ndarray]:
 def levi_kernel(orbit: TubeOrbit) -> np.ndarray:
     """Levi kernel on H_aM as trace-orthonormal complex rows, shape (k, dim).
 
-    The Peirce rows of the E_1 blocks, as the block graph finds them (see
-    :func:`_levi_kernel_pairs`; the cut's margin is in ``algebra.peirce_blocks``):
-    empty when ρ = 0, all of H_aM on the open orbit, where E_0 = 0.
+    The Peirce rows of the E_1 blocks, as the exact block graph finds them
+    (see :func:`_levi_kernel_pairs`): empty when ρ = 0, all of H_aM on the
+    open orbit, where E_0 = 0.
     """
     blocks = al.peirce_blocks(orbit.algebra)
     return blocks.rows[_levi_kernel_pairs(orbit)[1][blocks.row_block]].astype(complex)
@@ -287,8 +287,7 @@ def minimality_check(orbit: TubeOrbit) -> bool:
     Peirce projection, so 𝒜a is the sum of its parts in the blocks. It holds
     the H blocks, and is grown through the graph (with x, every z with
     g[x, y, z] for some y) until it stops, at most m passes. On every orbit
-    the tests run it reaches all of V iff ρ > 0. The cut's margin is in
-    ``algebra.peirce_blocks``.
+    the tests run it reaches all of V iff ρ > 0.
     """
     graph = al.peirce_blocks(orbit.algebra).graph
     closure = _pair_class(orbit.algebra, orbit.p, orbit.q) > 0

@@ -186,6 +186,40 @@ REFUSALS = {
     "flow-complex-time": (
         lambda: fl.diagonal_flow_coefficients([1.0], [1j], 1j),
         ct.DimensionMismatch, "expected a real flow time"),
+    # non-numeric and ragged arrays never reach numpy's own ValueError
+    "isotropy-string": (
+        lambda: dm.isotropy_dimension([["a"]]),
+        ct.DimensionMismatch, "cone boundary point is not a rectangular array of numbers"),
+    "isotropy-ragged": (
+        lambda: dm.isotropy_dimension([[1, 0], [0]]),
+        ct.DimensionMismatch, "cone boundary point is not a rectangular array of numbers"),
+    "signature-string": (
+        lambda: sp.orbit_signature(_HERM2, ["a", "b", "c"]),
+        ct.DimensionMismatch, "expected 3 numeric coordinates for Algebra(hermR, r=2, n=1)"),
+    "product-string": (
+        lambda: ct.jordan_product(_HERM2, ["a", "b", "c"], [1.0, 0.0, 0.0]),
+        ct.DimensionMismatch, "expected 3 numeric coordinates for Algebra(hermR, r=2, n=1)"),
+    "siegel-string-point": (
+        lambda: dm.siegel_action(np.eye(2), "x"),
+        ct.DimensionMismatch, "Siegel point is not a rectangular array of numbers"),
+    "lie-ball-string": (
+        lambda: dm.lie_ball_membership(["a"]),
+        ct.DimensionMismatch, "Lie ball point is not a rectangular array of numbers"),
+    "nonresonant-string": (
+        lambda: fl.nonresonant(["a", "b"], 2),
+        ct.DimensionMismatch, "eigenvalue list is not a rectangular array of numbers"),
+    "flow-string-start": (
+        lambda: fl.diagonal_flow_coefficients([1.0], ["x"], 1.0),
+        ct.DimensionMismatch, "start value is not a rectangular array of numbers"),
+    "star-string": (
+        lambda: sp.condition_star_holds(["a"]),
+        ct.DimensionMismatch, "eigenvalue list is not a rectangular array of numbers"),
+    "field-string-u": (
+        lambda: fl.GradedField(["a"], np.eye(3), np.zeros(3)),
+        ct.DimensionMismatch, "field coefficient u is not a rectangular array of numbers"),
+    "weight-string-multi-index": (
+        lambda: fl.monomial_weight(["a"], 1, [1.0]),
+        ct.DimensionMismatch, "multi-index is not a rectangular array of numbers"),
 }
 
 

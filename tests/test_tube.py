@@ -441,8 +441,10 @@ def test_peirce_structure_is_read_only_and_symmetric():
 
 
 def test_peirce_structure_matches_trace_form_of_products():
-    # the graph is the block norms of (r_a ∘ r_b | r_c), cut at RANK_REL_CUT
-    # times the largest, with kept norms >= 0.35 and dropped <= 1.4e-16 of it
+    # a float oracle for the exact graph: the block norms of (r_a ∘ r_b | r_c)
+    # over the scaled rows, pair by pair, cut at RANK_REL_CUT times the
+    # largest; the exact graph must agree, and the kept norms are >= 0.35 of
+    # the largest and the dropped ones <= 1.4e-16
     for A in _first_of_each_family():
         table = al.peirce_blocks(A)
         pairs, rows, row_pair = table.pairs, table.rows, table.row_block
@@ -474,13 +476,25 @@ def _peirce_rule(x, y, z):
 
 def test_block_graph_is_the_peirce_rule_graph():
     # spin n=1 is on the desk
-    for A in DESK + LARGE_RANK + [ct.make_algebra(f, rank=1)
-                                  for f in ("hermR", "hermC", "hermH")]:
+    above = [ct.make_algebra("hermC", rank=10), ct.make_algebra("spin", peirce_constant=20)]
+    for A in DESK + LARGE_RANK + above + [ct.make_algebra(f, rank=1)
+                                          for f in ("hermR", "hermC", "hermH")]:
         blocks = al.peirce_blocks(A)
         pairs = [tuple(pair) for pair in blocks.pairs.tolist()]
         want = np.array([[[_peirce_rule(x, y, z) for z in pairs] for y in pairs]
                          for x in pairs])
         np.testing.assert_array_equal(blocks.graph, want, err_msg=repr(A))
+
+
+@pytest.mark.parametrize("cut", [0.5, 1e-300])
+def test_block_graph_reads_no_rank_cut(monkeypatch, cut):
+    # the graph is exact, so no value of the rank cut moves it
+    families = _first_of_each_family()
+    want = [al.peirce_blocks(A).graph for A in families]
+    monkeypatch.setattr(al, "RANK_REL_CUT", cut)
+    for A, graph in zip(families, want):
+        np.testing.assert_array_equal(al.peirce_blocks.__wrapped__(A).graph, graph,
+                                      err_msg=repr(A))
 
 
 def test_orbits_refuse_assignment_and_in_place_writes():
